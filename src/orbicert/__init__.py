@@ -33,9 +33,12 @@ from .quadext import (  # noqa: F401
     rational_below,
 )
 from .certifier import (  # noqa: F401
+    BoundaryPairings,
     Certificate,
+    boundary_pairings,
     build_report,
     certify,
+    checklist_holds,
     filtration_inequality,
     truncation_root,
     volume_ratio_lower,

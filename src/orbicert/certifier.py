@@ -24,23 +24,18 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from . import __version__ as _tool_version
-from .lattice import (
-    ConfigError,
-    DivisorClass,
-    SurfaceConfig,
-    intersect,
-    strict_transform,
-)
+from .lattice import Coeff, ConfigError, SurfaceConfig, malformed
+from .lattice import intersect  # noqa: F401  importable from here; bench/test_bench.py relies on it
 from .positivity import (
     Multiplicity,
     Verdict,
     WeightedBoundary,
     ample_sufficient,
-    boundary_class,
     check_multiplicity,
     orbifold_canonical_big,
 )
 from .quadext import (
+    NoPositiveRootError,
     QuadExt,
     compare_cross,
     min_root_quadratic,
@@ -90,6 +85,123 @@ class BoundaryReport:
     slack_lower: Fraction | None
 
 
+@dataclass(frozen=True)
+class BoundaryPairings:
+    """D_p^2, D_p . D_i, D_i^2 and the canonical pairings in closed form.
+
+    A valid config puts every blown point on exactly one paired component,
+    d_i^2 points on a paired component of degree d_i.  So D_i . D_j = d_i d_j
+    for i != j, and with h = sum(w_i d_i) and S = sum over paired components
+    of w_i^2 d_i^2:
+
+        D_p^2 = h^2 - S
+        D_p . D_i = d_i (h - [paired] w_i d_i)
+        D_i^2 = [unpaired] d_i^2
+        D_i . K = -3 d_i + [paired] d_i^2
+
+    The values are ints for integer weights and Fractions otherwise.
+    """
+
+    h: Coeff
+    paired_square: Coeff
+    dp2: Coeff
+    dpdi: tuple[Coeff, ...]
+    di2: tuple[int, ...]
+    dik: tuple[int, ...]
+    dpk: Coeff
+
+    def truncation_root(self, i: int) -> QuadExt:
+        return min_root_quadratic(self.di2[i], self.dpdi[i], self.dp2)
+
+    def volume_ratio(self, i: int, root: QuadExt) -> QuadExt:
+        dp2 = Fraction(self.dp2)
+        return (
+            root * dp2 * Fraction(2, 3) - root * root * self.dpdi[i] * Fraction(1, 3)
+        ) / dp2
+
+
+def boundary_pairings(cfg: SurfaceConfig, weights: Sequence[Coeff]) -> BoundaryPairings:
+    """The pairings of D_p = sum(w_i D_i) from per-component closed forms."""
+    h = 0
+    paired_square = 0
+    for w, comp in zip(weights, cfg.components):
+        h += w * comp.degree
+        if comp.paired:
+            paired_square += (w * comp.degree) ** 2
+    dpdi, di2, dik = [], [], []
+    dpk = -3 * h
+    for w, comp in zip(weights, cfg.components):
+        d = comp.degree
+        if comp.paired:
+            dpdi.append(d * (h - w * d))
+            di2.append(0)
+            dik.append(d * d - 3 * d)
+            dpk += w * d * d
+        else:
+            dpdi.append(d * h)
+            di2.append(d * d)
+            dik.append(-3 * d)
+    return BoundaryPairings(
+        h=h,
+        paired_square=paired_square,
+        dp2=h * h - paired_square,
+        dpdi=tuple(dpdi),
+        di2=tuple(di2),
+        dik=tuple(dik),
+        dpk=dpk,
+    )
+
+
+def _component_holds(
+    cfg: SurfaceConfig, bp: BoundaryPairings, weights: Sequence[Coeff], i: int
+) -> bool:
+    """The filtration inequality of component i, without square roots.
+
+    A paired component has the linear root x = D_p^2 / (2 D_p.D_i), and the
+    inequality reduces to D_p^2 > 4 (D_p.D_i) p_i.  An unpaired component of
+    degree d has x = (h - sqrt(S)) / d when D_p^2 > 0, and the inequality
+    reduces to sqrt(S) u > 2 S - h u with u = h - 3 d p_i, which one squaring
+    decides; it fails whenever D_p^2 <= 0.  Integer weights keep every step
+    in integers; rational weights give the same exact verdict in Fractions.
+    """
+    comp = cfg.components[i]
+    if comp.paired:
+        if bp.dpdi[i] <= 0 or bp.dp2 <= 0:
+            raise NoPositiveRootError("no positive truncation root")
+        return bp.dp2 > 4 * bp.dpdi[i] * weights[i]
+    u = bp.h - 3 * comp.degree * weights[i]
+    if bp.dp2 <= 0 or u <= 0:
+        return False
+    rhs = 2 * bp.paired_square - bp.h * u
+    return rhs < 0 or bp.paired_square * u * u > rhs * rhs
+
+
+def _ample(cfg: SurfaceConfig, bp: BoundaryPairings) -> bool:
+    # the sufficient test on D_p: every exceptional pairing is a positive
+    # weight, and the Bezout residue is the degree on unpaired components
+    return bp.dp2 > 0 and not all(c.paired for c in cfg.components)
+
+
+def checklist_holds(cfg: SurfaceConfig, wb: WeightedBoundary) -> bool:
+    """Ampleness is certified and every filtration inequality holds.
+
+    Decided from closed-form pairings with integer arithmetic (exact
+    rationals for rational weights) and no QuadExt value; build_report
+    reaches the same verdict through the exact volume ratios.
+    """
+    wb.check_against(cfg)
+    bp = boundary_pairings(cfg, wb.weights)
+    return _ample(cfg, bp) and all(
+        _component_holds(cfg, bp, wb.weights, i) for i in range(cfg.r)
+    )
+
+
+def _check_index(cfg: SurfaceConfig, wb: WeightedBoundary, i: int) -> None:
+    wb.check_against(cfg)
+    if not 0 <= i < cfg.r:
+        raise ConfigError(f"no component {i}")
+
+
 def truncation_root(cfg: SurfaceConfig, wb: WeightedBoundary, i: int) -> QuadExt:
     """Smallest positive root of D_i^2 x^2 - 2 (D_p . D_i) x + D_p^2.
 
@@ -97,21 +209,14 @@ def truncation_root(cfg: SurfaceConfig, wb: WeightedBoundary, i: int) -> QuadExt
     discriminant nonnegative; a NoRealRootError therefore flags corrupted
     input upstream rather than a legitimate geometry.
     """
-    dp = boundary_class(cfg, wb)
-    di = strict_transform(cfg, i)
-    return min_root_quadratic(intersect(di, di), intersect(dp, di), intersect(dp, dp))
+    _check_index(cfg, wb, i)
+    return boundary_pairings(cfg, wb.weights).truncation_root(i)
 
 
 def filtration_inequality(cfg: SurfaceConfig, wb: WeightedBoundary, i: int) -> bool:
     """2 D_p^2 x > (D_p . D_i) x^2 + 3 D_p^2 p_i at the truncation root."""
-    dp = boundary_class(cfg, wb)
-    di = strict_transform(cfg, i)
-    dp2 = intersect(dp, dp)
-    pairing = intersect(dp, di)
-    root = min_root_quadratic(intersect(di, di), pairing, dp2)
-    lhs = 2 * dp2 * root
-    rhs = pairing * root * root + 3 * dp2 * Fraction(wb.weights[i])
-    return (lhs - rhs).sign() > 0
+    _check_index(cfg, wb, i)
+    return _component_holds(cfg, boundary_pairings(cfg, wb.weights), wb.weights, i)
 
 
 def volume_ratio_lower(cfg: SurfaceConfig, wb: WeightedBoundary, i: int) -> QuadExt:
@@ -119,12 +224,9 @@ def volume_ratio_lower(cfg: SurfaceConfig, wb: WeightedBoundary, i: int) -> Quad
 
     ((2/3) x D_p^2 - (1/3) (D_p . D_i) x^2) / D_p^2 at the truncation root.
     """
-    dp = boundary_class(cfg, wb)
-    di = strict_transform(cfg, i)
-    dp2 = intersect(dp, dp)
-    pairing = intersect(dp, di)
-    root = min_root_quadratic(intersect(di, di), pairing, dp2)
-    return (root * dp2 * Fraction(2, 3) - root * root * pairing * Fraction(1, 3)) / dp2
+    _check_index(cfg, wb, i)
+    bp = boundary_pairings(cfg, wb.weights)
+    return bp.volume_ratio(i, bp.truncation_root(i))
 
 
 def weight_slack(report: BoundaryReport) -> tuple[QuadExt, Fraction]:
@@ -153,31 +255,28 @@ def weight_slack(report: BoundaryReport) -> tuple[QuadExt, Fraction]:
 def build_report(cfg: SurfaceConfig, wb: WeightedBoundary) -> BoundaryReport:
     """Evaluate ampleness and all per-component checks once."""
     wb.check_against(cfg)
-    dp = boundary_class(cfg, wb)
-    dp2 = Fraction(intersect(dp, dp))
+    bp = boundary_pairings(cfg, wb.weights)
+    dp2 = Fraction(bp.dp2)
     ample = ample_sufficient(cfg, wb)
+    assert ample.certified == _ample(cfg, bp), ample
     components: list[ComponentCheck] = []
     if ample.certified:
         for i, comp in enumerate(cfg.components):
-            di = strict_transform(cfg, i)
-            self_sq = Fraction(intersect(di, di))
-            pairing = Fraction(intersect(dp, di))
-            root = min_root_quadratic(self_sq, pairing, dp2)
+            root = bp.truncation_root(i)
             weight = Fraction(wb.weights[i])
-            lhs = 2 * dp2 * root
-            rhs = pairing * root * root + 3 * dp2 * weight
-            holds = (lhs - rhs).sign() > 0
-            ratio = (root * dp2 * Fraction(2, 3) - root * root * pairing * Fraction(1, 3)) / dp2
+            holds = _component_holds(cfg, bp, wb.weights, i)
+            ratio = bp.volume_ratio(i, root)
             exceeds = compare_cross(ratio, weight) > 0
-            # the inequality and the ratio bound are algebraically the same
+            # the square-root-free inequality and the QuadExt ratio bound
+            # are the same statement, decided independently
             assert holds == exceeds, (i, root, ratio, weight)
             components.append(
                 ComponentCheck(
                     index=i,
                     degree=comp.degree,
                     weight=weight,
-                    self_square=self_sq,
-                    dp_pairing=pairing,
+                    self_square=Fraction(bp.di2[i]),
+                    dp_pairing=Fraction(bp.dpdi[i]),
                     truncation_root=root,
                     inequality_holds=holds,
                     volume_ratio=ratio,
@@ -301,11 +400,19 @@ class Certificate:
 
     @staticmethod
     def from_json(text: str) -> "Certificate":
-        doc = json.loads(text)
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"malformed certificate JSON: {exc}") from exc
         return Certificate.from_json_dict(doc)
 
     @staticmethod
     def from_json_dict(doc: Mapping) -> "Certificate":
+        with malformed("certificate"):
+            return Certificate._from_doc(doc)
+
+    @staticmethod
+    def _from_doc(doc: Mapping) -> "Certificate":
         if doc.get("version") != CERTIFICATE_FORMAT_VERSION:
             raise ConfigError(f"unsupported certificate version {doc.get('version')}")
         components = tuple(

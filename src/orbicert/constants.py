@@ -24,18 +24,13 @@ from math import floor
 
 from .certifier import (
     TAG_UPPER,
+    BoundaryPairings,
     BoundaryReport,
+    boundary_pairings,
     build_report,
     encode_number,
 )
-from .lattice import (
-    DivisorClass,
-    SurfaceConfig,
-    canonical_class,
-    chi,
-    intersect,
-    strict_transform,
-)
+from .lattice import DivisorClass, SurfaceConfig, canonical_class, chi, intersect
 from .positivity import WeightedBoundary, ample_class_sufficient, boundary_class
 from .quadext import QuadExt, compare_cross, rational_above
 
@@ -72,51 +67,28 @@ def sections_certified(
     return lower, None
 
 
-@dataclass(frozen=True)
-class _Invariants:
-    """Pairing numbers that make the section sums O(1) per term."""
-
-    dp2: Fraction
-    dpk: Fraction
-    di2: tuple[Fraction, ...]
-    dpdi: tuple[Fraction, ...]
-    dik: tuple[Fraction, ...]
-    roots: tuple[QuadExt, ...]
+# pairing numbers and truncation roots that make each sum term O(1)
+_Invariants = tuple[BoundaryPairings, tuple[QuadExt, ...]]
 
 
 def _invariants(cfg: SurfaceConfig, wb: WeightedBoundary) -> _Invariants:
-    dp = boundary_class(cfg, wb)
-    k = canonical_class(cfg)
-    di2, dpdi, dik, roots = [], [], [], []
-    from .quadext import min_root_quadratic
-
-    dp2 = Fraction(intersect(dp, dp))
-    for i in range(len(cfg.components)):
-        di = strict_transform(cfg, i)
-        di2.append(Fraction(intersect(di, di)))
-        dpdi.append(Fraction(intersect(dp, di)))
-        dik.append(Fraction(intersect(di, k)))
-        roots.append(min_root_quadratic(di2[-1], dpdi[-1], dp2))
-    return _Invariants(
-        dp2=dp2,
-        dpk=Fraction(intersect(dp, k)),
-        di2=tuple(di2),
-        dpdi=tuple(dpdi),
-        dik=tuple(dik),
-        roots=tuple(roots),
-    )
+    # Fraction pairings on purpose: integer ones run the section sums about
+    # 4x faster, which waits on a benchmark fix (ROADMAP items 1 and 2)
+    bp = boundary_pairings(cfg, [Fraction(w) for w in wb.weights])
+    return bp, tuple(bp.truncation_root(i) for i in range(cfg.r))
 
 
 def _sum_lower_fast(inv: _Invariants, i: int, n: int) -> int:
     """Sum over m of the certified lower bounds for h^0(n D_p - m D_i)."""
-    cap = floor(inv.roots[i] * n)
+    bp, roots = inv
+    cap = floor(roots[i] * n)
     total = 0
     for m in range(1, cap + 1):
         # h^2 guard: (K - d) . D_p < 0 for d = n D_p - m D_i
-        if not inv.dpk - (n * inv.dp2 - m * inv.dpdi[i]) < 0:
+        if not bp.dpk - (n * bp.dp2 - m * bp.dpdi[i]) < 0:
             continue
-        sq = n * n * inv.dp2 - 2 * n * m * inv.dpdi[i] + m * m * inv.di2[i]
-        dk = n * inv.dpk - m * inv.dik[i]
+        sq = n * n * bp.dp2 - 2 * n * m * bp.dpdi[i] + m * m * bp.di2[i]
+        dk = n * bp.dpk - m * bp.dik[i]
         value = 1 + Fraction(sq - dk, 2)
         if value > 0:
             assert value.denominator == 1, (i, n, m)

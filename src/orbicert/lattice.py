@@ -17,6 +17,7 @@ zero.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
@@ -28,6 +29,17 @@ CONFIG_FORMAT_VERSION = 1
 
 class ConfigError(ValueError):
     """The combinatorial surface description violates an invariant."""
+
+
+@contextmanager
+def malformed(what: str):
+    """Report a missing key or a mistyped field of a document as a ConfigError."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ConfigError(f"{what} is missing key {exc}") from exc
+    except (TypeError, AttributeError) as exc:
+        raise ConfigError(f"malformed {what}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -263,6 +275,11 @@ class SurfaceConfig:
 
     @staticmethod
     def from_json_dict(doc: Mapping) -> "SurfaceConfig":
+        with malformed("config"):
+            return SurfaceConfig._from_doc(doc)
+
+    @staticmethod
+    def _from_doc(doc: Mapping) -> "SurfaceConfig":
         version = doc.get("version", CONFIG_FORMAT_VERSION)
         if version != CONFIG_FORMAT_VERSION:
             raise ConfigError(f"unsupported config version {version}")

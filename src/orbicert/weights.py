@@ -8,7 +8,8 @@ whenever some d_i = 1.
 
 search_weights enumerates positive integer weight vectors up to a bound
 and keeps those whose full hypothesis checklist passes, optimizing either
-the weight sum or the certified slack.
+the weight sum or the certified slack.  The checklist is decided with
+integers first; only passing vectors get a full report.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from multiprocessing import Pool
 
-from .certifier import build_report
+from .certifier import build_report, checklist_holds
 from .lattice import ConfigError, SurfaceConfig
 from .positivity import WeightedBoundary
 from .quadext import QuadExt, compare_cross
@@ -59,11 +60,13 @@ class SearchResult:
 
 
 def _evaluate(cfg: SurfaceConfig, weights: tuple[int, ...]) -> SearchHit | None:
-    report = build_report(cfg, WeightedBoundary.make(weights))
-    if not report.ample.certified or report.slack is None:
+    # the integer decision rejects almost every vector; exact values are
+    # built only for the vectors that pass
+    wb = WeightedBoundary.make(weights)
+    if not checklist_holds(cfg, wb):
         return None
-    if report.slack.sign() <= 0:
-        return None
+    report = build_report(cfg, wb)
+    assert report.slack is not None and report.slack.sign() > 0, weights
     return SearchHit(
         weights=weights,
         slack=report.slack,

@@ -1,5 +1,6 @@
 """End-to-end certification on the bundled configs plus exact benchmark values."""
 
+import json
 import math
 import random
 from fractions import Fraction
@@ -91,6 +92,19 @@ def test_certificate_json_round_trip():
     assert back.components[3].truncation_root == QuadExt(15, -4, 3)
     with pytest.raises(ConfigError):
         Certificate.from_json('{"version": 99}')
+
+
+def test_certificate_missing_keys_are_config_errors():
+    with pytest.raises(ConfigError, match="missing key 'components'"):
+        Certificate.from_json('{"version": 1}')
+    doc = json.loads(certify(FOUR_LINES, WEIGHTS).to_json())
+    del doc["components"][0]["self_square"]
+    with pytest.raises(ConfigError, match="missing key 'self_square'"):
+        Certificate.from_json_dict(doc)
+    with pytest.raises(ConfigError):
+        Certificate.from_json("[1]")
+    with pytest.raises(ConfigError):
+        Certificate.from_json("{not json")
 
 
 def test_plane_one_line_fails_filtration():

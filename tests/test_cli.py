@@ -201,3 +201,31 @@ def test_stress_probe(capsys):
     assert last["suite"] == "probe"
     assert last["samples"] + last["excluded"] == 120
     assert float(json.loads(out.strip().splitlines()[0])["alpha_emp_float"]) > 0
+
+
+def test_config_missing_degree_exits_3(capsys, tmp_path):
+    path = tmp_path / "no-degree.json"
+    path.write_text(json.dumps({"components": [{"paired": True}, {"degree": 1}]}))
+    code, out, err = run(capsys, "certify", "--config", str(path))
+    assert code == 3
+    assert "missing key 'degree'" in err
+    assert "overall" not in out
+
+
+def test_python_dash_m_entry_point():
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import orbicert
+
+    src = str(Path(orbicert.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-m", "orbicert", "search", "--bound", "4"],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": src},
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "best (min-sum): 4,4,4,3" in done.stdout

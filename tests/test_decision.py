@@ -1,0 +1,188 @@
+"""The integer checklist decision against the exact QuadExt report.
+
+checklist_holds decides ampleness and every filtration inequality from
+closed-form pairings with integer arithmetic; build_report computes the
+volume ratios in QuadExt and compares them with the weights.  The two are
+independent computations of the same statement and must agree everywhere.
+"""
+
+import itertools
+import random
+from fractions import Fraction
+from math import lcm
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from orbicert import sampling
+from orbicert.catalog import load_builtin
+from orbicert.certifier import (
+    boundary_pairings,
+    build_report,
+    checklist_holds,
+    filtration_inequality,
+)
+from orbicert.lattice import SurfaceConfig, canonical_class, intersect, strict_transform
+from orbicert.positivity import WeightedBoundary, boundary_class
+from orbicert.quadext import compare_cross
+from orbicert.weights import SearchHit, SearchResult, search_weights
+
+PROPERTY = settings(max_examples=150, deadline=None, database=None, derandomize=True)
+
+seeds = st.integers(min_value=0, max_value=2**32 - 1)
+
+# three paired lines and an unpaired conic; (5, 5, 5, 2) passes
+LINES_AND_CONIC = SurfaceConfig.from_json_dict(
+    {"components": [{"degree": 1, "paired": True}] * 3 + [{"degree": 2}]}
+)
+
+
+def sampled_case(seed: int) -> tuple[SurfaceConfig, WeightedBoundary]:
+    """A config and weights drawn the way the boundary stress suite draws them."""
+    rng = random.Random(seed)
+    if rng.random() < 0.7:
+        return sampling.random_passing_candidate(rng)
+    cfg = sampling.random_config(rng)
+    return cfg, sampling.random_weights(rng, cfg)
+
+
+@st.composite
+def json_configs(draw) -> SurfaceConfig:
+    """JSON configs whose components include an unpaired curve of degree 2 or 3."""
+    comps = []
+    for _ in range(draw(st.integers(1, 3))):
+        d = draw(st.integers(1, 3))
+        comps.append({"degree": d, "paired": True, "pairing_degree": draw(st.integers(1, d))})
+    comps.append({"degree": draw(st.integers(2, 3))})
+    comps = draw(st.permutations(comps))
+    return SurfaceConfig.from_json_dict(
+        {"components": comps, "hyperplane": draw(st.booleans())}
+    )
+
+
+@st.composite
+def near_passing_weights(draw, cfg: SurfaceConfig, denominator: int = 1):
+    """Weights around 4L/d on paired curves, anything up to 4L/d on the rest.
+
+    Uniform weights almost never pass; about one vector in six of these
+    does on configs with two or more paired curves.  With a denominator q
+    each weight moves by at most 1/q off a multiple of the base vector.
+    """
+    scale = lcm(*(c.degree for c in cfg.components)) * draw(st.integers(1, 3))
+    ws = []
+    for comp in cfg.components:
+        top = 4 * scale // comp.degree
+        if comp.paired:
+            w = max(1, top + draw(st.integers(-1, 1)))
+        else:
+            w = draw(st.integers(1, top))
+        ws.append(max(Fraction(1, denominator), w + Fraction(draw(st.integers(-1, 1)), denominator)))
+    return WeightedBoundary.make(ws)
+
+
+def rational_weights(cfg: SurfaceConfig):
+    generic = st.lists(
+        st.fractions(min_value=Fraction(1, 6), max_value=60, max_denominator=6),
+        min_size=cfg.r,
+        max_size=cfg.r,
+    ).map(WeightedBoundary.make)
+    return generic | st.integers(2, 6).flatmap(lambda q: near_passing_weights(cfg, q))
+
+
+def assert_decision_agrees(cfg: SurfaceConfig, wb: WeightedBoundary) -> bool:
+    report = build_report(cfg, wb)
+    decided = checklist_holds(cfg, wb)
+    exceeds = bool(report.components) and all(c.exceeds_weight for c in report.components)
+    assert decided == exceeds
+    assert decided == (report.slack is not None and report.slack.sign() > 0)
+    for check in report.components:
+        assert filtration_inequality(cfg, wb, check.index) == check.exceeds_weight
+    return decided
+
+
+@PROPERTY
+@given(seeds)
+def test_decision_on_sampled_configs(seed):
+    assert_decision_agrees(*sampled_case(seed))
+
+
+@PROPERTY
+@given(st.data())
+def test_decision_on_json_configs_with_unpaired_curve(data):
+    cfg = data.draw(json_configs())
+    uniform = st.lists(st.integers(1, 40), min_size=cfg.r, max_size=cfg.r)
+    wb = data.draw(uniform.map(WeightedBoundary.make) | near_passing_weights(cfg))
+    assert_decision_agrees(cfg, wb)
+
+
+@PROPERTY
+@given(st.data())
+def test_decision_on_rational_weights(data):
+    if data.draw(st.booleans()):
+        cfg = data.draw(json_configs())
+    else:
+        cfg, _ = sampled_case(data.draw(seeds))
+    assert_decision_agrees(cfg, data.draw(rational_weights(cfg)))
+
+
+def test_decision_sees_both_verdicts():
+    # the properties above are only worth something if both verdicts occur
+    verdicts = set()
+    for seed in range(200):
+        cfg, wb = sampled_case(seed)
+        verdicts.add(checklist_holds(cfg, wb))
+    assert verdicts == {True, False}
+    assert checklist_holds(LINES_AND_CONIC, WeightedBoundary.make([5, 5, 5, 2]))
+    assert not checklist_holds(LINES_AND_CONIC, WeightedBoundary.make([5, 5, 5, 3]))
+    # homogeneity: a rational multiple keeps the verdict
+    sevenths = [Fraction(w, 7) for w in (5, 5, 5, 2)]
+    assert checklist_holds(LINES_AND_CONIC, WeightedBoundary.make(sevenths))
+
+
+@PROPERTY
+@given(st.data())
+def test_closed_form_pairings_match_lattice(data):
+    if data.draw(st.booleans()):
+        cfg = data.draw(json_configs())
+    else:
+        cfg, _ = sampled_case(data.draw(seeds))
+    wb = data.draw(rational_weights(cfg))
+    bp = boundary_pairings(cfg, wb.weights)
+    dp = boundary_class(cfg, wb)
+    k = canonical_class(cfg)
+    assert bp.dp2 == intersect(dp, dp)
+    assert bp.dpk == intersect(dp, k)
+    for i in range(cfg.r):
+        di = strict_transform(cfg, i)
+        assert bp.dpdi[i] == intersect(dp, di)
+        assert bp.di2[i] == intersect(di, di)
+        assert bp.dik[i] == intersect(di, k)
+
+
+def reference_hits(cfg: SurfaceConfig, bound: int) -> list[SearchHit]:
+    """Exhaustive enumeration that consults only build_report."""
+    hits = []
+    for ws in itertools.product(range(1, bound + 1), repeat=cfg.r):
+        report = build_report(cfg, WeightedBoundary.make(ws))
+        if report.ample.certified and report.slack is not None and report.slack.sign() > 0:
+            hits.append(SearchHit(ws, report.slack, report.slack_lower, sum(ws)))
+    return sorted(hits, key=lambda h: (h.weight_sum, h.weights))
+
+
+def test_search_matches_report_only_enumeration():
+    cases = (
+        (load_builtin("four-lines"), 4, 1),
+        (SurfaceConfig.build([1, 2], [1, 1], hyperplane=True), 6, 0),
+        (LINES_AND_CONIC, 5, 1),
+    )
+    for cfg, bound, least_hits in cases:
+        hits = reference_hits(cfg, bound)
+        assert len(hits) >= least_hits
+        for objective in ("min-sum", "max-slack"):
+            best = hits[0] if hits else None
+            if objective == "max-slack":
+                for hit in hits:
+                    if compare_cross(hit.slack, best.slack) > 0:
+                        best = hit
+            want = SearchResult(objective, bound, len(hits), best, tuple(hits))
+            assert search_weights(cfg, bound, objective) == want

@@ -202,3 +202,18 @@ def test_class_str():
     text = str(d)
     assert text.startswith("15H")
     assert "4E(A)" in text and "2E(B)" in text
+
+
+def test_missing_keys_are_config_errors():
+    with pytest.raises(ConfigError, match="missing key 'degree'"):
+        SurfaceConfig.from_json_dict({"components": [{"paired": True}]})
+    doc = {
+        "components": [{"degree": 1, "paired": True}, {"degree": 1}],
+        "points": [{"id": "P1.1"}],
+    }
+    with pytest.raises(ConfigError, match="missing key 'on'"):
+        SurfaceConfig.from_json_dict(doc)
+    with pytest.raises(ConfigError):
+        SurfaceConfig.from_json_dict({"components": [1]})
+    with pytest.raises(ConfigError):
+        SurfaceConfig.from_json('{"components": [{"degree": null}]}')
