@@ -15,6 +15,7 @@ one; the radical degree makes that computable without factoring.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -39,10 +40,68 @@ class ProbeExcluded(Exception):
 # -- places --------------------------------------------------------------------
 
 
+def _has_integer_root(b: int, c: int, d: int) -> bool:
+    """Whether the monic cubic y^3 + b y^2 + c y + d vanishes at an integer.
+
+    Splits [-B, B] (B the Cauchy bound) at the floor and the ceiling of each
+    critical point, bracketed through the isqrt of the derivative's
+    discriminant, and bisects each monotone piece whose endpoints change
+    sign.  The floor and the ceiling are adjacent, so the pieces' endpoints
+    cover every integer between the pieces.
+    """
+
+    def f(y: int) -> int:
+        return ((y + b) * y + c) * y + d
+
+    bound = 1 + max(abs(b), abs(c), abs(d))
+    cuts = [-bound]
+    disc = b * b - 3 * c  # f' = 3y^2 + 2by + c has roots (-b -+ sqrt(disc)) / 3
+    if disc > 0:
+        s = math.isqrt(disc)
+        # sqrt(disc) lies in [s, s + 1)
+        for lo, hi in ((-b - s - 1, -b - s), (-b + s, -b + s + 1)):
+            cuts += [lo // 3, -(-hi // 3)]
+    cuts.append(bound)
+    for lo, hi in zip(cuts[::2], cuts[1::2]):
+        if lo > hi:
+            continue
+        f_lo, f_hi = f(lo), f(hi)
+        if f_lo == 0 or f_hi == 0:
+            return True
+        if (f_lo < 0) == (f_hi < 0):
+            continue
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            f_mid = f(mid)
+            if f_mid == 0:
+                return True
+            if (f_mid < 0) == (f_lo < 0):
+                lo = mid
+            else:
+                hi = mid
+    return False
+
+
 @lru_cache(maxsize=None)
 def _certify_irreducible(poly: IntPoly) -> bool:
-    if polys.degree(poly) == 1:
+    """Irreducibility over Q.
+
+    Degree 1 is irreducible.  Degree 2 is irreducible iff its discriminant
+    is not a perfect square (an isqrt test).  Degree 3 is irreducible iff it
+    has no rational root; a3^2 f(y / a3) is a monic integer cubic, whose
+    rational roots are integers, found by bisection on its monotone pieces.
+    No integer is factored.  Degree 4 and up go to sympy.
+    """
+    deg = polys.degree(poly)
+    if deg == 1:
         return True
+    if deg == 2:
+        c, b, a = poly
+        disc = b * b - 4 * a * c
+        return disc < 0 or math.isqrt(disc) ** 2 != disc
+    if deg == 3:
+        a0, a1, a2, a3 = poly
+        return not _has_integer_root(a2, a1 * a3, a0 * a3 * a3)
     import sympy
 
     t = sympy.Symbol("t")
@@ -109,7 +168,7 @@ class RatMap:
         den = 1
         for row in rows:
             for c in row:
-                den = den * c.denominator // _gcd(den, c.denominator)
+                den = math.lcm(den, c.denominator)
         ints = [polys.trim([int(c * den) for c in row]) for row in rows]
         if all(polys.is_zero(p) for p in ints):
             raise ConfigError("all coordinates vanish")
@@ -131,17 +190,11 @@ class RatMap:
         return "[" + " : ".join(polys.to_string(c) for c in self.coords) + "]"
 
 
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
-
-
 def _divide_common(ints: list[IntPoly]) -> list[IntPoly]:
     cont = 0
     for p in ints:
         if not polys.is_zero(p):
-            cont = _gcd(cont, polys.content(p))
+            cont = math.gcd(cont, polys.content(p))
     ints = [polys.trim([c // cont for c in p]) for p in ints]
     g: IntPoly = ()
     for p in ints:
@@ -496,7 +549,7 @@ def gaussian_rank(rows: Iterable[Sequence[Fraction | int]]) -> int:
             fracs = [Fraction(c) for c in row]
             den = 1
             for f in fracs:
-                den = den * f.denominator // _gcd(den, f.denominator)
+                den = math.lcm(den, f.denominator)
             scaled.append([int(f * den) for f in fracs])
         mat = scaled
     else:
@@ -645,7 +698,7 @@ class PlaneRealization:
 def _normalize_point(coords: Sequence[int]) -> tuple[int, ...]:
     g = 0
     for c in coords:
-        g = _gcd(g, c)
+        g = math.gcd(g, c)
     if g == 0:
         raise ConfigError("zero projective point")
     out = tuple(c // g for c in coords)

@@ -1,10 +1,18 @@
 """Places, heights, counting functions, the subspace inequality, the probe."""
 
+import itertools
 import random
+import subprocess
+import sys
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import orbicert
 from orbicert import polys
 from orbicert.catalog import load_builtin
 from orbicert.ffheights import (
@@ -14,6 +22,7 @@ from orbicert.ffheights import (
     PlaneRealization,
     ProbeExcluded,
     RatMap,
+    _certify_irreducible,
     _split,
     coordinates_nondegenerate,
     counting_functions,
@@ -54,6 +63,162 @@ def test_place_normalization():
         Place.finite([3])
     with pytest.raises(ConfigError):
         Place.finite([-1, 0, 1])  # (t-1)(t+1)
+
+
+PROPERTY = settings(max_examples=200, deadline=None, database=None, derandomize=True)
+
+coeffs = st.integers(min_value=-(10**12), max_value=10**12)
+nonzero = coeffs.filter(bool)
+
+
+def sympy_irreducible(poly: tuple[int, ...]) -> bool:
+    import sympy
+
+    t = sympy.Symbol("t")
+    expr = sum(c * t**i for i, c in enumerate(poly))
+    return sympy.Poly(expr, t, domain="QQ").is_irreducible
+
+
+@st.composite
+def quadratics_and_cubics(draw) -> tuple[int, ...]:
+    lower = draw(st.lists(coeffs, min_size=2, max_size=3))
+    return tuple(lower) + (draw(nonzero),)
+
+
+@st.composite
+def reducible_products(draw) -> tuple[int, ...]:
+    """A linear factor with a non-unit leading coefficient times a poly of degree 1 or 2."""
+    small = st.integers(min_value=-(10**6), max_value=10**6)
+    linear = (draw(small), draw(small.filter(bool)))
+    rest = tuple(draw(st.lists(small, min_size=1, max_size=2))) + (draw(small.filter(bool)),)
+    return polys.mul(linear, rest)
+
+
+@PROPERTY
+@given(quadratics_and_cubics())
+def test_irreducibility_against_sympy(poly):
+    assert _certify_irreducible(poly) == sympy_irreducible(poly)
+
+
+@PROPERTY
+@given(reducible_products())
+def test_products_are_reducible(poly):
+    assert not _certify_irreducible(poly)
+    assert not sympy_irreducible(poly)
+    with pytest.raises(ConfigError):
+        Place.finite(poly)
+
+
+def has_rational_root(poly: tuple[int, ...]) -> bool:
+    """The rational root theorem, by divisor enumeration: small coefficients only."""
+    if poly[0] == 0:
+        return True
+    nums = [p for p in range(1, abs(poly[0]) + 1) if poly[0] % p == 0]
+    dens = [q for q in range(1, abs(poly[-1]) + 1) if poly[-1] % q == 0]
+    return any(
+        polys.eval_fraction(poly, Fraction(sign * p, q)) == 0
+        for p in nums
+        for q in dens
+        for sign in (1, -1)
+    )
+
+
+def test_small_quadratics_and_cubics_exhaustively():
+    """Degree 2 and 3 are reducible over Q exactly when they have a rational root."""
+    cubics = itertools.product(range(-5, 6), range(-5, 6), range(-5, 6), range(1, 6))
+    quadratics = itertools.product(range(-9, 10), range(-9, 10), range(1, 10))
+    for poly in itertools.chain(cubics, quadratics):
+        assert _certify_irreducible(poly) != has_rational_root(poly), poly
+
+
+REDUCIBLE = {
+    "(2t - 1)(t^2 + t + 1)": polys.mul((-1, 2), (1, 1, 1)),
+    "(3t + 2)(5t^2 - 7)": polys.mul((2, 3), (-7, 0, 5)),
+    "t^3": (0, 0, 0, 1),
+    "t^2 - 2t + 1": (1, -2, 1),
+    "(t - 1)(t - 2)(t - 3)": polys.mul(polys.mul((-1, 1), (-2, 1)), (-3, 1)),
+    "(6t - 5)(10t - 7)(15t - 11)": polys.mul(polys.mul((-5, 6), (-7, 10)), (-11, 15)),
+}
+IRREDUCIBLE = {
+    "t^3 - 2": (-2, 0, 0, 1),
+    "t^2 - 2": (-2, 0, 1),
+    "t^2 + 1": (1, 0, 1),
+    "t^3 + t + 1": (1, 1, 0, 1),
+    "t^3 - 3t + 1": (1, -3, 0, 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REDUCIBLE))
+def test_reducible_edge_cases(name):
+    poly = REDUCIBLE[name]
+    assert not _certify_irreducible(poly)
+    assert not sympy_irreducible(poly)
+    with pytest.raises(ConfigError, match="reducible place"):
+        Place.finite(poly)
+
+
+@pytest.mark.parametrize("name", sorted(IRREDUCIBLE))
+def test_irreducible_edge_cases(name):
+    poly = IRREDUCIBLE[name]
+    assert sympy_irreducible(poly)
+    assert Place.finite(poly).poly == poly
+
+
+def test_quartic_places_still_decided():
+    assert Place.finite((1, 0, 0, 0, 1)).degree == 4  # t^4 + 1
+    with pytest.raises(ConfigError):
+        Place.finite(polys.mul((1, 0, 1), (-2, 0, 1)))  # (t^2 + 1)(t^2 - 2)
+
+
+def test_irreducibility_cost_is_polynomial():
+    """128-bit coefficients: a factoring or divisor search would not finish."""
+    n = 2**127 - 1
+    cases = [
+        ((-n, 0, 0, 1), True),  # t^3 - N
+        ((n, n - 2, n + 4, n), True),
+        ((n, n + 2, n), True),
+        (polys.mul((-1, n), (n, 0, 1)), False),  # (N t - 1)(t^2 + N)
+        ((-(n * n), 0, 1), False),  # t^2 - N^2
+    ]
+    for poly, irreducible in cases:
+        start = time.perf_counter()
+        if irreducible:
+            Place.finite(poly)
+        else:
+            with pytest.raises(ConfigError):
+                Place.finite(poly)
+        assert time.perf_counter() - start < 1.0
+
+
+SWEEPS_WITHOUT_SYMPY = """
+import sys
+from orbicert import catalog, cli, ffheights
+from orbicert.positivity import WeightedBoundary
+
+cfg = catalog.load_builtin("four-lines")
+real = ffheights.realization_from_config(cfg)
+wb = WeightedBoundary.make([4, 4, 4, 3])
+for poly in ffheights._PLACE_POOL:
+    ffheights.Place.finite(poly)
+ffheights.product_formula_sweep(10, seed=1)
+ffheights.subspace_sweep(10, seed=1)
+ffheights.probe_sweep(cfg, wb, real, 10, seed=1)
+for suite in ("subspace", "product", "probe"):
+    cli.main(["stress", "--suite", suite, "--samples", "6", "--batches", "2"])
+assert "sympy" not in sys.modules, "the sweeps imported sympy"
+"""
+
+
+def test_sweeps_never_import_sympy():
+    src = str(Path(orbicert.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-c", SWEEPS_WITHOUT_SYMPY],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": src},
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
 
 
 def test_valuations():
