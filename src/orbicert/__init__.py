@@ -10,7 +10,6 @@ from .lattice import (  # noqa: F401
     SurfaceConfig,
     canonical_class,
     chi,
-    exceptional_class,
     intersect,
     strict_transform,
 )

@@ -181,6 +181,23 @@ def _ratios_at(
     return m_sections, tuple(sums), ratios
 
 
+def _argmax(values: tuple[QuadExt, ...], sign: int = 1) -> int:
+    """Index of the first largest value, or of the first least for sign -1."""
+    best = 0
+    for i in range(1, len(values)):
+        if sign * compare_cross(values[i], values[best]) > 0:
+            best = i
+    return best
+
+
+def _q_exact(
+    m_sections: int, n: int, eps_half: Fraction, betas: tuple[QuadExt, ...]
+) -> QuadExt:
+    """Q = (M - 1) / (2N) * (1 + eps/2) over the least volume ratio."""
+    beta_min = betas[_argmax(betas, -1)]
+    return QuadExt(Fraction(m_sections - 1, 2 * n) * (1 + eps_half)) / beta_min
+
+
 def feasible_chain(
     cfg: SurfaceConfig,
     wb: WeightedBoundary,
@@ -213,10 +230,7 @@ def feasible_chain(
         if got is None:
             continue
         m_sections, sums, ratios = got
-        worst = 0
-        for i in range(1, len(ratios)):
-            if compare_cross(ratios[i], ratios[worst]) > 0:
-                worst = i
+        worst = _argmax(ratios)
         if compare_cross(ratios[worst], target) < 0:
             found = (n, m_sections, sums, ratios, worst)
             break
@@ -230,11 +244,7 @@ def feasible_chain(
 
     c_const = (1 + eps_half) / Fraction(m_sections * n)
 
-    beta_min = betas[0]
-    for beta in betas[1:]:
-        if compare_cross(beta, beta_min) < 0:
-            beta_min = beta
-    q_exact = QuadExt(Fraction(m_sections - 1, 2 * n) * (1 + eps_half)) / beta_min
+    q_exact = _q_exact(m_sections, n, eps_half, betas)
     q_const = (
         q_exact.as_fraction()
         if q_exact.is_rational
@@ -297,11 +307,7 @@ def verify_chain(
         if earlier is None:
             continue
         _, _, rr = earlier
-        w = 0
-        for i in range(1, len(rr)):
-            if compare_cross(rr[i], rr[w]) > 0:
-                w = i
-        if compare_cross(rr[w], target) < 0:
+        if compare_cross(rr[_argmax(rr)], target) < 0:
             raise ChainMismatchError(f"level {n} was already admissible")
 
     # b satisfies the inequality and b - 1 does not
@@ -316,13 +322,7 @@ def verify_chain(
     if chain.c_const != (1 + chain.eps_half) / Fraction(chain.m_sections * chain.n):
         raise ChainMismatchError("C changed")
 
-    beta_min = betas[0]
-    for beta in betas[1:]:
-        if compare_cross(beta, beta_min) < 0:
-            beta_min = beta
-    q_exact = QuadExt(
-        Fraction(chain.m_sections - 1, 2 * chain.n) * (1 + chain.eps_half)
-    ) / beta_min
+    q_exact = _q_exact(chain.m_sections, chain.n, chain.eps_half, betas)
     if not compare_cross(QuadExt(chain.q_const), q_exact) >= 0:
         raise ChainMismatchError("Q is not an upper bound")
     for u, beta in zip(chain.beta_upper, betas):

@@ -1,17 +1,18 @@
 """Intersection arithmetic on a plane blown up at finitely many points.
 
-Classes live in the lattice spanned by the hyperplane pullback H and the
-exceptional classes E_Q of the blown-up points, with Gram matrix
-diag(1, -1, ..., -1).  A class is stored as h*H - sum(e[Q]*E_Q), so the
-strict transform of a degree d curve through a set of points has h = d and
-stored coefficient 1 at each of those points.
-
 A SurfaceConfig records the boundary shape combinatorially: component
 degrees, which components are paired with an auxiliary curve that pins the
-blown-up points, and the incidence table of those points.  Paired
-components carry exactly degree^2 points (transversal intersections plus
-padding), which forces their strict transforms to have self-intersection
-zero.
+blown-up points, and the incidence table of those points.  Every point lies
+on exactly one component, and a paired component of degree d carries
+exactly d^2 of them (transversal intersections plus padding), which forces
+its strict transform to have self-intersection zero; unpaired components
+carry none.
+
+Every class the boundary argument builds (D_p, n D_p - m D_i, K, d - K and
+the twisted boundary) gives all points on a component the same coefficient,
+so a class is stored as h*H - sum(c_i E_i), where E_i sums the exceptional
+curves over the n_i points on component i.  The Gram form diag(1, -1, ...)
+on H and the exceptional curves gives E_i . E_j = -n_i [i == j].
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import json
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 Coeff = Union[int, Fraction]
 
@@ -44,48 +45,40 @@ def malformed(what: str):
 
 @dataclass(frozen=True)
 class DivisorClass:
-    """Lattice vector h*H - sum over points of e[Q]*E_Q."""
+    """h*H - sum(c[i] * E_i), n[i] points under E_i, c[i] = 0 where n[i] = 0."""
 
     h: Coeff
-    e_items: tuple[tuple[str, Coeff], ...] = ()
+    c: tuple[Coeff, ...]
+    n: tuple[int, ...]
 
     @staticmethod
-    def make(h: Coeff, e: Mapping[str, Coeff] | None = None) -> "DivisorClass":
-        items = tuple(
-            sorted((str(q), c) for q, c in (e or {}).items() if c != 0)
-        )
-        return DivisorClass(h, items)
-
-    @property
-    def e(self) -> dict[str, Coeff]:
-        return dict(self.e_items)
-
-    def coefficient(self, point: str) -> Coeff:
-        for q, c in self.e_items:
-            if q == point:
-                return c
-        return 0
+    def make(
+        cfg: SurfaceConfig, h: Coeff, c: Sequence[Coeff] | None = None
+    ) -> "DivisorClass":
+        n = cfg.point_counts
+        c = (0,) * len(n) if c is None else tuple(c)
+        if len(c) != len(n):
+            raise ConfigError(f"{len(c)} coefficients for {len(n)} components")
+        return DivisorClass(h, tuple(x if k else 0 for x, k in zip(c, n)), n)
 
     def is_integral(self) -> bool:
-        vals = [self.h, *(c for _, c in self.e_items)]
         return all(
             isinstance(v, int) or (isinstance(v, Fraction) and v.denominator == 1)
-            for v in vals
+            for v in (self.h, *self.c)
         )
 
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
-        e = self.e
-        for q, c in other.e_items:
-            e[q] = e.get(q, 0) + c
-        return DivisorClass.make(self.h + other.h, e)
+        if self.n != other.n:
+            raise ConfigError("classes on different surfaces")
+        return DivisorClass(
+            self.h + other.h, tuple(x + y for x, y in zip(self.c, other.c)), self.n
+        )
 
     def __sub__(self, other: "DivisorClass") -> "DivisorClass":
         return self + (-1) * other
 
     def __mul__(self, scalar: Coeff) -> "DivisorClass":
-        return DivisorClass.make(
-            self.h * scalar, {q: c * scalar for q, c in self.e_items}
-        )
+        return DivisorClass(self.h * scalar, tuple(x * scalar for x in self.c), self.n)
 
     __rmul__ = __mul__
 
@@ -94,25 +87,17 @@ class DivisorClass:
 
     def __str__(self) -> str:
         parts = [f"{self.h}H"]
-        for q, c in self.e_items:
-            parts.append(f"- {c}E({q})" if c >= 0 else f"+ {-c}E({q})")
+        for i, x in enumerate(self.c):
+            if x:
+                parts.append(f"- {x}E{i + 1}" if x > 0 else f"+ {-x}E{i + 1}")
         return " ".join(parts)
 
 
 def intersect(a: DivisorClass, b: DivisorClass) -> Coeff:
-    """Intersection pairing: a.h*b.h - sum of products of stored e's."""
-    total = a.h * b.h
-    be = dict(b.e_items)
-    for q, c in a.e_items:
-        other = be.get(q)
-        if other is not None:
-            total -= c * other
-    return total
-
-
-def exceptional_class(point: str) -> DivisorClass:
-    """The class of the exceptional curve over a point (square -1)."""
-    return DivisorClass.make(0, {point: -1})
+    """Intersection pairing: a.h*b.h - sum of n[i]*a.c[i]*b.c[i]."""
+    if a.n != b.n:
+        raise ConfigError("classes on different surfaces")
+    return a.h * b.h - sum(k * x * y for k, x, y in zip(a.n, a.c, b.c) if k)
 
 
 @dataclass(frozen=True)
@@ -146,6 +131,20 @@ class BlownPoint:
     @staticmethod
     def make(ident: str, on: Iterable[int]) -> "BlownPoint":
         return BlownPoint(str(ident), frozenset(int(i) for i in on))
+
+
+def _generate_points(comps: Iterable[Component]) -> tuple[tuple[BlownPoint, ...], bool]:
+    """degree^2 points P<i+1>.<k+1> per paired component, and whether any pad."""
+    points = []
+    padded = False
+    for i, comp in enumerate(comps):
+        if comp.paired:
+            padded = padded or comp.pairing_degree < comp.degree
+            points.extend(
+                BlownPoint.make(f"P{i + 1}.{k + 1}", [i])
+                for k in range(comp.degree**2)
+            )
+    return tuple(points), padded
 
 
 @dataclass
@@ -219,25 +218,19 @@ class SurfaceConfig:
         ]
         if hyperplane:
             comps.append(Component(degree=1, paired=False, role="hyperplane"))
-        points = []
-        padded = False
-        for i, comp in enumerate(comps):
-            if not comp.paired:
-                continue
-            d, b = comp.degree, comp.pairing_degree
-            padded = padded or b < d
-            for k in range(d * d):
-                points.append(BlownPoint.make(f"P{i + 1}.{k + 1}", [i]))
+        points, padded = _generate_points(comps)
         return SurfaceConfig(
-            components=tuple(comps),
-            points=tuple(points),
-            padded=padded,
-            **kwargs,
+            components=tuple(comps), points=points, padded=padded, **kwargs
         )
 
     @property
     def r(self) -> int:
         return len(self.components)
+
+    @property
+    def point_counts(self) -> tuple[int, ...]:
+        """Blown points per component: degree^2 if paired, else none."""
+        return tuple(c.degree**2 if c.paired else 0 for c in self.components)
 
     def points_on(self, index: int) -> list[BlownPoint]:
         return [p for p in self.points if index in p.on]
@@ -305,14 +298,8 @@ class SurfaceConfig:
                 BlownPoint.make(raw["id"], raw["on"]) for raw in doc["points"]
             )
         else:
-            points = []
-            for i, comp in enumerate(comps):
-                if not comp.paired:
-                    continue
-                padded = padded or comp.pairing_degree < comp.degree
-                for k in range(comp.degree**2):
-                    points.append(BlownPoint.make(f"P{i + 1}.{k + 1}", [i]))
-            points = tuple(points)
+            points, generated_padding = _generate_points(comps)
+            padded = padded or generated_padding
         weights = doc.get("weights")
         mults = doc.get("multiplicities")
         return SurfaceConfig(
@@ -346,8 +333,8 @@ class SurfaceConfig:
 
 
 def canonical_class(cfg: SurfaceConfig) -> DivisorClass:
-    """-3H + sum of exceptional classes, i.e. stored coefficients -1."""
-    return DivisorClass.make(-3, {p.ident: -1 for p in cfg.points})
+    """-3H + sum of the E_i, i.e. coefficient -1 on every component with points."""
+    return DivisorClass.make(cfg, -3, [-1] * cfg.r)
 
 
 def chi(cfg: SurfaceConfig, d: DivisorClass) -> Fraction:
@@ -365,9 +352,9 @@ def chi(cfg: SurfaceConfig, d: DivisorClass) -> Fraction:
 
 
 def strict_transform(cfg: SurfaceConfig, component_index: int) -> DivisorClass:
-    """Class of a component's strict transform: d*H minus its points."""
+    """Class of a component's strict transform: d*H - E_i."""
     if not 0 <= component_index < len(cfg.components):
         raise ConfigError(f"no component {component_index}")
-    comp = cfg.components[component_index]
-    e = {p.ident: 1 for p in cfg.points if component_index in p.on}
-    return DivisorClass.make(comp.degree, e)
+    c = [0] * cfg.r
+    c[component_index] = 1
+    return DivisorClass.make(cfg, cfg.components[component_index].degree, c)

@@ -15,18 +15,14 @@ from typing import Iterable, Mapping, Sequence
 
 from .lattice import ConfigError, SurfaceConfig, strict_transform
 from .positivity import (
+    INF,
     Multiplicity,
     WeightedBoundary,
+    _is_inf,
     ample_class_sufficient,
     boundary_class,
     check_multiplicity,
 )
-
-INF = float("inf")
-
-
-def _is_inf(m: Multiplicity) -> bool:
-    return isinstance(m, float) and m == INF
 
 
 def _ceil_div(m: Multiplicity, t: int) -> Multiplicity:

@@ -110,6 +110,8 @@ def search_weights(
         raise ConfigError(f"unknown objective {objective!r}")
     if bound < 1:
         raise ConfigError("bound must be at least 1")
+    if limit is not None and limit < 0:
+        raise ConfigError(f"limit {limit} must not be negative")
     r = len(cfg.components)
     if r == 0:
         raise ConfigError("empty component list")

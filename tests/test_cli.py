@@ -100,6 +100,15 @@ def test_search_bounds(capsys):
     assert "no passing weights" in out
 
 
+def test_search_negative_limit_exits_3(capsys):
+    code, out, err = run(capsys, "search", "--bound", "6", "--limit", "-1")
+    assert code == 3
+    assert "limit" in err
+    code, out, _ = run(capsys, "search", "--bound", "6", "--limit", "0")
+    assert code == 0
+    assert "feasible weight vectors: 6" in out
+
+
 def test_constants_command(capsys, tmp_path):
     target = tmp_path / "chain.json"
     code, out, _ = run(capsys, "constants", "--out", str(target))

@@ -35,7 +35,7 @@ def plane(weight: int) -> tuple[SurfaceConfig, WeightedBoundary]:
 
 def test_sections_certified_plane_binomials():
     cfg, wb = plane(1)
-    h = DivisorClass.make(1)
+    h = DivisorClass.make(cfg, 1)
     for d in range(0, 12):
         lower, exact = sections_certified(cfg, d * h, h)
         assert exact == comb(d + 2, 2)
@@ -44,21 +44,21 @@ def test_sections_certified_plane_binomials():
 
 def test_sections_certified_guards():
     cfg, wb = plane(1)
-    h = DivisorClass.make(1)
+    h = DivisorClass.make(cfg, 1)
     with pytest.raises(ValueError):
-        sections_certified(cfg, DivisorClass.make(Fraction(1, 2)), h)
+        sections_certified(cfg, DivisorClass.make(cfg, Fraction(1, 2)), h)
     with pytest.raises(ValueError):
-        sections_certified(cfg, h, DivisorClass.make(0))
+        sections_certified(cfg, h, DivisorClass.make(cfg, 0))
     # negative plane degree: h^2 obstruction cannot be ruled in, only bounded
     lower, exact = sections_certified(cfg, -4 * h, h)
     assert lower == 0 and exact is None
 
 
 def test_sections_certified_four_lines():
-    dp = 15 * DivisorClass.make(1) - DivisorClass.make(
-        0, {"P1.1": -4, "P2.1": -4, "P3.1": -4}
+    dp = 15 * DivisorClass.make(FOUR_LINES, 1) - DivisorClass.make(
+        FOUR_LINES, 0, [-4, -4, -4, 0]
     )
-    assert dp.e == {"P1.1": 4, "P2.1": 4, "P3.1": 4}
+    assert dp.c == (4, 4, 4, 0)
     for n in range(1, 6):
         lower, exact = sections_certified(FOUR_LINES, n * dp, dp)
         assert exact == 1 + Fraction(177 * n * n + 33 * n, 2)
@@ -91,8 +91,8 @@ def test_filtration_sections_guards():
 
 def test_sum_matches_naive_enumeration():
     # brute-force the certified lower bounds straight from the definitions
-    dp_class = 15 * DivisorClass.make(1) - DivisorClass.make(
-        0, {"P1.1": -4, "P2.1": -4, "P3.1": -4}
+    dp_class = 15 * DivisorClass.make(FOUR_LINES, 1) - DivisorClass.make(
+        FOUR_LINES, 0, [-4, -4, -4, 0]
     )
     report = build_report(FOUR_LINES, WEIGHTS)
     for n in (1, 2, 3):

@@ -1,10 +1,13 @@
 """Intersection lattice, Euler characteristics and config serialization."""
 
 import random
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from orbicert.catalog import load_builtin
 from orbicert.lattice import (
     BlownPoint,
     Component,
@@ -13,12 +16,17 @@ from orbicert.lattice import (
     SurfaceConfig,
     canonical_class,
     chi,
-    exceptional_class,
     intersect,
     strict_transform,
 )
 
-POINTS = [f"Q{i}" for i in range(6)]
+
+def four_lines() -> SurfaceConfig:
+    return SurfaceConfig.build([1, 1, 1], [1, 1, 1], hyperplane=True)
+
+
+# a conic (4 points), a line (1 point), a cubic (9 points) and a free line
+MIXED = SurfaceConfig.build([2, 1, 3], [1, 1, 2], hyperplane=True)
 
 
 def random_class(rng: random.Random, rational: bool = False) -> DivisorClass:
@@ -27,23 +35,41 @@ def random_class(rng: random.Random, rational: bool = False) -> DivisorClass:
             return Fraction(rng.randint(-9, 9), rng.randint(1, 4))
         return rng.randint(-9, 9)
 
-    return DivisorClass.make(coeff(), {q: coeff() for q in rng.sample(POINTS, rng.randint(0, 4))})
+    return DivisorClass.make(MIXED, coeff(), [coeff() for _ in range(MIXED.r)])
+
+
+def exceptional_sum(cfg: SurfaceConfig, i: int) -> DivisorClass:
+    """E_i, the sum of the exceptional curves over the points on component i."""
+    c = [0] * cfg.r
+    c[i] = -1
+    return DivisorClass.make(cfg, 0, c)
 
 
 def test_gram_matrix():
-    h = DivisorClass.make(1)
-    e = exceptional_class("Q0")
+    cfg = four_lines()
+    h = DivisorClass.make(cfg, 1)
+    e = exceptional_sum(cfg, 0)
     assert intersect(h, h) == 1
     assert intersect(e, e) == -1
     assert intersect(h, e) == 0
     assert intersect(h + e, h + e) == 0
+    # E_i^2 = -n_i and distinct E_i are orthogonal
+    for i, n in enumerate((4, 1, 9)):
+        ei = exceptional_sum(MIXED, i)
+        assert intersect(ei, ei) == -n
+        assert intersect(DivisorClass.make(MIXED, 1), ei) == 0
+    assert intersect(exceptional_sum(MIXED, 0), exceptional_sum(MIXED, 2)) == 0
 
 
 def test_make_drops_zero_coefficients():
-    d = DivisorClass.make(2, {"A": 0, "B": 3})
-    assert d.e_items == (("B", 3),)
-    assert d.coefficient("A") == 0
-    assert d.coefficient("B") == 3
+    d = DivisorClass.make(four_lines(), 2, [0, 3, 0, 5])
+    assert d.c == (0, 3, 0, 0)
+    assert d.n == (1, 1, 1, 0)
+    assert MIXED.point_counts == (4, 1, 9, 0)
+    with pytest.raises(ConfigError):
+        DivisorClass.make(four_lines(), 2, [1, 2])
+    with pytest.raises(ConfigError):
+        intersect(DivisorClass.make(four_lines(), 1), DivisorClass.make(MIXED, 1))
 
 
 def test_bilinearity_random():
@@ -61,13 +87,12 @@ def test_bilinearity_random():
 
 
 def test_is_integral():
-    assert DivisorClass.make(2, {"A": Fraction(4, 2)}).is_integral()
-    assert not DivisorClass.make(Fraction(1, 2)).is_integral()
-    assert not DivisorClass.make(1, {"A": Fraction(1, 3)}).is_integral()
-
-
-def four_lines() -> SurfaceConfig:
-    return SurfaceConfig.build([1, 1, 1], [1, 1, 1], hyperplane=True)
+    cfg = four_lines()
+    assert DivisorClass.make(cfg, 2, [Fraction(4, 2), 0, 0, 0]).is_integral()
+    assert not DivisorClass.make(cfg, Fraction(1, 2)).is_integral()
+    assert not DivisorClass.make(cfg, 1, [Fraction(1, 3), 0, 0, 0]).is_integral()
+    # no points on the free line, so its coefficient is dropped
+    assert DivisorClass.make(cfg, 1, [0, 0, 0, Fraction(1, 3)]).is_integral()
 
 
 def test_build_four_lines_shape():
@@ -93,9 +118,9 @@ def test_build_padding():
 def test_strict_transform_classes():
     cfg = four_lines()
     line = strict_transform(cfg, 0)
-    assert line.h == 1 and line.e == {"P1.1": 1}
+    assert line.h == 1 and line.c == (1, 0, 0, 0)
     hyp = strict_transform(cfg, 3)
-    assert hyp.h == 1 and hyp.e == {}
+    assert hyp.h == 1 and hyp.c == (0, 0, 0, 0)
     assert intersect(line, line) == 0
     assert intersect(hyp, hyp) == 1
     assert intersect(line, hyp) == 1
@@ -106,26 +131,29 @@ def test_strict_transform_classes():
 def test_canonical_class_and_chi():
     cfg = four_lines()
     k = canonical_class(cfg)
-    assert k.h == -3 and all(c == -1 for c in k.e.values())
+    assert k.h == -3 and k.c == (-1, -1, -1, 0)
     assert intersect(k, k) == 9 - 3
-    assert chi(cfg, DivisorClass.make(0)) == 1
+    assert chi(cfg, DivisorClass.make(cfg, 0)) == 1
     # h^0 of degree d plane curves through no points
     for d in range(0, 6):
-        assert chi(cfg, DivisorClass.make(d)) == (d + 1) * (d + 2) // 2
-    e = exceptional_class("P1.1")
-    assert chi(cfg, e) == 1
+        assert chi(cfg, DivisorClass.make(cfg, d)) == (d + 1) * (d + 2) // 2
+    assert chi(cfg, exceptional_sum(cfg, 0)) == 1
+    # K^2 = 9 - (number of points), and chi(E_i) = 1 on any component
+    assert intersect(canonical_class(MIXED), canonical_class(MIXED)) == 9 - 14
+    for i in range(3):
+        assert chi(MIXED, exceptional_sum(MIXED, i)) == 1
 
 
 def test_chi_integral_on_random_integral_classes():
     cfg = four_lines()
     rng = random.Random(223)
-    names = [p.ident for p in cfg.points]
-    for _ in range(800):
-        d = DivisorClass.make(
-            rng.randint(-8, 8), {q: rng.randint(-8, 8) for q in names}
-        )
-        value = chi(cfg, d)
-        assert value.denominator == 1
+    for case in (cfg, MIXED):
+        for _ in range(800):
+            d = DivisorClass.make(
+                case, rng.randint(-8, 8), [rng.randint(-8, 8) for _ in range(case.r)]
+            )
+            value = chi(case, d)
+            assert value.denominator == 1
 
 
 def test_validation_errors():
@@ -198,10 +226,9 @@ def test_json_errors():
 
 
 def test_class_str():
-    d = DivisorClass.make(15, {"A": 4, "B": -2})
+    d = DivisorClass.make(four_lines(), 15, [4, -2, 0, 7])
     text = str(d)
-    assert text.startswith("15H")
-    assert "4E(A)" in text and "2E(B)" in text
+    assert text == "15H - 4E1 + 2E2"
 
 
 def test_missing_keys_are_config_errors():
@@ -217,3 +244,25 @@ def test_missing_keys_are_config_errors():
         SurfaceConfig.from_json_dict({"components": [1]})
     with pytest.raises(ConfigError):
         SurfaceConfig.from_json('{"components": [{"degree": null}]}')
+
+
+def test_readme_config_example_is_the_bundled_four_lines():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```json\n(.*?)```", readme, re.S)
+    assert len(blocks) == 1
+    cfg = SurfaceConfig.from_json(blocks[0])
+    assert cfg.to_json() == load_builtin("four-lines").to_json()
+
+
+def test_built_and_generated_points_serialize_identically():
+    for degrees, pairings in (([1, 1, 1], [1, 1, 1]), ([2, 3], [1, 3]), ([4], [2])):
+        built = SurfaceConfig.build(degrees, pairings, hyperplane=True, name="x")
+        doc = {
+            "name": "x",
+            "components": [
+                {"degree": d, "paired": True, "pairing_degree": b}
+                for d, b in zip(degrees, pairings)
+            ],
+            "hyperplane": True,
+        }
+        assert SurfaceConfig.from_json_dict(doc).to_json() == built.to_json()

@@ -39,7 +39,7 @@ def test_weight_count_must_match():
 def test_boundary_class_four_lines():
     d = boundary_class(FOUR_LINES, WeightedBoundary.make([4, 4, 4, 3]))
     assert d.h == 15
-    assert d.e == {"P1.1": 4, "P2.1": 4, "P3.1": 4}
+    assert d.c == (4, 4, 4, 0)
     assert intersect(d, d) == 177
 
 
@@ -56,7 +56,7 @@ def test_ample_four_lines():
 
 
 def test_ample_failure_square():
-    d = DivisorClass.make(1, {"P1.1": 1})
+    d = DivisorClass.make(FOUR_LINES, 1, [1, 0, 0, 0])
     verdict = ample_class_sufficient(FOUR_LINES, d)
     assert not verdict
     assert verdict.reason == "self_intersection_positive"
@@ -64,7 +64,7 @@ def test_ample_failure_square():
 
 
 def test_ample_failure_missing_exceptional():
-    d = DivisorClass.make(10, {"P1.1": 4, "P2.1": 4})
+    d = DivisorClass.make(FOUR_LINES, 10, [4, 4, 0, 0])
     verdict = ample_class_sufficient(FOUR_LINES, d)
     assert not verdict
     assert verdict.reason == "exceptional_pairings_positive"
@@ -72,7 +72,7 @@ def test_ample_failure_missing_exceptional():
 
 
 def test_ample_failure_bezout():
-    d = DivisorClass.make(7, {"P1.1": 4, "P2.1": 4, "P3.1": 4})
+    d = DivisorClass.make(FOUR_LINES, 7, [4, 4, 4, 0])
     assert intersect(d, d) == 1
     verdict = ample_class_sufficient(FOUR_LINES, d)
     assert not verdict

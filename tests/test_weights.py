@@ -82,6 +82,16 @@ def test_search_argument_validation():
         search_weights(FOUR_LINES, 0)
 
 
+def test_search_limit_keeps_or_rejects():
+    full = search_weights(FOUR_LINES, 6)
+    assert search_weights(FOUR_LINES, 6, limit=0).hits == ()
+    assert search_weights(FOUR_LINES, 6, limit=len(full.hits)).hits == full.hits
+    # a negative limit once sliced the last hit off instead of failing
+    for bad in (-1, -len(full.hits)):
+        with pytest.raises(ConfigError, match="limit"):
+            search_weights(FOUR_LINES, 6, limit=bad)
+
+
 def test_random_config_valid():
     rng = random.Random(617)
     for _ in range(300):
