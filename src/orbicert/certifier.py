@@ -475,7 +475,7 @@ def certify(
     *,
     twist_alpha: Fraction | int = 1,
     constants_cap: int = 200,
-    include_constants: bool | None = None,
+    include_constants: bool = True,
 ) -> Certificate:
     """Run the full hypothesis checklist and assemble a certificate.
 
@@ -484,7 +484,7 @@ def certify(
     inconclusive, and first_failure names the earliest definite failure.
     When finite multiplicities are supplied and the checklist passes, the
     certificate additionally carries the feasibility constants chain and
-    the orbifold thresholds.
+    the orbifold thresholds, unless include_constants is False.
     """
     wb.check_against(cfg)
     if multiplicities is None:
@@ -569,13 +569,8 @@ def certify(
 
     constants_doc: dict | None = None
     orbifold_doc: dict | None = None
-    finite = [m for m in multiplicities if not isinstance(m, float)]
-    want_constants = (
-        include_constants
-        if include_constants is not None
-        else bool(finite) and overall == PASS
-    )
-    if want_constants and overall == PASS:
+    finite = any(not isinstance(m, float) for m in multiplicities)
+    if include_constants and finite and overall == PASS:
         constants_doc, orbifold_doc = _conclusion_sections(
             cfg, wb, report, multiplicities, Fraction(twist_alpha), constants_cap
         )

@@ -12,6 +12,7 @@ import dataclasses
 import json
 import sys
 from fractions import Fraction
+from functools import partial
 
 from . import ffheights, sampling
 from .catalog import builtin_names, load_builtin
@@ -92,7 +93,7 @@ def cmd_certify(args) -> int:
         mults,
         twist_alpha=Fraction(args.twist_alpha),
         constants_cap=args.cap,
-        include_constants=False if args.skip_constants else None,
+        include_constants=not args.skip_constants,
     )
     for h in cert.hypotheses:
         line = f"{h.name:<28} {h.status:<13}"
@@ -279,71 +280,60 @@ def _stress_boundary(args) -> int:
 
 
 def cmd_stress(args) -> int:
+    if args.samples < 0:
+        raise ConfigError(f"samples {args.samples} must not be negative")
     if args.suite == "boundary":
         return _stress_boundary(args)
+
+    # each suite names its sweep, the keys summed over batches and the keys
+    # that count as failures
+    if args.suite == "subspace":
+        sweep = partial(
+            ffheights.subspace_sweep,
+            processes=args.threads,
+            max_deg=args.max_degree,
+            bound=args.coeff_bound,
+        )
+        keys = ("samples", "violations", "fmt_failures", "degenerate")
+        bad_keys = ("violations", "fmt_failures")
+    elif args.suite == "product":
+        sweep = partial(ffheights.product_formula_sweep, processes=args.threads)
+        keys, bad_keys = ("samples", "failures"), ("failures",)
+    elif args.suite == "probe":
+        cfg = _load_config(args)
+        wb = _resolve_weights(args, cfg)
+        sweep = partial(
+            ffheights.probe_sweep,
+            cfg,
+            wb,
+            ffheights.realization_from_config(cfg),
+            processes=args.threads,
+            max_deg=min(args.max_degree, 8),
+            bound=min(args.coeff_bound, 50),
+        )
+        keys, bad_keys = ("samples", "excluded"), ()
+    else:
+        raise ConfigError(f"unknown suite {args.suite!r}")
 
     batches = max(1, args.batches)
     per = [args.samples // batches] * batches
     per[0] += args.samples - sum(per)
+    records = []
+    for idx, count in enumerate(per):
+        got = sweep(count, seed=args.seed + idx)
+        got["suite"] = args.suite
+        got["batch"] = idx
+        _print_record(got)
+        records.append(got)
 
-    total: dict = {}
-    if args.suite == "subspace":
-        for idx, count in enumerate(per):
-            got = ffheights.subspace_sweep(
-                count,
-                seed=args.seed + idx,
-                processes=args.threads,
-                max_deg=args.max_degree,
-                bound=args.coeff_bound,
-            )
-            got["suite"] = "subspace"
-            got["batch"] = idx
-            _print_record(got)
-            for k in ("samples", "violations", "fmt_failures", "degenerate"):
-                total[k] = total.get(k, 0) + got.get(k, 0)
-        bad = total.get("violations", 0) + total.get("fmt_failures", 0)
-    elif args.suite == "product":
-        for idx, count in enumerate(per):
-            got = ffheights.product_formula_sweep(
-                count, seed=args.seed + idx, processes=args.threads
-            )
-            got["suite"] = "product"
-            got["batch"] = idx
-            _print_record(got)
-            for k in ("samples", "failures"):
-                total[k] = total.get(k, 0) + got.get(k, 0)
-        bad = total.get("failures", 0)
-    elif args.suite == "probe":
-        cfg = _load_config(args)
-        wb = _resolve_weights(args, cfg)
-        realization = ffheights.realization_from_config(cfg)
-        alpha = Fraction(0)
-        for idx, count in enumerate(per):
-            got = ffheights.probe_sweep(
-                cfg,
-                wb,
-                realization,
-                count,
-                seed=args.seed + idx,
-                processes=args.threads,
-                max_deg=min(args.max_degree, 8),
-                bound=min(args.coeff_bound, 50),
-            )
-            got["suite"] = "probe"
-            got["batch"] = idx
-            _print_record(got)
-            alpha = max(alpha, Fraction(got["alpha_emp"]))
-            for k in ("samples", "excluded"):
-                total[k] = total.get(k, 0) + got.get(k, 0)
+    total: dict = {k: sum(got[k] for got in records) for k in keys}
+    if args.suite == "probe":
+        alpha = max(Fraction(got["alpha_emp"]) for got in records)
         total["alpha_emp"] = str(alpha)
-        bad = 0
-    else:
-        raise ConfigError(f"unknown suite {args.suite!r}")
-
     total["suite"] = args.suite
     total["done"] = True
     _print_record(total)
-    return EXIT_PASS if bad == 0 else EXIT_FAIL
+    return EXIT_PASS if sum(total[k] for k in bad_keys) == 0 else EXIT_FAIL
 
 
 # -- parser ----------------------------------------------------------------------

@@ -217,8 +217,8 @@ def feasible_chain(
     _require_integer_weights(wb)
     if report is None:
         report = build_report(cfg, wb)
-    if not report.ample.certified or not report.components:
-        raise InfeasibleError("weighted boundary is not certified ample")
+    if not report.ample.certified or report.slack is None:
+        raise InfeasibleError("hypothesis checklist does not pass")
     eps_half = eps_target / 2
     target = QuadExt(1 + eps_half)
     inv = _invariants(cfg, wb)

@@ -20,11 +20,10 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from multiprocessing import Pool
 from typing import Iterable, Mapping, Sequence
 
-from . import polys
-from .lattice import ConfigError, SurfaceConfig
+from . import polys, sampling
+from .lattice import ConfigError, SurfaceConfig, malformed
 from .polys import IntPoly
 from .positivity import WeightedBoundary
 
@@ -359,7 +358,10 @@ class _Parser:
         return tok
 
     def parse(self) -> dict[tuple[int, ...], int]:
-        out = self.expr()
+        try:
+            out = self.expr()
+        except RecursionError:
+            raise ConfigError("form nested too deeply") from None
         if self.peek() is not None:
             raise ConfigError(f"trailing token {self.peek()!r}")
         return out
@@ -710,11 +712,16 @@ def realization_from_config(cfg: SurfaceConfig) -> PlaneRealization:
     doc = cfg.metadata.get("realization")
     if not doc:
         raise ConfigError("configuration carries no plane realization")
-    boundary = [parse_form(text) for text in doc["forms"]]
-    pairing: list[HForm | None] = [None] * len(cfg.components)
-    for key, text in doc.get("pairings", {}).items():
-        pairing[int(key)] = parse_form(text)
-    points = {k: tuple(int(c) for c in v) for k, v in doc.get("points", {}).items()}
+    r = len(cfg.components)
+    with malformed("realization"):
+        boundary = [parse_form(text) for text in doc["forms"]]
+        pairing: list[HForm | None] = [None] * r
+        for key, text in doc.get("pairings", {}).items():
+            index = int(key)
+            if not 0 <= index < r:
+                raise ConfigError(f"pairing key {key!r} is not a component index")
+            pairing[index] = parse_form(text)
+        points = {k: tuple(int(c) for c in v) for k, v in doc.get("points", {}).items()}
     real = PlaneRealization.make(boundary, pairing, points)
     real.validate_against(cfg)
     return real
@@ -872,6 +879,29 @@ def _random_form(rng: random.Random, nvars: int, degree: int, bound: int) -> HFo
             return HForm.make(nvars, terms)
 
 
+def _sweep(
+    chunk, salt: int, samples: int, seed: int, processes: int, params: tuple
+) -> list:
+    """Split samples over max(1, processes) chunks and run them in order.
+
+    Chunk idx is called with (seed * salt + idx, its sample count, *params).
+    """
+    if samples < 0:
+        raise ValueError("negative sample count")
+    parts = max(1, processes)
+    base, extra = divmod(samples, parts)
+    args = [(seed * salt + idx, base + (idx < extra), *params) for idx in range(parts)]
+    return sampling.run_chunks(chunk, args, processes)
+
+
+def _merge_tallies(results: list[dict]) -> dict:
+    merged: dict = {}
+    for r in results:
+        for k, v in r.items():
+            merged[k] = merged.get(k, 0) + v
+    return merged
+
+
 def _subspace_chunk(args) -> dict:
     seed, count, max_m, max_deg, bound = args
     rng = random.Random(seed)
@@ -911,13 +941,10 @@ def subspace_sweep(
     bound: int = 100,
 ) -> dict:
     """Random subspace-inequality and height-identity sweep; returns tallies."""
-    chunks = _split(samples, processes)
-    args = [
-        (seed * 1_000_003 + idx, count, max_m, max_deg, bound)
-        for idx, count in enumerate(chunks)
-    ]
-    results = _run_chunks(_subspace_chunk, args, processes)
-    return _merge_tallies(results)
+    params = (max_m, max_deg, bound)
+    return _merge_tallies(
+        _sweep(_subspace_chunk, 1_000_003, samples, seed, processes, params)
+    )
 
 
 def _product_formula_chunk(args) -> dict:
@@ -947,23 +974,15 @@ def _product_formula_chunk(args) -> dict:
 
 def product_formula_sweep(samples: int, *, seed: int = 0, processes: int = 1) -> dict:
     """Build elements with known factorizations and re-read their valuations."""
-    chunks = _split(samples, processes)
-    args = [(seed * 7_777_777 + idx, count) for idx, count in enumerate(chunks)]
-    results = _run_chunks(_product_formula_chunk, args, processes)
-    return _merge_tallies(results)
+    return _merge_tallies(
+        _sweep(_product_formula_chunk, 7_777_777, samples, seed, processes, ())
+    )
 
 
 def _probe_chunk(args) -> dict:
-    cfg, wb, realization, seed, count, max_deg, bound = args
+    seed, count, cfg, wb, realization, max_deg, bound = args
     rng = random.Random(seed)
-    out = {
-        "samples": 0,
-        "excluded": 0,
-        "alpha_num": 0,
-        "alpha_den": 1,
-        "worst": None,
-    }
-    best = Fraction(0)
+    out = {"samples": 0, "excluded": 0, "alpha": Fraction(0), "worst": None}
     for _ in range(count):
         x = random_map(rng, 2, max_deg, bound)
         try:
@@ -972,15 +991,13 @@ def _probe_chunk(args) -> dict:
             out["excluded"] += 1
             continue
         out["samples"] += 1
-        if record.ratio > best:
-            best = record.ratio
+        if record.ratio > out["alpha"]:
+            out["alpha"] = record.ratio
             out["worst"] = {
                 "height": record.height,
                 "degree": str(record.pullback_degree),
                 "support": record.support_count,
             }
-    out["alpha_num"] = best.numerator
-    out["alpha_den"] = best.denominator
     return out
 
 
@@ -995,46 +1012,15 @@ def probe_sweep(
     max_deg: int = 6,
     bound: int = 20,
 ) -> dict:
-    chunks = _split(samples, processes)
-    args = [
-        (cfg, wb, realization, seed * 31_337 + idx, count, max_deg, bound)
-        for idx, count in enumerate(chunks)
-    ]
-    results = _run_chunks(_probe_chunk, args, processes)
-    merged = {"samples": 0, "excluded": 0}
-    alpha = Fraction(0)
-    worst = None
-    for r in results:
-        merged["samples"] += r["samples"]
-        merged["excluded"] += r["excluded"]
-        cand = Fraction(r["alpha_num"], r["alpha_den"])
-        if cand > alpha:
-            alpha = cand
-            worst = r["worst"]
-    merged["alpha_emp"] = str(alpha)
-    merged["alpha_emp_float"] = float(alpha)
-    merged["worst"] = worst
-    return merged
+    params = (cfg, wb, realization, max_deg, bound)
+    results = _sweep(_probe_chunk, 31_337, samples, seed, processes, params)
+    # the first chunk with the largest ratio names the worst case
+    top = max(results, key=lambda r: r["alpha"])
+    return {
+        "samples": sum(r["samples"] for r in results),
+        "excluded": sum(r["excluded"] for r in results),
+        "alpha_emp": str(top["alpha"]),
+        "alpha_emp_float": float(top["alpha"]),
+        "worst": top["worst"],
+    }
 
-
-def _split(samples: int, processes: int) -> list[int]:
-    if samples < 0:
-        raise ValueError("negative sample count")
-    parts = max(1, processes)
-    base, extra = divmod(samples, parts)
-    return [base + (1 if i < extra else 0) for i in range(parts)]
-
-
-def _run_chunks(worker, args, processes: int) -> list[dict]:
-    if processes > 1:
-        with Pool(processes) as pool:
-            return pool.map(worker, args)
-    return [worker(a) for a in args]
-
-
-def _merge_tallies(results: list[dict]) -> dict:
-    merged: dict = {}
-    for r in results:
-        for k, v in r.items():
-            merged[k] = merged.get(k, 0) + v
-    return merged

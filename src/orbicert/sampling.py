@@ -1,16 +1,20 @@
-"""Random configurations and weight vectors for sweeps.
+"""Random configurations and weight vectors for sweeps, and the one process pool.
 
 Uniform weights almost never satisfy the filtration inequalities, so the
 passing-candidate sampler scales the proportional vector: with three
 paired components of degrees d1, d2, d3 and L = lcm(d), the weights
 (4L/d1, 4L/d2, 4L/d3, 3L) pass, multiples pass by homogeneity, and small
 jitter keeps a useful mix of passing and failing neighbours.
+
+run_chunks is the only place that starts worker processes: searches and
+sweeps hand it their chunk arguments and merge what it returns.
 """
 
 from __future__ import annotations
 
 import random
 from math import lcm
+from multiprocessing import Pool
 
 from .lattice import SurfaceConfig
 from .positivity import WeightedBoundary
@@ -50,3 +54,12 @@ def random_passing_candidate(
         slot = rng.randrange(len(weights))
         weights[slot] = max(1, min(bound, weights[slot] + rng.choice((-1, 1))))
     return cfg, WeightedBoundary.make(weights)
+
+
+def run_chunks(worker, args: list, processes: int) -> list:
+    """[worker(a) for a in args], mapped over a pool of processes when
+    processes > 1 and there is more than one argument."""
+    if processes > 1 and len(args) > 1:
+        with Pool(processes) as pool:
+            return pool.map(worker, args)
+    return [worker(a) for a in args]

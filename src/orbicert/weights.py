@@ -17,12 +17,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from multiprocessing import Pool
 
 from .certifier import build_report, checklist_holds
 from .lattice import ConfigError, SurfaceConfig
 from .positivity import WeightedBoundary
 from .quadext import QuadExt, compare_cross
+from .sampling import run_chunks
 
 
 def proportional_weights(cfg: SurfaceConfig) -> WeightedBoundary:
@@ -117,12 +117,7 @@ def search_weights(
         raise ConfigError("empty component list")
 
     tasks = [(cfg, bound, first) for first in range(1, bound + 1)]
-    if processes > 1 and bound > 1:
-        with Pool(processes) as pool:
-            chunks = pool.map(_search_chunk, tasks)
-    else:
-        chunks = [_search_chunk(t) for t in tasks]
-
+    chunks = run_chunks(_search_chunk, tasks, processes)
     hits: list[SearchHit] = [h for chunk in chunks for h in chunk]
     best: SearchHit | None = None
     for hit in hits:

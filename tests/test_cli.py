@@ -2,6 +2,9 @@
 
 import json
 
+import pytest
+
+from orbicert.catalog import load_builtin
 from orbicert.certifier import Certificate
 from orbicert.cli import main
 
@@ -210,6 +213,45 @@ def test_stress_probe(capsys):
     assert last["suite"] == "probe"
     assert last["samples"] + last["excluded"] == 120
     assert float(json.loads(out.strip().splitlines()[0])["alpha_emp_float"]) > 0
+
+
+def _realization_doc(**changes) -> dict:
+    doc = load_builtin("four-lines").to_json_dict()
+    realization = doc["metadata"]["realization"]
+    realization.update(changes)
+    for key, value in changes.items():
+        if value is None:
+            del realization[key]
+    return doc
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        _realization_doc(forms=["(" * 5000 + "X" + ")" * 5000, "Y", "Z", "X + Y + Z"]),
+        _realization_doc(pairings={"0": "Y - Z", "1": "X - Z", "7": "X - Y"}),
+        _realization_doc(forms=None),
+        _realization_doc(points=[[0, 1, 1], [1, 0, 1], [1, 1, 0]]),
+    ],
+    ids=["deep-parentheses", "pairing-key-7", "missing-forms", "points-as-list"],
+)
+def test_stress_probe_malformed_realization_exits_3(capsys, tmp_path, doc):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(
+        capsys, "stress", "--suite", "probe", "--samples", "4", "--config", str(path)
+    )
+    assert code == 3
+    assert err.startswith("input error") and "Traceback" not in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("suite", ["boundary", "subspace", "product", "probe"])
+def test_stress_negative_samples_exits_3(capsys, suite):
+    code, out, err = run(capsys, "stress", "--suite", suite, "--samples", "-3")
+    assert code == 3
+    assert "must not be negative" in err
+    assert out == ""
 
 
 def test_config_missing_degree_exits_3(capsys, tmp_path):

@@ -178,6 +178,18 @@ def test_chain_argument_validation():
         feasible_chain(bad, WeightedBoundary.make([1]), None, Fraction(1, 10))
 
 
+def test_chain_needs_the_whole_checklist():
+    # ample boundary, but the filtration inequality fails at component 3
+    ones = WeightedBoundary.make([1, 1, 1, 1])
+    report = build_report(FOUR_LINES, ones)
+    assert report.ample.certified and report.slack is None
+    assert not report.components[3].inequality_holds
+    with pytest.raises(InfeasibleError, match="checklist does not pass"):
+        feasible_chain(FOUR_LINES, ones, report, Fraction(1, 176))
+    with pytest.raises(InfeasibleError, match="checklist does not pass"):
+        feasible_chain(FOUR_LINES, ones, None, Fraction(1, 176))
+
+
 def test_chain_respects_precomputed_report():
     report = build_report(FOUR_LINES, WEIGHTS)
     fresh = feasible_chain(FOUR_LINES, WEIGHTS, report, report.slack_lower)

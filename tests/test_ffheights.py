@@ -6,6 +6,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from operator import itemgetter
 from pathlib import Path
 
 import pytest
@@ -23,7 +24,7 @@ from orbicert.ffheights import (
     ProbeExcluded,
     RatMap,
     _certify_irreducible,
-    _split,
+    _sweep,
     coordinates_nondegenerate,
     counting_functions,
     gaussian_rank,
@@ -424,11 +425,14 @@ def test_gaussian_rank_against_sympy():
 
 
 def test_split():
-    assert _split(10, 4) == [3, 3, 2, 2]
-    assert _split(3, 1) == [3]
-    assert _split(0, 2) == [0, 0]
+    # each chunk reports the (seed, count) it was given
+    seed_count = itemgetter(0, 1)
+    assert _sweep(seed_count, 10, 10, 3, 4, ()) == [(30, 3), (31, 3), (32, 2), (33, 2)]
+    assert _sweep(seed_count, 10, 3, 3, 1, ("param",)) == [(30, 3)]
+    assert _sweep(seed_count, 7, 0, 1, 2, ()) == [(7, 0), (8, 0)]
+    assert _sweep(itemgetter(2), 10, 4, 0, 2, ("param",)) == ["param", "param"]
     with pytest.raises(ValueError):
-        _split(-1, 2)
+        _sweep(seed_count, 10, -1, 0, 2, ())
 
 
 # -- subspace inequality ------------------------------------------------------------
@@ -607,3 +611,32 @@ def test_probe_sweep_small():
     assert out["worst"] is not None
     again = probe_sweep(FOUR_LINES, WEIGHTS, real, 300, seed=2)
     assert again == out
+
+
+def test_sweeps_on_two_processes_are_pinned():
+    # chunk i of a sweep draws from seed * salt + i, so two chunks draw other
+    # samples than one and the probe's worst case differs
+    real = realization_from_config(FOUR_LINES)
+    small = {"max_deg": 3, "bound": 5}
+    assert subspace_sweep(60, seed=5, processes=2, max_deg=4, bound=3) == {
+        "samples": 60,
+        "violations": 0,
+        "fmt_failures": 0,
+        "degenerate": 0,
+    }
+    assert product_formula_sweep(51, seed=5, processes=2) == {
+        "samples": 51,
+        "failures": 0,
+    }
+    two = probe_sweep(FOUR_LINES, WEIGHTS, real, 100, seed=5, processes=2, **small)
+    assert two == {
+        "samples": 81,
+        "excluded": 19,
+        "alpha_emp": "15",
+        "alpha_emp_float": 15.0,
+        "worst": {"height": 1, "degree": "15", "support": 3},
+    }
+    one = probe_sweep(FOUR_LINES, WEIGHTS, real, 100, seed=5, processes=1, **small)
+    assert one["alpha_emp"] == "30"
+    two = probe_sweep(FOUR_LINES, WEIGHTS, real, 300, seed=5, processes=2, **small)
+    assert (two["samples"], two["excluded"], two["alpha_emp"]) == (249, 51, "30")

@@ -62,6 +62,18 @@ def test_search_bound_three_empty():
     assert result.hits == ()
 
 
+@pytest.mark.parametrize(
+    "cfg",
+    [FOUR_LINES, SurfaceConfig.build([1, 2, 2], hyperplane=True)],
+    ids=["four-lines", "built-1-2-2"],
+)
+@pytest.mark.parametrize("objective", ["min-sum", "max-slack"])
+def test_search_pool_matches_one_process(cfg, objective):
+    one = search_weights(cfg, 5, objective, processes=1)
+    assert one.feasible_count == 2
+    assert search_weights(cfg, 5, objective, processes=2) == one
+
+
 def test_search_objectives_and_limit():
     small = search_weights(FOUR_LINES, 5, limit=3)
     assert len(small.hits) <= 3
