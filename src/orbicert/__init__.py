@@ -7,6 +7,7 @@ from .lattice import (  # noqa: F401
     Component,
     ConfigError,
     DivisorClass,
+    InternalError,
     SurfaceConfig,
     canonical_class,
     chi,

@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from . import __version__ as _tool_version
-from .lattice import Coeff, ConfigError, SurfaceConfig, malformed
+from .lattice import Coeff, ConfigError, InternalError, SurfaceConfig, malformed
 from .lattice import intersect  # noqa: F401  importable from here; bench/test_bench.py relies on it
 from .positivity import (
     Multiplicity,
@@ -243,7 +243,8 @@ def weight_slack(report: BoundaryReport) -> tuple[QuadExt, Fraction]:
         rel = (check.volume_ratio - check.weight) / check.weight
         if slack is None or compare_cross(rel, slack) < 0:
             slack = rel
-    assert slack is not None
+    if slack is None:
+        raise InternalError("no slack from a nonempty component list")
     if slack.is_rational:
         return slack, slack.as_fraction()
     gap = Fraction(1)
@@ -258,7 +259,9 @@ def build_report(cfg: SurfaceConfig, wb: WeightedBoundary) -> BoundaryReport:
     bp = boundary_pairings(cfg, wb.weights)
     dp2 = Fraction(bp.dp2)
     ample = ample_sufficient(cfg, wb)
-    assert ample.certified == _ample(cfg, bp), ample
+    closed_form = _ample(cfg, bp)
+    if ample.certified != closed_form:
+        raise InternalError(f"closed-form ampleness {closed_form} disagrees with {ample}")
     components: list[ComponentCheck] = []
     if ample.certified:
         for i, comp in enumerate(cfg.components):
@@ -269,7 +272,11 @@ def build_report(cfg: SurfaceConfig, wb: WeightedBoundary) -> BoundaryReport:
             exceeds = compare_cross(ratio, weight) > 0
             # the square-root-free inequality and the QuadExt ratio bound
             # are the same statement, decided independently
-            assert holds == exceeds, (i, root, ratio, weight)
+            if holds != exceeds:
+                raise InternalError(
+                    f"component {i}: inequality {holds} but ratio {ratio} "
+                    f"exceeds weight {weight} is {exceeds} (root {root})"
+                )
             components.append(
                 ComponentCheck(
                     index=i,

@@ -2,7 +2,7 @@
 
 Exit codes: 0 the requested property is certified, 1 it is certified to
 fail (or a stress sweep found a violation), 2 the run is inconclusive,
-3 the input is malformed.
+3 the input is malformed, 4 an internal cross-check failed (InternalError).
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .certifier import (
 )
 from .constants import InfeasibleError, feasible_chain, verify_chain
 from .constants import filtration_sections_lower, sections_power_exact
-from .lattice import Component, ConfigError, SurfaceConfig
+from .lattice import Component, ConfigError, InternalError, SurfaceConfig
 from .positivity import WeightedBoundary, ample_sufficient
 from .quadext import compare_cross
 from .weights import proportional_weights, search_weights
@@ -38,6 +38,7 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_INPUT = 3
+EXIT_INTERNAL = 4
 
 
 def _load_config(args) -> SurfaceConfig:
@@ -225,6 +226,11 @@ def cmd_beta(args) -> int:
 def _stress_boundary(args) -> int:
     import random
 
+    # weights are drawn from [1, coeff-bound] and degrees from [1, max-degree]
+    if args.coeff_bound < 1:
+        raise ConfigError(f"--coeff-bound {args.coeff_bound} must be at least 1")
+    if args.max_degree < 1:
+        raise ConfigError(f"--max-degree {args.max_degree} must be at least 1")
     rng = random.Random(args.seed)
     passes = 0
     samples = 0
@@ -423,6 +429,9 @@ def main(argv=None) -> int:
     except (OSError, ValueError, ZeroDivisionError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except InternalError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -805,10 +805,15 @@ def _random_poly(rng: random.Random, max_deg: int, bound: int) -> IntPoly:
     return polys.trim([rng.randint(-bound, bound) for _ in range(deg + 1)])
 
 
+_MAP_TRIES = 10_000
+
+
 def random_map(
     rng: random.Random, m: int, max_deg: int, bound: int, *, nondegenerate: bool = False
 ) -> RatMap:
-    while True:
+    """A random map to P^m; nondegenerate asks for independent coordinates
+    and positive height.  ConfigError after _MAP_TRIES rejected draws."""
+    for _ in range(_MAP_TRIES):
         raw = [_random_poly(rng, max_deg, bound) for _ in range(m + 1)]
         if all(polys.is_zero(p) for p in raw):
             continue
@@ -818,6 +823,11 @@ def random_map(
         if nondegenerate and x.height == 0:
             continue
         return x
+    raise ConfigError(
+        f"no {'nondegenerate ' if nondegenerate else ''}map to P^{m} of degree "
+        f"<= {max_deg} with coefficients in [-{bound}, {bound}] "
+        f"in {_MAP_TRIES} draws"
+    )
 
 
 @lru_cache(maxsize=1)
@@ -894,6 +904,16 @@ def _sweep(
     return sampling.run_chunks(chunk, args, processes)
 
 
+def _require_drawable(max_deg: int, bound: int) -> None:
+    if max_deg < 0:
+        raise ConfigError(f"max degree {max_deg} must not be negative")
+    if bound < 1:
+        raise ConfigError(
+            f"coefficient bound {bound} must be at least 1: every map drawn "
+            "would be zero"
+        )
+
+
 def _merge_tallies(results: list[dict]) -> dict:
     merged: dict = {}
     for r in results:
@@ -941,6 +961,13 @@ def subspace_sweep(
     bound: int = 100,
 ) -> dict:
     """Random subspace-inequality and height-identity sweep; returns tallies."""
+    # m + 1 independent coordinates need degrees up to m, for every m <= max_m
+    if max_deg < max_m:
+        raise ConfigError(
+            f"max degree {max_deg} is below max_m {max_m}: coordinates of degree "
+            f"<= {max_deg} cannot be independent in P^{max_m}"
+        )
+    _require_drawable(max_deg, bound)
     params = (max_m, max_deg, bound)
     return _merge_tallies(
         _sweep(_subspace_chunk, 1_000_003, samples, seed, processes, params)
@@ -1012,6 +1039,7 @@ def probe_sweep(
     max_deg: int = 6,
     bound: int = 20,
 ) -> dict:
+    _require_drawable(max_deg, bound)
     params = (cfg, wb, realization, max_deg, bound)
     results = _sweep(_probe_chunk, 31_337, samples, seed, processes, params)
     # the first chunk with the largest ratio names the worst case

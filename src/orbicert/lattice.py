@@ -32,6 +32,11 @@ class ConfigError(ValueError):
     """The combinatorial surface description violates an invariant."""
 
 
+class InternalError(RuntimeError):
+    """Two independent computations inside orbicert disagree: a defect in
+    the program, never in its input."""
+
+
 @contextmanager
 def malformed(what: str):
     """Report a missing key or a mistyped field of a document as a ConfigError."""

@@ -5,6 +5,12 @@ squarefree nonnegative integer delta.  delta == 0 exactly when the value is
 rational, so equality of canonical forms is equality of real numbers.  All
 comparisons are decided by sign case analysis and integer squaring; floating
 point never participates in a verdict.
+
+Construction normalizes: ``QuadExt(a, b, delta)`` splits the square part out
+of an arbitrary rational radicand, once.  Arithmetic carries the operands'
+radicand, which is already squarefree, so ``+ - * /``, comparisons and the
+continued fractions behind ``rational_below``/``rational_above`` never split
+a radicand again.  Splitting trial-divides only up to the cube root.
 """
 
 from __future__ import annotations
@@ -13,6 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 from typing import Union
+
+from .lattice import InternalError
 
 Rational = Union[int, Fraction]
 
@@ -30,12 +38,13 @@ class NoPositiveRootError(ValueError):
 
 
 def _square_split(n: int) -> tuple[int, int]:
-    # n = s*s*f with f squarefree, by trial division
+    # n = s*s*f with f squarefree.  Once d^3 > m, every prime left in m
+    # exceeds its cube root, so m is 1, p, p*q or p^2
     if n < 0:
         raise ValueError("negative radicand")
     s, f, m = 1, 1, n
     d = 2
-    while d * d <= m:
+    while d * d * d <= m:
         if m % d == 0:
             e = 0
             while m % d == 0:
@@ -45,11 +54,29 @@ def _square_split(n: int) -> tuple[int, int]:
             if e % 2:
                 f *= d
         d += 1 if d == 2 else 2
+    r = isqrt(m)
+    if m > 1 and r * r == m:
+        return s * r, f
     return s, f * m
 
 
 def _sgn(x: Fraction | int) -> int:
     return (x > 0) - (x < 0)
+
+
+def _sign(a: Fraction, b: Fraction, d: int) -> int:
+    # sign of a + b*sqrt(d), d >= 0
+    if b == 0:
+        return _sgn(a)
+    if a == 0:
+        return _sgn(b)
+    if a > 0 and b > 0:
+        return 1
+    if a < 0 and b < 0:
+        return -1
+    # opposite signs: compare a^2 with b^2 * d
+    s = _sgn(a * a - b * b * d)
+    return s if a > 0 else -s
 
 
 @dataclass(frozen=True)
@@ -86,7 +113,7 @@ class QuadExt:
     def of(value: "QuadExt | Rational") -> "QuadExt":
         if isinstance(value, QuadExt):
             return value
-        return QuadExt(Fraction(value))
+        return _make(Fraction(value), _ZERO, 0)
 
     @property
     def is_rational(self) -> bool:
@@ -111,12 +138,12 @@ class QuadExt:
     def __add__(self, other: "QuadExt | Rational") -> "QuadExt":
         o = QuadExt.of(other)
         d = self._join_delta(o)
-        return QuadExt(self.a + o.a, self.b + o.b, d)
+        return _make(self.a + o.a, self.b + o.b, d)
 
     __radd__ = __add__
 
     def __neg__(self) -> "QuadExt":
-        return QuadExt(-self.a, -self.b, self.delta)
+        return _make(-self.a, -self.b, self.delta)
 
     def __sub__(self, other: "QuadExt | Rational") -> "QuadExt":
         return self + (-QuadExt.of(other))
@@ -127,7 +154,7 @@ class QuadExt:
     def __mul__(self, other: "QuadExt | Rational") -> "QuadExt":
         o = QuadExt.of(other)
         d = self._join_delta(o)
-        return QuadExt(
+        return _make(
             self.a * o.a + self.b * o.b * d,
             self.a * o.b + self.b * o.a,
             d,
@@ -142,16 +169,16 @@ class QuadExt:
         d = self._join_delta(o)
         norm = o.a * o.a - o.b * o.b * d
         # conjugate trick; norm is rational and nonzero for nonzero o
-        num = self * QuadExt(o.a, -o.b, d)
-        return QuadExt(num.a / norm, num.b / norm, num.delta)
+        num = self * _make(o.a, -o.b, d)
+        return _make(num.a / norm, num.b / norm, num.delta)
 
     def __rtruediv__(self, other: "QuadExt | Rational") -> "QuadExt":
         return QuadExt.of(other) / self
 
     def __pow__(self, n: int) -> "QuadExt":
         if n < 0:
-            return QuadExt(Fraction(1)) / self ** (-n)
-        out = QuadExt(Fraction(1))
+            return _ONE / self ** (-n)
+        out = _ONE
         base = self
         while n:
             if n & 1:
@@ -163,18 +190,7 @@ class QuadExt:
     # -- order ------------------------------------------------------------
 
     def sign(self) -> int:
-        a, b, d = self.a, self.b, self.delta
-        if b == 0:
-            return _sgn(a)
-        if a == 0:
-            return _sgn(b)
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        # opposite signs: compare a^2 with b^2 * d
-        s = _sgn(a * a - b * b * d)
-        return s if a > 0 else -s
+        return _sign(self.a, self.b, self.delta)
 
     def compare(self, other: "QuadExt | Rational") -> int:
         return compare_cross(self, other)
@@ -232,6 +248,24 @@ class QuadExt:
         return f"QuadExt({self.a!r}, {self.b!r}, {self.delta})"
 
 
+_ZERO = Fraction(0)
+
+
+def _make(a: Fraction, b: Fraction, delta: int) -> QuadExt:
+    """a + b*sqrt(delta) without normalization: a and b are Fractions and
+    delta is already squarefree, as it is for any operand's radicand."""
+    x = object.__new__(QuadExt)
+    if b == 0:
+        b, delta = _ZERO, 0
+    object.__setattr__(x, "a", a)
+    object.__setattr__(x, "b", b)
+    object.__setattr__(x, "delta", delta)
+    return x
+
+
+_ONE = _make(Fraction(1), _ZERO, 0)
+
+
 def compare_cross(x: QuadExt | Rational, y: QuadExt | Rational) -> int:
     """Sign of x - y for values from possibly different quadratic fields.
 
@@ -243,16 +277,17 @@ def compare_cross(x: QuadExt | Rational, y: QuadExt | Rational) -> int:
     xq, yq = QuadExt.of(x), QuadExt.of(y)
     if xq.b == 0 or yq.b == 0 or xq.delta == yq.delta:
         d = xq.delta if xq.b != 0 else yq.delta
-        return QuadExt(xq.a - yq.a, xq.b - yq.b, d).sign()
-    p = QuadExt(xq.a - yq.a, xq.b, xq.delta)
-    sp = p.sign()
+        return _sign(xq.a - yq.a, xq.b - yq.b, d)
+    # P = pa + xb*sqrt(xd), Q = -yb*sqrt(yd)
+    pa, xb, xd = xq.a - yq.a, xq.b, xq.delta
+    sp = _sign(pa, xb, xd)
     sq = _sgn(-yq.b)
     if sp == 0:
         return sq
     if sq == 0 or sp == sq:
         return sp
-    diff = p * p - yq.b * yq.b * yq.delta
-    return sp * diff.sign()
+    # sign of P^2 - Q^2 = (pa^2 + xb^2 xd - yb^2 yd) + 2 pa xb sqrt(xd)
+    return sp * _sign(pa * pa + xb * xb * xd - yq.b * yq.b * yq.delta, 2 * pa * xb, xd)
 
 
 def min_root_quadratic(
@@ -328,14 +363,32 @@ def rational_above(x: QuadExt, gap: Rational) -> Fraction:
     return _cf_bound(x, gap, below=False)
 
 
+def _partial_quotient(p: int, q: int, s: int) -> int:
+    """floor((p + sqrt(n)) / q) for q != 0 and s = isqrt(n), n not a square.
+
+    sqrt(n) lies strictly between s and s + 1, so for q > 0 no integer
+    multiple of q falls between p + s and p + sqrt(n); for q < 0 the value
+    is minus an irrational, whose floor is minus its floor, minus one.
+    """
+    if q > 0:
+        return (p + s) // q
+    return -((p + s) // -q) - 1
+
+
+_CF_STEPS = 10_000
+
+
 def _cf_bound(x: QuadExt, gap: Fraction, below: bool) -> Fraction:
+    # PQa recurrence (Jacobson and Williams, Solving the Pell Equation, ch. 3):
+    # every complete quotient is (p + sqrt(n)) / q with integers p, q and
+    # the same n, so isqrt(n) once gives every partial quotient
     p, q, n = _cf_state(x)
+    s = isqrt(n)
+    side = 1 if below else -1
     h_prev, h = 1, None
     k_prev, k = 0, None
-    best: Fraction | None = None
-    for step in range(10_000):
-        value = QuadExt(Fraction(p, q), Fraction(1, q), n)
-        a_k = value.__floor__()
+    for step in range(_CF_STEPS):
+        a_k = _partial_quotient(p, q, s)
         if h is None:
             h, k = a_k, 1
         else:
@@ -343,13 +396,14 @@ def _cf_bound(x: QuadExt, gap: Fraction, below: bool) -> Fraction:
             k, k_prev = a_k * k + k_prev, k
         conv = Fraction(h, k)
         is_below = step % 2 == 0
-        if is_below == below:
-            best = conv
-            err = x - conv if below else QuadExt(conv) - x
-            if err.sign() > 0 and compare_cross(err, gap) < 0:
-                return best
+        # accept 0 < side * (x - conv) < gap
+        if is_below == below and (
+            _sign(x.a - conv, x.b, x.delta) == side
+            and _sign(x.a - conv - side * gap, x.b, x.delta) == -side
+        ):
+            return conv
         p = a_k * q - p
         q = (n - p * p) // q
         if q == 0:
             break
-    raise ArithmeticError("continued fraction failed to converge")
+    raise InternalError("continued fraction failed to converge")

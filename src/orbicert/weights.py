@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .certifier import build_report, checklist_holds
-from .lattice import ConfigError, SurfaceConfig
+from .lattice import ConfigError, InternalError, SurfaceConfig
 from .positivity import WeightedBoundary
 from .quadext import QuadExt, compare_cross
 from .sampling import run_chunks
@@ -66,7 +66,10 @@ def _evaluate(cfg: SurfaceConfig, weights: tuple[int, ...]) -> SearchHit | None:
     if not checklist_holds(cfg, wb):
         return None
     report = build_report(cfg, wb)
-    assert report.slack is not None and report.slack.sign() > 0, weights
+    if report.slack is None or report.slack.sign() <= 0:
+        raise InternalError(
+            f"weights {weights} pass the integer checklist but have slack {report.slack}"
+        )
     return SearchHit(
         weights=weights,
         slack=report.slack,

@@ -1,12 +1,15 @@
 """End-to-end certification on the bundled configs plus exact benchmark values."""
 
+import hashlib
 import json
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
+from orbicert import certifier, quadext
 from orbicert.catalog import builtin_names, load_builtin
 from orbicert.certifier import (
     Certificate,
@@ -21,7 +24,8 @@ from orbicert.certifier import (
     volume_ratio_lower,
     weight_slack,
 )
-from orbicert.lattice import ConfigError, SurfaceConfig
+from orbicert.cli import main
+from orbicert.lattice import ConfigError, InternalError, SurfaceConfig
 from orbicert.positivity import WeightedBoundary
 from orbicert.quadext import QuadExt, compare_cross
 
@@ -215,3 +219,54 @@ def test_report_invariants_random_weights():
             )
         else:
             assert report.slack is None
+
+
+def test_build_report_splits_each_irrational_root_once(monkeypatch):
+    calls = []
+    split = quadext._square_split
+    monkeypatch.setattr(quadext, "_square_split", lambda n: calls.append(n) or split(n))
+    for weights in ([4, 4, 4, 3], [50, 1, 1, 1], [4001, 4003, 4007, 3002]):
+        calls.clear()
+        report = build_report(FOUR_LINES, WeightedBoundary.make(weights))
+        irrational = sum(not c.truncation_root.is_rational for c in report.components)
+        assert irrational >= 1
+        assert len(calls) <= irrational, (weights, calls)
+
+
+def test_certify_large_weights_with_multiplicities(tmp_path, capsys):
+    # the constants chain takes rational bounds of a ratio whose radicand,
+    # cleared of denominators, is far too large to factor by trial division
+    out = tmp_path / "cert.json"
+    start = time.perf_counter()
+    code = main([
+        "certify", "--builtin", "four-lines",
+        "--weights", "4001,4003,4007,3002",
+        "--multiplicities", "1000,1000,1000,1000",
+        "--out", str(out),
+    ])
+    elapsed = time.perf_counter() - start
+    capsys.readouterr()
+    assert code == 0
+    assert elapsed < 10.0
+    # byte for byte the certificate that the square-root trial-division
+    # arithmetic wrote, in about three minutes
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == "00bfbf87f31db4bf2c02ca53f60aad22544e3d30b71ad7a4b9fc8a01891043c4"
+
+
+def test_cross_checks_raise_internal_errors(monkeypatch, capsys):
+    monkeypatch.setattr(certifier, "_component_holds", lambda *args: False)
+    with pytest.raises(InternalError, match="component 0"):
+        build_report(FOUR_LINES, WEIGHTS)
+    monkeypatch.undo()
+
+    real_ample = certifier._ample
+    monkeypatch.setattr(certifier, "_ample", lambda cfg, bp: not real_ample(cfg, bp))
+    with pytest.raises(InternalError, match="ampleness"):
+        build_report(FOUR_LINES, WEIGHTS)
+    # the command line reports it in one line with its own exit code
+    assert main(["certify", "--builtin", "four-lines"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: closed-form ampleness")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err

@@ -1,6 +1,7 @@
 """Command line behaviour: exit codes, printed verdicts, artifact files."""
 
 import json
+import time
 
 import pytest
 
@@ -280,3 +281,25 @@ def test_python_dash_m_entry_point():
     )
     assert done.returncode == 0, done.stderr
     assert "best (min-sum): 4,4,4,3" in done.stdout
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--suite", "subspace", "--max-degree", "2"], "max degree 2 is below max_m 3"),
+        (["--suite", "subspace", "--coeff-bound", "0"], "coefficient bound 0"),
+        (["--suite", "probe", "--coeff-bound", "0"], "coefficient bound 0"),
+        (["--suite", "probe", "--max-degree", "-1"], "max degree -1 must not be"),
+        (["--suite", "boundary", "--coeff-bound", "0"], "--coeff-bound 0 must be"),
+        (["--suite", "boundary", "--max-degree", "0"], "--max-degree 0 must be"),
+    ],
+    ids=["subspace-degree", "subspace-bound", "probe-bound", "probe-degree",
+         "boundary-bound", "boundary-degree"],
+)
+def test_stress_unsatisfiable_parameters_exit_3(capsys, argv, message):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "stress", "--samples", "5", "--batches", "1", *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert err.startswith("input error") and message in err
+    assert out == ""

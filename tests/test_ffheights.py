@@ -498,6 +498,28 @@ def test_random_map_canonical():
         assert polys.degree(poly_gcd) == 0
 
 
+def test_random_map_gives_up_after_a_bounded_number_of_draws(monkeypatch):
+    monkeypatch.setattr(orbicert.ffheights, "_MAP_TRIES", 50)
+    rng = random.Random(3)
+    # four coordinates of degree <= 2 are never independent
+    with pytest.raises(ConfigError, match="in 50 draws"):
+        random_map(rng, 3, 2, 9, nondegenerate=True)
+    with pytest.raises(ConfigError, match="in 50 draws"):
+        random_map(rng, 2, 4, 0)
+    assert random_map(rng, 3, 3, 1, nondegenerate=True).height >= 1
+
+
+def test_sweeps_reject_unsatisfiable_parameters():
+    realization = realization_from_config(FOUR_LINES)
+    with pytest.raises(ConfigError, match="below max_m"):
+        subspace_sweep(0, max_m=3, max_deg=2)
+    with pytest.raises(ConfigError, match="coefficient bound"):
+        subspace_sweep(0, bound=0)
+    with pytest.raises(ConfigError, match="coefficient bound"):
+        probe_sweep(FOUR_LINES, WEIGHTS, realization, 0, bound=0)
+    assert subspace_sweep(4, seed=2, max_m=3, max_deg=3, bound=1)["samples"] >= 0
+
+
 def test_subspace_sweep_small():
     out = subspace_sweep(300, seed=5)
     assert out["violations"] == 0

@@ -5,12 +5,18 @@ decimal side only ever confirms, never decides, so disagreements point at
 the exact code.
 """
 
+import math
 import random
+import time
 from decimal import Decimal, getcontext
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from orbicert import quadext
+from orbicert.lattice import InternalError
 from orbicert.quadext import (
     CrossFieldError,
     NoPositiveRootError,
@@ -219,3 +225,163 @@ def test_str_repr():
     assert str(QuadExt(Fraction(-3, 2))) == "-3/2"
     x = QuadExt(Fraction(1, 3), Fraction(-1), 5)
     assert eval(repr(x), {"QuadExt": QuadExt, "Fraction": Fraction}) == x
+
+
+# -- one radicand split per construction ------------------------------------------
+
+PROPERTY = settings(max_examples=300, deadline=None, database=None, derandomize=True)
+
+# primes near 1e9, for cofactors the cube-root bound leaves behind
+BIG_PRIMES = (999999929, 999999937, 998244353, 1000000007, 1000000009, 1000000021)
+SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 97, 101, 997, 1009, 65537)
+
+
+def square_split_reference(n: int) -> tuple[int, int]:
+    # n = s*s*f with f squarefree, trial division up to sqrt(n)
+    s, f, m, d = 1, 1, n, 2
+    while d * d <= m:
+        e = 0
+        while m % d == 0:
+            m //= d
+            e += 1
+        s *= d ** (e // 2)
+        f *= d ** (e % 2)
+        d += 1
+    return s, f * m
+
+
+def split_from_factors(factors: dict[int, int]) -> tuple[int, int]:
+    s = f = 1
+    for p, e in factors.items():
+        s *= p ** (e // 2)
+        f *= p ** (e % 2)
+    return s, f
+
+
+fractions = st.builds(
+    Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**4)
+)
+radicands = st.sampled_from((2, 3, 5, 6, 7, 10, 4001, 48088059, 999999937 * 1009))
+
+
+@st.composite
+def same_field_pairs(draw):
+    delta = draw(radicands)
+    parts = []
+    for _ in range(2):
+        b = draw(st.one_of(st.just(Fraction(0)), fractions))
+        parts.append(QuadExt(draw(fractions), b, delta))
+    return parts
+
+
+@PROPERTY
+@given(same_field_pairs(), st.integers(-3, 3))
+def test_arithmetic_results_are_canonical(pair, e):
+    x, y = pair
+    results = [x + y, x - y, y - x, x * y, -x, x - x, x + 1, Fraction(1, 3) * y]
+    if y.sign() != 0:
+        results += [x / y, 2 / y]
+    if x.sign() != 0 or e >= 0:
+        results.append(x ** e)
+    for r in results:
+        rebuilt = QuadExt(r.a, r.b, r.delta)
+        assert repr(r) == repr(rebuilt)
+        assert hash(r) == hash(rebuilt)
+
+
+def test_arithmetic_never_splits_a_radicand(monkeypatch):
+    rng = random.Random(23)
+    values = [random_value(rng, 48088059) for _ in range(40)] + [QuadExt(Fraction(3))]
+    other_field = QuadExt(Fraction(1), Fraction(2), 7)
+
+    def refuse(n):
+        raise AssertionError(f"radicand {n} split during arithmetic")
+
+    monkeypatch.setattr(quadext, "_square_split", refuse)
+    for x, y in zip(values, values[1:]):
+        results = [x + y, x - y, x * y, -x, x ** 3, 1 - x, math.floor(x)]
+        if y.sign() != 0:
+            results += [x / y, 3 / y]
+        signs = {compare_cross(x, y), compare_cross(x, other_field), (x < 5) - (x > 5)}
+        assert results and signs <= {-1, 0, 1}
+
+
+@PROPERTY
+@given(
+    st.integers(-10**12, 10**12),
+    st.integers(-10**9, 10**9).filter(bool),
+    st.integers(2, 10**12),
+)
+def test_partial_quotient_is_the_floor(p, q, n):
+    if math.isqrt(n) ** 2 == n:
+        n += 1
+    expected = QuadExt(Fraction(p, q), Fraction(1, q), n).__floor__()
+    assert quadext._partial_quotient(p, q, math.isqrt(n)) == expected
+
+
+def test_continued_fraction_builds_no_value(monkeypatch):
+    x = QuadExt(Fraction(-7, 3), Fraction(5, 11), 48088059)
+
+    def refuse(*args):
+        raise AssertionError("QuadExt built inside the continued fraction")
+
+    monkeypatch.setattr(quadext.QuadExt, "__post_init__", refuse)
+    monkeypatch.setattr(quadext, "_make", refuse)
+    for k in (1, 20, 200):
+        gap = Fraction(1, 2**k)
+        lo, hi = rational_below(x, gap), rational_above(x, gap)
+        assert lo < hi and hi - lo < 2 * gap
+
+
+def test_continued_fraction_failure_is_internal(monkeypatch):
+    monkeypatch.setattr(quadext, "_CF_STEPS", 3)
+    sqrt2 = QuadExt(Fraction(0), Fraction(1), 2)
+    with pytest.raises(InternalError):
+        rational_below(sqrt2, Fraction(1, 10**30))
+
+
+@PROPERTY
+@given(st.integers(0, 10**10))
+def test_square_split_matches_reference(n):
+    assert quadext._square_split(n) == square_split_reference(n)
+
+
+@PROPERTY
+@given(
+    st.lists(
+        st.tuples(st.sampled_from(SMALL_PRIMES), st.integers(1, 4)),
+        min_size=1,
+        max_size=5,
+    )
+)
+def test_square_split_products_of_prime_powers(pairs):
+    factors: dict[int, int] = {}
+    for p, e in pairs:
+        factors[p] = factors.get(p, 0) + e
+    n = math.prod(p**e for p, e in factors.items())
+    assert quadext._square_split(n) == split_from_factors(factors)
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(
+    st.sampled_from(BIG_PRIMES),
+    st.sampled_from(BIG_PRIMES),
+    st.integers(1, 1000),
+    st.sampled_from(["p^2", "p*q", "p^2*k"]),
+)
+def test_square_split_large_cofactors(p, q, k, shape):
+    if shape == "p^2":
+        n, expected = p * p, (p, 1)
+    elif shape == "p*q":
+        n, expected = p * q, (p, 1) if p == q else (1, p * q)
+    else:
+        s, f = square_split_reference(k)
+        n, expected = p * p * k, (p * s, f)
+    assert quadext._square_split(n) == expected
+
+
+def test_square_split_of_a_large_semiprime_is_fast():
+    n = 1000000007 * 998244353
+    start = time.perf_counter()
+    assert quadext._square_split(n) == (1, n)
+    assert time.perf_counter() - start < 1.0

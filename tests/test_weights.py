@@ -7,7 +7,8 @@ import pytest
 
 from orbicert.catalog import load_builtin
 from orbicert.certifier import build_report
-from orbicert.lattice import ConfigError, SurfaceConfig
+from orbicert import weights
+from orbicert.lattice import ConfigError, InternalError, SurfaceConfig
 from orbicert.positivity import WeightedBoundary
 from orbicert.quadext import compare_cross
 from orbicert.sampling import random_config, random_passing_candidate, random_weights
@@ -128,3 +129,10 @@ def test_random_passing_candidate_mix():
         ):
             passes += 1
     assert passes >= 60
+
+
+def test_search_hit_without_slack_is_internal_error(monkeypatch):
+    # a vector the integer decision passes must have a positive QuadExt slack
+    monkeypatch.setattr(weights, "checklist_holds", lambda cfg, wb: True)
+    with pytest.raises(InternalError, match="slack None"):
+        search_weights(FOUR_LINES, 2)
