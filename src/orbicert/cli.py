@@ -2,7 +2,8 @@
 
 Exit codes: 0 the requested property is certified, 1 it is certified to
 fail (or a stress sweep found a violation), 2 the run is inconclusive,
-3 the input is malformed, 4 an internal cross-check failed (InternalError).
+3 the input is malformed (a command line that argparse rejects included),
+4 an internal cross-check failed (InternalError).
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .certifier import (
 )
 from .constants import InfeasibleError, feasible_chain, verify_chain
 from .constants import filtration_sections_lower, sections_power_exact
-from .lattice import Component, ConfigError, InternalError, SurfaceConfig
+from .lattice import ConfigError, InternalError, SurfaceConfig
 from .positivity import WeightedBoundary, ample_sufficient
 from .quadext import compare_cross
 from .weights import proportional_weights, search_weights
@@ -52,18 +53,12 @@ def _load_config(args) -> SurfaceConfig:
     return cfg
 
 
-def _parse_number(text: str) -> int | Fraction:
-    value = Fraction(text)
-    return int(value) if value.denominator == 1 else value
-
-
 def _resolve_weights(args, cfg: SurfaceConfig) -> WeightedBoundary:
     raw = getattr(args, "weights", None)
     if raw:
-        parts = [p for p in raw.split(",") if p.strip()]
-        return WeightedBoundary.make([_parse_number(p) for p in parts])
+        return WeightedBoundary.make([p.strip() for p in raw.split(",") if p.strip()])
     if cfg.default_weights is not None:
-        return WeightedBoundary.make([_parse_number(w) for w in cfg.default_weights])
+        return WeightedBoundary.make(cfg.default_weights)
     return proportional_weights(cfg)
 
 
@@ -179,18 +174,9 @@ def cmd_constants(args) -> int:
 # -- beta ------------------------------------------------------------------------
 
 
-def _plane_config(args) -> SurfaceConfig:
-    return SurfaceConfig(
-        components=(Component(degree=1, paired=False, role="hyperplane"),),
-        points=(),
-        allow_single_component=True,
-        name=f"plane-degree-{args.plane}",
-    )
-
-
 def cmd_beta(args) -> int:
     if args.plane:
-        cfg = _plane_config(args)
+        cfg = load_builtin("plane-one-line")
         wb = WeightedBoundary.make([args.plane])
     else:
         cfg = _load_config(args)
@@ -420,7 +406,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 0 after --help and 2 on a usage error
+        return EXIT_PASS if exc.code == 0 else EXIT_INPUT
     try:
         return args.func(args)
     except ConfigError as exc:

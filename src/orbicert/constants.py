@@ -30,7 +30,14 @@ from .certifier import (
     build_report,
     encode_number,
 )
-from .lattice import DivisorClass, SurfaceConfig, canonical_class, chi, intersect
+from .lattice import (
+    DivisorClass,
+    InternalError,
+    SurfaceConfig,
+    canonical_class,
+    chi,
+    intersect,
+)
 from .positivity import WeightedBoundary, ample_class_sufficient, boundary_class
 from .quadext import QuadExt, compare_cross, rational_above
 
@@ -62,7 +69,8 @@ def sections_certified(
     value = chi(cfg, d)
     lower = max(0, int(value))
     if ample_class_sufficient(cfg, d - k).certified:
-        assert value >= 0, d
+        if value < 0:
+            raise InternalError(f"chi({d}) = {value} < 0 for a certified h^0")
         return int(value), int(value)
     return lower, None
 
@@ -91,7 +99,8 @@ def _sum_lower_fast(inv: _Invariants, i: int, n: int) -> int:
         dk = n * bp.dpk - m * bp.dik[i]
         value = 1 + Fraction(sq - dk, 2)
         if value > 0:
-            assert value.denominator == 1, (i, n, m)
+            if value.denominator != 1:
+                raise InternalError(f"h^0 bound {value} at {(i, n, m)} is not integral")
             total += int(value)
     return total
 
@@ -273,44 +282,34 @@ def feasible_chain(
     )
 
 
+# fields a verified chain must reproduce exactly; Q and the volume ratio
+# upper bounds need only bound their exact values
+_REBUILT_FIELDS = (
+    "eps_half", "n", "m_sections", "sums", "ratios", "ratio_max", "argmax", "b",
+    "c_const",
+)
+
+
 def verify_chain(
     cfg: SurfaceConfig, wb: WeightedBoundary, chain: ConstantsChain
 ) -> bool:
-    """Recompute every link of the chain and check minimality of N, b and m0."""
+    """Rebuild the chain up to its level, then check the bounds it records.
+
+    The rebuild reproduces every exact link, minimality of N included; the
+    checks below re-derive b, Q, the volume ratio bounds and m0 by routes
+    independent of feasible_chain.
+    """
     report = build_report(cfg, wb)
-    if not report.ample.certified or report.slack is None:
-        raise ChainMismatchError("checklist no longer passes")
-    inv = _invariants(cfg, wb)
-    betas = tuple(c.volume_ratio for c in report.components)
-    target = QuadExt(1 + chain.eps_half)
-    if 2 * chain.eps_half != chain.eps_target:
-        raise ChainMismatchError("eps_half is not half of eps_target")
-
-    got = _ratios_at(cfg, wb, inv, betas, chain.n)
-    if got is None:
-        raise ChainMismatchError(f"level {chain.n} is not certifiable")
-    m_sections, sums, ratios = got
-    if m_sections != chain.m_sections or sums != chain.sums:
-        raise ChainMismatchError("section counts changed")
-    for r, r_rec in zip(ratios, chain.ratios):
-        if compare_cross(r, r_rec) != 0:
-            raise ChainMismatchError("a ratio changed")
-    if compare_cross(ratios[chain.argmax], chain.ratio_max) != 0:
-        raise ChainMismatchError("max ratio changed")
-    for r in ratios:
-        if compare_cross(r, chain.ratio_max) > 0:
-            raise ChainMismatchError("argmax is not maximal")
-
-    # minimality of N
-    for n in range(1, chain.n):
-        earlier = _ratios_at(cfg, wb, inv, betas, n)
-        if earlier is None:
-            continue
-        _, _, rr = earlier
-        if compare_cross(rr[_argmax(rr)], target) < 0:
-            raise ChainMismatchError(f"level {n} was already admissible")
+    try:
+        rebuilt = feasible_chain(cfg, wb, report, chain.eps_target, cap=chain.n)
+    except InfeasibleError as exc:
+        raise ChainMismatchError(f"chain does not rebuild: {exc}") from None
+    for field in _REBUILT_FIELDS:
+        if getattr(rebuilt, field) != getattr(chain, field):
+            raise ChainMismatchError(f"{field} differs from its rebuilt value")
 
     # b satisfies the inequality and b - 1 does not
+    target = QuadExt(1 + chain.eps_half)
     factor = QuadExt(Fraction(chain.b + 2, chain.b))
     if not compare_cross(factor * chain.ratio_max, target) < 0:
         raise ChainMismatchError("recorded b does not satisfy the inequality")
@@ -319,15 +318,14 @@ def verify_chain(
         if compare_cross(prev * chain.ratio_max, target) < 0:
             raise ChainMismatchError("b is not minimal")
 
-    if chain.c_const != (1 + chain.eps_half) / Fraction(chain.m_sections * chain.n):
-        raise ChainMismatchError("C changed")
-
+    betas = tuple(c.volume_ratio for c in report.components)
     q_exact = _q_exact(chain.m_sections, chain.n, chain.eps_half, betas)
     if not compare_cross(QuadExt(chain.q_const), q_exact) >= 0:
         raise ChainMismatchError("Q is not an upper bound")
-    for u, beta in zip(chain.beta_upper, betas):
-        if not compare_cross(QuadExt(u), beta) >= 0:
-            raise ChainMismatchError("a volume ratio upper bound fails")
+    if len(chain.beta_upper) != len(betas) or any(
+        compare_cross(QuadExt(u), beta) < 0 for u, beta in zip(chain.beta_upper, betas)
+    ):
+        raise ChainMismatchError("a volume ratio upper bound fails")
 
     x = chain.q_const * sum(chain.beta_upper) / chain.eps_half
     if not chain.m0 > x:

@@ -23,7 +23,7 @@ from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
 from . import polys, sampling
-from .lattice import ConfigError, SurfaceConfig, malformed
+from .lattice import ConfigError, InternalError, SurfaceConfig, malformed
 from .polys import IntPoly
 from .positivity import WeightedBoundary
 
@@ -81,7 +81,6 @@ def _has_integer_root(b: int, c: int, d: int) -> bool:
     return False
 
 
-@lru_cache(maxsize=None)
 def _certify_irreducible(poly: IntPoly) -> bool:
     """Irreducibility over Q.
 
@@ -200,17 +199,11 @@ def _divide_common(ints: list[IntPoly]) -> list[IntPoly]:
         if not polys.is_zero(p):
             g = polys.gcd_poly(g, p)
     if polys.degree(g) > 0:
-        out = []
-        for p in ints:
-            if polys.is_zero(p):
-                out.append(p)
-                continue
-            quo, rem = polys.divmod_rational(p, g)
-            assert not rem, "gcd fails to divide a coordinate"
-            # Gauss: a primitive divisor of an integer polynomial has an
-            # integer cofactor
-            out.append(polys.trim([int(c) for c in quo]))
-        ints = out
+        # g is primitive, so each cofactor is an integer polynomial
+        quotients = [polys.exact_quotient(p, g) for p in ints]
+        if None in quotients:
+            raise InternalError("gcd fails to divide a coordinate")
+        ints = quotients
     return ints
 
 
@@ -620,7 +613,8 @@ def subspace_inequality(
         for combo in itertools.combinations(range(len(hyperplanes)), family_rank)
         if gaussian_rank([vectors[j] for j in combo]) == family_rank
     ]
-    assert bases, "a nonempty family has a basis"
+    if not bases:
+        raise InternalError("a nonempty hyperplane family has no basis")
 
     values = [hyperplanes[j].evaluate(x) for j in range(len(hyperplanes))]
     for fx in values:
@@ -835,16 +829,13 @@ def _pool_places() -> tuple[Place, ...]:
     return tuple(Place.finite(p) for p in _PLACE_POOL)
 
 
-def random_places(rng: random.Random, low: int = 2, high: int = 4) -> list[Place]:
-    count = rng.randint(low, min(high, len(_PLACE_POOL) + 1))
+def random_places(rng: random.Random) -> list[Place]:
+    """2 to 4 distinct places, the infinite one with probability 0.7."""
+    count = rng.randint(2, 4)
     chosen: list[Place] = [Place.infinite()] if rng.random() < 0.7 else []
     pool = list(_pool_places())
     rng.shuffle(pool)
-    for p in pool:
-        if len(chosen) >= count:
-            break
-        chosen.append(p)
-    return chosen[:count] if len(chosen) >= 2 else [Place.infinite(), Place.finite((0, 1))]
+    return chosen + pool[: count - len(chosen)]
 
 
 def random_hyperplanes(

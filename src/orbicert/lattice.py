@@ -346,13 +346,13 @@ def chi(cfg: SurfaceConfig, d: DivisorClass) -> Fraction:
     """Euler characteristic 1 + d.(d - K)/2 on the rational surface.
 
     Integral classes must produce an integer; a parity failure here means
-    the lattice arithmetic is corrupted, so it is asserted.
+    the lattice arithmetic is corrupted, so it raises InternalError.
     """
     k = canonical_class(cfg)
     pairing = intersect(d, d - k)
     value = 1 + Fraction(pairing) / 2
-    if d.is_integral():
-        assert value.denominator == 1, f"chi({d}) = {value} not integral"
+    if value.denominator != 1 and d.is_integral():
+        raise InternalError(f"chi({d}) = {value} not integral")
     return value
 
 

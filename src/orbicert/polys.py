@@ -4,7 +4,9 @@ Polynomials are tuples of coefficients, constant term first, with no
 trailing zeros; the zero polynomial is the empty tuple.  Valuations,
 degrees and radicals are invariant under nonzero rational scaling, so most
 routines work on primitive integer tuples and rational inputs are cleared
-to that form once at the boundary.
+to that form once at the boundary.  Division runs in integers only:
+``exact_quotient`` is the one kernel, and Gauss's lemma makes it decide
+divisibility by any primitive divisor.
 """
 
 from __future__ import annotations
@@ -130,65 +132,46 @@ def eval_fraction(a: IntPoly, x: Fraction) -> Fraction:
     return out
 
 
-def divmod_rational(a: IntPoly, b: IntPoly) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
-    """Quotient and remainder in Q[t]."""
-    if not b:
+def exact_quotient(a: IntPoly, p: IntPoly) -> IntPoly | None:
+    """The integer cofactor a / p, or None when it is not in Z[t].
+
+    By Gauss's lemma a primitive p that divides a in Q[t] leaves an integer
+    cofactor, so for primitive p None means that p does not divide a.  The
+    long division stops at the first coefficient that lead(p) fails to divide.
+    """
+    if not p:
         raise ZeroDivisionError("polynomial division by zero")
-    rem = [Fraction(c) for c in a]
-    quo = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    lead = Fraction(b[-1])
-    for shift in range(len(a) - len(b), -1, -1):
-        coef = rem[shift + len(b) - 1] / lead
-        if coef:
-            quo[shift] = coef
-            for j, c in enumerate(b):
-                rem[shift + j] -= coef * c
-    while rem and rem[-1] == 0:
-        rem.pop()
-    return tuple(quo), tuple(rem)
-
-
-def _divide_unit_lead(p: IntPoly, a: IntPoly) -> IntPoly | None:
-    # integer synthetic division for lead(p) = +-1; None on a nonzero remainder
+    if not a:
+        return ZERO
+    top = len(p) - 1
+    if len(a) <= top:
+        return None
     lead = p[-1]
     rem = list(a)
-    quo = [0] * (len(a) - len(p) + 1)
-    for shift in range(len(a) - len(p), -1, -1):
-        coef = rem[shift + len(p) - 1] * lead
+    quo = [0] * (len(a) - top)
+    for shift in range(len(quo) - 1, -1, -1):
+        coef, r = divmod(rem[shift + top], lead)
+        if r:
+            return None
         if coef:
             quo[shift] = coef
-            for j, c in enumerate(p):
-                rem[shift + j] -= coef * c
-    if any(rem[: len(p) - 1]):
+            for j in range(top):
+                rem[shift + j] -= coef * p[j]
+    if any(rem[:top]):
         return None
-    return trim(quo)
-
-
-def divides_exactly(p: IntPoly, a: IntPoly) -> IntPoly | None:
-    """a / p as a primitive integer polynomial, or None if p does not divide a."""
-    if degree(p) > degree(a):
-        return None
-    if p and abs(p[-1]) == 1:
-        quo_int = _divide_unit_lead(p, a)
-        return None if quo_int is None else primitive(quo_int)
-    quo, rem = divmod_rational(a, p)
-    if rem:
-        return None
-    return clear_rationals(quo)
+    return tuple(quo)
 
 
 def valuation(p: IntPoly, a: IntPoly) -> int:
-    """Multiplicity of the irreducible p in a (a nonzero)."""
+    """Multiplicity of the primitive irreducible p in a (a nonzero)."""
     if not a:
         raise ValueError("valuation of the zero polynomial")
     v = 0
-    cur = a
-    while True:
-        nxt = divides_exactly(p, cur)
-        if nxt is None:
-            return v
+    cur = exact_quotient(a, p)
+    while cur is not None:
         v += 1
-        cur = nxt
+        cur = exact_quotient(cur, p)
+    return v
 
 
 def valuation_linear(root_num: int, root_den: int, a: IntPoly) -> int:

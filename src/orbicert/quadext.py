@@ -220,16 +220,8 @@ class QuadExt:
     def __floor__(self) -> int:
         if self.b == 0:
             return self.a.numerator // self.a.denominator
-        # exact bracket for |b|*sqrt(delta) via integer square root
-        r = self.b * self.b * self.delta
-        root = isqrt(r.numerator * r.denominator)
-        mag_lo = Fraction(root, r.denominator)
-        mag_hi = Fraction(root + 1, r.denominator)
-        low = self.a + (mag_lo if self.b > 0 else -mag_hi)
-        n = low.numerator // low.denominator
-        while compare_cross(self, n + 1) >= 0:
-            n += 1
-        return n
+        p, q, n = _cf_state(self)
+        return _partial_quotient(p, q, isqrt(n))
 
     # -- presentation -------------------------------------------------------
 

@@ -12,6 +12,7 @@ sweeps hand it their chunk arguments and merge what it returns.
 
 from __future__ import annotations
 
+import os
 import random
 from math import lcm
 from multiprocessing import Pool
@@ -57,9 +58,11 @@ def random_passing_candidate(
 
 
 def run_chunks(worker, args: list, processes: int) -> list:
-    """[worker(a) for a in args], mapped over a pool of processes when
-    processes > 1 and there is more than one argument."""
-    if processes > 1 and len(args) > 1:
+    """[worker(a) for a in args], mapped over a pool when more than one
+    process would get work.  The pool has at most one process per argument
+    and per CPU, whatever processes asks for."""
+    processes = min(processes, len(args), os.cpu_count() or 1)
+    if processes > 1:
         with Pool(processes) as pool:
             return pool.map(worker, args)
     return [worker(a) for a in args]

@@ -93,6 +93,29 @@ def test_certify_input_errors(capsys):
     assert code == 3 and "input error" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["certify", "--weights"],
+        ["certify", "--bogus"],
+        ["search", "--bound", "x"],
+        ["stress", "--suite", "nope"],
+    ],
+    ids=["missing-value", "unknown-option", "bad-int", "bad-choice"],
+)
+def test_malformed_command_line_exits_3(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == "" and "error:" in err and "Traceback" not in err
+
+
+def test_help_exits_0(capsys):
+    code, out, _ = run(capsys, "--help")
+    assert code == 0 and out.startswith("usage: orbicert")
+    code, out, _ = run(capsys, "certify", "--help")
+    assert code == 0 and "--multiplicities" in out
+
+
 def test_search_bounds(capsys):
     code, out, _ = run(capsys, "search", "--bound", "4")
     assert code == 0

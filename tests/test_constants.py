@@ -149,6 +149,12 @@ def test_chain_verifies():
 
 def test_verify_rejects_tampering():
     chain = feasible_chain(FOUR_LINES, WEIGHTS, None, Fraction(1, 176))
+
+    def with_m0(**fields):
+        # a lowered bound together with the m0 it implies, so only the bound fails
+        c = replace(chain, **fields)
+        return replace(c, m0=floor(c.q_const * sum(c.beta_upper) / c.eps_half) + 1)
+
     for broken in (
         replace(chain, m0=chain.m0 + 1),
         replace(chain, m0=chain.m0 - 1),
@@ -161,6 +167,12 @@ def test_verify_rejects_tampering():
         replace(chain, c_const=chain.c_const * 2),
         replace(chain, q_const=chain.q_const - 1),
         replace(chain, eps_half=chain.eps_half * 2),
+        replace(chain, eps_target=chain.eps_target * 2),
+        replace(chain, ratios=(chain.ratios[0] * 2,) + chain.ratios[1:]),
+        replace(chain, ratio_max=chain.ratio_max * 2),
+        replace(chain, n=chain.n + 1),
+        with_m0(beta_upper=(chain.beta_upper[0] / 2,) + chain.beta_upper[1:]),
+        with_m0(q_const=chain.q_const / 2),
     ):
         with pytest.raises(ChainMismatchError):
             verify_chain(FOUR_LINES, WEIGHTS, broken)

@@ -262,6 +262,23 @@ def test_ratmap_canonical():
         RatMap.make([[0], [0]])
 
 
+def test_ratmap_keeps_unequal_contents_of_the_cofactors():
+    # (2t + 2, 3t + 3): the common factor t + 1 leaves the raw cofactors 2 and 3
+    assert RatMap.make([[2, 2], [3, 3]]).coords == ((2,), (3,))
+    assert RatMap.make([[-2, 0, 2], [3, 3], [0]]).coords == ((-2, 2), (3,), ())
+
+
+def test_random_places_are_two_to_four_distinct_places():
+    rng = random.Random(5)
+    counts = set()
+    for _ in range(300):
+        places = random_places(rng)
+        assert 2 <= len(places) <= 4
+        assert len(set(places)) == len(places)
+        counts.add(len(places))
+    assert counts == {2, 3, 4}
+
+
 def test_ratmap_str():
     x = RatMap.make([[1], [0, 1], [0, 0, 1]])
     assert str(x) == "[1 : t : t^2]"

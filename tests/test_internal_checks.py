@@ -1,0 +1,116 @@
+"""Cross-checks that guard exact results raise InternalError, also under -O.
+
+Each forcing function breaks one layer underneath a check and calls the
+code that performs it.  The same functions run in a ``python -O``
+subprocess, where an ``assert`` would have been dropped.
+"""
+
+import subprocess
+import sys
+from contextlib import contextmanager
+from dataclasses import replace
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+import orbicert
+from orbicert import constants, ffheights, lattice, polys
+from orbicert.catalog import load_builtin
+from orbicert.lattice import DivisorClass, InternalError, SurfaceConfig
+from orbicert.positivity import WeightedBoundary
+
+
+@contextmanager
+def patched(owner, name, value):
+    saved = getattr(owner, name)
+    setattr(owner, name, value)
+    try:
+        yield
+    finally:
+        setattr(owner, name, saved)
+
+
+def plane() -> SurfaceConfig:
+    return SurfaceConfig.build([], [], hyperplane=True, allow_single_component=True)
+
+
+def force_chi_parity():
+    cfg = plane()
+    with patched(lattice, "intersect", lambda d, e: 1):
+        lattice.chi(cfg, DivisorClass.make(cfg, 1))
+
+
+def force_sections_sign():
+    cfg = plane()
+    h = DivisorClass.make(cfg, 1)
+    with patched(constants, "chi", lambda cfg, d: Fraction(-1)):
+        constants.sections_certified(cfg, 5 * h, h)
+
+
+def force_sum_parity():
+    cfg, wb = load_builtin("four-lines"), WeightedBoundary.make([4, 4, 4, 3])
+    bp, roots = constants._invariants(cfg, wb)
+    # an odd shift of K . D_p breaks the parity of d.(d - K) at level 1
+    constants._sum_lower_fast((replace(bp, dpk=bp.dpk - 1), roots), 0, 1)
+
+
+def force_subspace_basis():
+    x = ffheights.RatMap.make([[1], [0, 1], [0, 0, 1]])
+    hyperplanes = [ffheights.parse_form(f) for f in ("X", "Y", "Z")]
+    places = [ffheights.Place.finite([0, 1]), ffheights.Place.infinite()]
+    with patched(ffheights, "coordinates_nondegenerate", lambda x: True), patched(
+        ffheights, "gaussian_rank", lambda vectors: len(vectors) + 1
+    ):
+        ffheights.subspace_inequality(x, hyperplanes, places)
+
+
+def force_gcd_cofactor():
+    # the common factor t + 1 of both coordinates fails to divide them
+    with patched(polys, "exact_quotient", lambda a, p: None):
+        ffheights.RatMap.make([[1, 1], [2, 2]])
+
+
+FORCED = {
+    "gcd-cofactor": force_gcd_cofactor,
+    "chi-parity": force_chi_parity,
+    "sections-sign": force_sections_sign,
+    "sum-parity": force_sum_parity,
+    "subspace-basis": force_subspace_basis,
+}
+
+
+@pytest.mark.parametrize("name", sorted(FORCED))
+def test_forced_check_raises_internal_error(name):
+    with pytest.raises(InternalError):
+        FORCED[name]()
+
+
+OPTIMIZED = """
+import sys
+import test_internal_checks as t
+from orbicert.lattice import InternalError
+
+assert sys.flags.optimize
+for name, force in sorted(t.FORCED.items()):
+    try:
+        force()
+    except InternalError:
+        print(name, "raised")
+    else:
+        print(name, "passed silently")
+"""
+
+
+def test_forced_checks_survive_python_dash_o():
+    src = Path(orbicert.__file__).resolve().parent.parent
+    tests = Path(__file__).resolve().parent
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", OPTIMIZED],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": f"{src}:{tests}", "PYTHONDONTWRITEBYTECODE": "1"},
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [f"{name} raised" for name in sorted(FORCED)]

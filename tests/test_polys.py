@@ -1,13 +1,16 @@
 """Univariate polynomial helpers: ring identities and valuations.
 
 Random products with known factorizations act as the oracle for the
-valuation, gcd and radical routines.
+valuation, gcd and radical routines.  Long division over Q, kept here as
+``rational_divmod``, is the oracle for the integer division kernel.
 """
 
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbicert import polys
 from orbicert.polys import (
@@ -18,10 +21,9 @@ from orbicert.polys import (
     content,
     degree,
     derivative,
-    divides_exactly,
-    divmod_rational,
     eval_fraction,
     eval_int,
+    exact_quotient,
     gcd_poly,
     is_zero,
     mul,
@@ -98,12 +100,34 @@ def test_derivative_product_rule():
         assert lhs == rhs
 
 
-def test_divmod_rational():
+def rational_divmod(a: tuple, b: tuple) -> tuple[tuple, tuple]:
+    """Quotient and remainder in Q[t], by long division over Fractions."""
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    rem = [Fraction(c) for c in a]
+    quo = [Fraction(0)] * max(0, len(a) - len(b) + 1)
+    for shift in range(len(a) - len(b), -1, -1):
+        coef = rem[shift + len(b) - 1] / b[-1]
+        quo[shift] = coef
+        for j, c in enumerate(b):
+            rem[shift + j] -= coef * c
+    return tuple(quo), trim(rem)
+
+
+def reference_quotient(a: tuple, p: tuple) -> tuple | None:
+    """a / p when p divides a in Q[t] with an integer cofactor, else None."""
+    quo, rem = rational_divmod(a, p)
+    if rem or any(q.denominator != 1 for q in quo):
+        return None
+    return trim([int(q) for q in quo])
+
+
+def test_rational_divmod_reference():
     rng = random.Random(109)
     for _ in range(600):
         a = random_poly(rng, 7)
         b = nonzero_poly(rng, 4)
-        quo, rem = divmod_rational(a, b)
+        quo, rem = rational_divmod(a, b)
         assert len(rem) < len(b) or not rem
         x = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
         lhs = eval_fraction(a, x)
@@ -112,26 +136,62 @@ def test_divmod_rational():
         )
         assert lhs == rhs
     with pytest.raises(ZeroDivisionError):
-        divmod_rational((1, 1), ZERO)
+        rational_divmod((1, 1), ZERO)
 
 
-def test_divides_exactly_both_lead_paths():
-    assert divides_exactly((1, 1), (1, 2, 1)) == (1, 1)
-    assert divides_exactly((1, 1), (2, 1)) is None
-    assert divides_exactly((0, 2), (0, 0, 4)) == (0, 1)
-    assert divides_exactly((1, 3), (2, 7, 3)) == (2, 1)
-    assert divides_exactly((1, 3), (2, 8, 3)) is None
+def test_exact_quotient_known_cases():
+    assert exact_quotient((1, 2, 1), (1, 1)) == (1, 1)
+    assert exact_quotient((2, 1), (1, 1)) is None
+    assert exact_quotient((0, 0, 4), (0, 2)) == (0, 2)
+    assert exact_quotient((2, 7, 3), (1, 3)) == (2, 1)
+    assert exact_quotient((2, 8, 3), (1, 3)) is None
+    # the raw cofactor, not its primitive part
+    assert exact_quotient((2, 2), (1, 1)) == (2,)
+    assert exact_quotient((-6, -3), (2, 1)) == (-3,)
+    assert exact_quotient(ZERO, (1, 3)) == ZERO
+    assert exact_quotient((5,), (1, 1)) is None
+    with pytest.raises(ZeroDivisionError):
+        exact_quotient((1, 1), ZERO)
     rng = random.Random(113)
     for _ in range(500):
         p = nonzero_poly(rng, 3)
         if degree(p) < 1:
             continue
         q = nonzero_poly(rng, 4)
-        prod = mul(p, q)
-        got = divides_exactly(p, prod)
-        assert got is not None
-        # quotients come back primitive, so compare primitive parts
-        assert primitive(mul(p, got)) == primitive(prod)
+        assert exact_quotient(mul(p, q), p) == q
+
+
+PROPERTY = settings(max_examples=400, deadline=None, database=None, derandomize=True)
+
+coefficient_lists = st.lists(st.integers(-60, 60), min_size=1, max_size=7)
+
+
+@st.composite
+def primitive_divisors(draw):
+    """Primitive integer polynomials of degree 1 to 3, leads of either sign."""
+    lower = draw(st.lists(st.integers(-60, 60), min_size=1, max_size=3))
+    lead = draw(st.integers(-9, 9).filter(bool))
+    return primitive(tuple(lower) + (lead,))
+
+
+@PROPERTY
+@given(primitive_divisors(), coefficient_lists, coefficient_lists, st.booleans())
+def test_exact_quotient_matches_rational_division(p, q, extra, exact):
+    a = mul(p, trim(q))
+    if not exact:
+        a = add(a, trim(extra))
+    assert exact_quotient(a, p) == reference_quotient(a, p)
+    if exact:
+        assert exact_quotient(a, p) == trim(q)
+
+
+@PROPERTY
+@given(primitive_divisors(), coefficient_lists, coefficient_lists, st.integers(2, 12))
+def test_exact_quotient_of_coordinates_sharing_a_factor(p, q1, q2, k):
+    # two coordinates with the common factor p but contents 1 and k
+    for q in (primitive(trim(q1)) or ONE, scale(trim(q2), k) or (k,)):
+        got = exact_quotient(mul(p, q), p)
+        assert got == q == reference_quotient(mul(p, q), p)
 
 
 def test_valuation_known_factorizations():
@@ -169,9 +229,9 @@ def test_gcd_poly_contains_common_factor():
         a = mul(g, nonzero_poly(rng, 3))
         b = mul(g, nonzero_poly(rng, 3))
         d = gcd_poly(a, b)
-        assert divides_exactly(primitive(g), d) is not None or degree(g) == 0
-        assert divides_exactly(d, a) is not None
-        assert divides_exactly(d, b) is not None
+        assert exact_quotient(d, primitive(g)) is not None
+        assert exact_quotient(a, d) is not None
+        assert exact_quotient(b, d) is not None
         assert d[-1] > 0
     assert gcd_poly(ZERO, (2, 4)) == (1, 2)
     assert gcd_poly((3,), (0, 5)) == (1,)

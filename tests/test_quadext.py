@@ -141,9 +141,21 @@ def test_order_operators_and_equality():
     assert QuadExt(Fraction(0), Fraction(1), 2) != QuadExt(Fraction(0), Fraction(1), 3)
 
 
-def test_floor():
-    import math
+def bracket_floor(x: QuadExt) -> int:
+    """Reference floor: bracket b*sqrt(delta) by isqrt, then step up exactly."""
+    if x.b == 0:
+        return math.floor(x.a)
+    r = x.b * x.b * x.delta
+    root = math.isqrt(r.numerator * r.denominator)
+    mag_lo = Fraction(root, r.denominator)
+    mag_hi = Fraction(root + 1, r.denominator)
+    n = math.floor(x.a + (mag_lo if x.b > 0 else -mag_hi))
+    while compare_cross(x, n + 1) >= 0:
+        n += 1
+    return n
 
+
+def test_floor():
     assert math.floor(QuadExt(Fraction(0), Fraction(1), 3)) == 1
     assert math.floor(QuadExt(Fraction(0), Fraction(-1), 3)) == -2
     assert math.floor(QuadExt(Fraction(15), Fraction(-4), 3)) == 8
@@ -315,8 +327,28 @@ def test_arithmetic_never_splits_a_radicand(monkeypatch):
 def test_partial_quotient_is_the_floor(p, q, n):
     if math.isqrt(n) ** 2 == n:
         n += 1
-    expected = QuadExt(Fraction(p, q), Fraction(1, q), n).__floor__()
+    expected = bracket_floor(QuadExt(Fraction(p, q), Fraction(1, q), n))
     assert quadext._partial_quotient(p, q, math.isqrt(n)) == expected
+
+
+@PROPERTY
+@given(
+    st.integers(2, 10**12),
+    fractions.filter(bool),
+    st.integers(-10**6, 10**6),
+    st.sampled_from((-1, 1)),
+    st.integers(0, 100),
+)
+def test_floor_matches_bracket_reference(n, b, k, side, digits):
+    # a + b*sqrt(n) within 10^-digits of the integer k, on either side
+    if math.isqrt(n) ** 2 == n:
+        n += 1
+    surd = QuadExt(Fraction(0), b, n)
+    gap = Fraction(1, 10**digits)
+    near = rational_below(surd, gap) if side > 0 else rational_above(surd, gap)
+    x = QuadExt(k - near, b, n)
+    assert 0 < (x - k) * side < gap
+    assert math.floor(x) == bracket_floor(x) == (k if side > 0 else k - 1)
 
 
 def test_continued_fraction_builds_no_value(monkeypatch):

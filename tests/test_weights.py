@@ -7,11 +7,16 @@ import pytest
 
 from orbicert.catalog import load_builtin
 from orbicert.certifier import build_report
-from orbicert import weights
+from orbicert import sampling, weights
 from orbicert.lattice import ConfigError, InternalError, SurfaceConfig
 from orbicert.positivity import WeightedBoundary
 from orbicert.quadext import compare_cross
-from orbicert.sampling import random_config, random_passing_candidate, random_weights
+from orbicert.sampling import (
+    random_config,
+    random_passing_candidate,
+    random_weights,
+    run_chunks,
+)
 from orbicert.weights import proportional_weights, search_weights
 
 FOUR_LINES = load_builtin("four-lines")
@@ -136,3 +141,35 @@ def test_search_hit_without_slack_is_internal_error(monkeypatch):
     monkeypatch.setattr(weights, "checklist_holds", lambda cfg, wb: True)
     with pytest.raises(InternalError, match="slack None"):
         search_weights(FOUR_LINES, 2)
+
+
+def test_run_chunks_bounds_the_pool(monkeypatch):
+    # a stand-in Pool records its size and maps in this process
+    sizes = []
+
+    class StandInPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, worker, args):
+            return [worker(a) for a in args]
+
+    monkeypatch.setattr(sampling, "Pool", StandInPool)
+    monkeypatch.setattr(sampling.os, "cpu_count", lambda: 4)
+    double = (2).__mul__
+    assert run_chunks(double, [1, 2, 3], 64) == [2, 4, 6]
+    assert run_chunks(double, list(range(10)), 64) == [2 * a for a in range(10)]
+    assert run_chunks(double, list(range(10)), 3) == [2 * a for a in range(10)]
+    assert sizes == [3, 4, 3]
+    # one argument, one process or an unknown CPU count: no pool at all
+    assert run_chunks(double, [5], 64) == [10]
+    assert run_chunks(double, [1, 2], 1) == [2, 4]
+    monkeypatch.setattr(sampling.os, "cpu_count", lambda: None)
+    assert run_chunks(double, [1, 2], 64) == [2, 4]
+    assert sizes == [3, 4, 3]
