@@ -39,8 +39,5 @@ from .certifier import (  # noqa: F401
     build_report,
     certify,
     checklist_holds,
-    filtration_inequality,
-    truncation_root,
-    volume_ratio_lower,
     weight_slack,
 )

@@ -111,9 +111,19 @@ class BoundaryPairings:
     dpk: Coeff
 
     def truncation_root(self, i: int) -> QuadExt:
+        """Smallest positive root of D_i^2 x^2 - 2 (D_p . D_i) x + D_p^2.
+
+        With D_p certified ample the Hodge index theorem keeps the quarter
+        discriminant nonnegative; a NoRealRootError therefore flags corrupted
+        input upstream rather than a legitimate geometry.
+        """
         return min_root_quadratic(self.di2[i], self.dpdi[i], self.dp2)
 
     def volume_ratio(self, i: int, root: QuadExt) -> QuadExt:
+        """Closed-form lower bound for the asymptotic section volume ratio.
+
+        ((2/3) x D_p^2 - (1/3) (D_p . D_i) x^2) / D_p^2 at the truncation root x.
+        """
         dp2 = Fraction(self.dp2)
         return (
             root * dp2 * Fraction(2, 3) - root * root * self.dpdi[i] * Fraction(1, 3)
@@ -194,39 +204,6 @@ def checklist_holds(cfg: SurfaceConfig, wb: WeightedBoundary) -> bool:
     return _ample(cfg, bp) and all(
         _component_holds(cfg, bp, wb.weights, i) for i in range(cfg.r)
     )
-
-
-def _check_index(cfg: SurfaceConfig, wb: WeightedBoundary, i: int) -> None:
-    wb.check_against(cfg)
-    if not 0 <= i < cfg.r:
-        raise ConfigError(f"no component {i}")
-
-
-def truncation_root(cfg: SurfaceConfig, wb: WeightedBoundary, i: int) -> QuadExt:
-    """Smallest positive root of D_i^2 x^2 - 2 (D_p . D_i) x + D_p^2.
-
-    With D_p certified ample the Hodge index theorem keeps the quarter
-    discriminant nonnegative; a NoRealRootError therefore flags corrupted
-    input upstream rather than a legitimate geometry.
-    """
-    _check_index(cfg, wb, i)
-    return boundary_pairings(cfg, wb.weights).truncation_root(i)
-
-
-def filtration_inequality(cfg: SurfaceConfig, wb: WeightedBoundary, i: int) -> bool:
-    """2 D_p^2 x > (D_p . D_i) x^2 + 3 D_p^2 p_i at the truncation root."""
-    _check_index(cfg, wb, i)
-    return _component_holds(cfg, boundary_pairings(cfg, wb.weights), wb.weights, i)
-
-
-def volume_ratio_lower(cfg: SurfaceConfig, wb: WeightedBoundary, i: int) -> QuadExt:
-    """Closed-form lower bound for the asymptotic section volume ratio.
-
-    ((2/3) x D_p^2 - (1/3) (D_p . D_i) x^2) / D_p^2 at the truncation root.
-    """
-    _check_index(cfg, wb, i)
-    bp = boundary_pairings(cfg, wb.weights)
-    return bp.volume_ratio(i, bp.truncation_root(i))
 
 
 def weight_slack(report: BoundaryReport) -> tuple[QuadExt, Fraction]:

@@ -24,15 +24,11 @@ from .certifier import (
     build_report,
     certify,
     decode_multiplicity,
-    encode_number,
-    filtration_inequality,
-    volume_ratio_lower,
 )
 from .constants import InfeasibleError, feasible_chain, verify_chain
 from .constants import filtration_sections_lower, sections_power_exact
 from .lattice import ConfigError, InternalError, SurfaceConfig
-from .positivity import WeightedBoundary, ample_sufficient
-from .quadext import compare_cross
+from .positivity import WeightedBoundary
 from .weights import proportional_weights, search_weights
 
 EXIT_PASS = 0
@@ -70,6 +66,14 @@ def _resolve_multiplicities(args, cfg: SurfaceConfig):
     if cfg.default_multiplicities is not None:
         return tuple(decode_multiplicity(m) for m in cfg.default_multiplicities)
     return None
+
+
+def _require_positive(args, *options: str) -> None:
+    for option in options:
+        value = getattr(args, option)
+        if value < 1:
+            flag = "--" + option.replace("_", "-")
+            raise ConfigError(f"{flag} {value} must be at least 1")
 
 
 def _print_record(record: dict) -> None:
@@ -121,6 +125,7 @@ def cmd_certify(args) -> int:
 
 
 def cmd_search(args) -> int:
+    _require_positive(args, "threads")
     cfg = _load_config(args)
     result = search_weights(
         cfg,
@@ -213,10 +218,7 @@ def _stress_boundary(args) -> int:
     import random
 
     # weights are drawn from [1, coeff-bound] and degrees from [1, max-degree]
-    if args.coeff_bound < 1:
-        raise ConfigError(f"--coeff-bound {args.coeff_bound} must be at least 1")
-    if args.max_degree < 1:
-        raise ConfigError(f"--max-degree {args.max_degree} must be at least 1")
+    _require_positive(args, "coeff_bound", "max_degree")
     rng = random.Random(args.seed)
     passes = 0
     samples = 0
@@ -232,22 +234,18 @@ def _stress_boundary(args) -> int:
             cfg = sampling.random_config(rng, max_degree=args.max_degree)
             wb = sampling.random_weights(rng, cfg, bound=args.coeff_bound)
         samples += 1
-        if not ample_sufficient(cfg, wb).certified:
+        # build_report cross-checks the square-root-free inequalities against
+        # the exact volume ratios, and the closed-form ampleness against the
+        # lattice test; a disagreement is an InternalError
+        try:
+            report = build_report(cfg, wb)
+        except InternalError:
+            violations += 1
+            continue
+        if not report.ample.certified:
             not_ample += 1
             continue
-        all_hold = True
-        for i in range(len(cfg.components)):
-            holds = filtration_inequality(cfg, wb, i)
-            exceeds = (
-                compare_cross(
-                    volume_ratio_lower(cfg, wb, i), Fraction(wb.weights[i])
-                )
-                > 0
-            )
-            if holds != exceeds:
-                violations += 1
-            all_hold = all_hold and holds
-        if all_hold:
+        if all(c.inequality_holds for c in report.components):
             passes += 1
             if passes % max(1, args.samples // 10) == 0:
                 _print_record(
@@ -274,6 +272,7 @@ def _stress_boundary(args) -> int:
 def cmd_stress(args) -> int:
     if args.samples < 0:
         raise ConfigError(f"samples {args.samples} must not be negative")
+    _require_positive(args, "threads", "batches")
     if args.suite == "boundary":
         return _stress_boundary(args)
 
@@ -307,7 +306,7 @@ def cmd_stress(args) -> int:
     else:
         raise ConfigError(f"unknown suite {args.suite!r}")
 
-    batches = max(1, args.batches)
+    batches = args.batches
     per = [args.samples // batches] * batches
     per[0] += args.samples - sum(per)
     records = []

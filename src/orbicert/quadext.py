@@ -166,6 +166,8 @@ class QuadExt:
         o = QuadExt.of(other)
         if o.a == 0 and o.b == 0:
             raise ZeroDivisionError("division by zero")
+        if o.b == 0:
+            return _make(self.a / o.a, self.b / o.a, self.delta)
         d = self._join_delta(o)
         norm = o.a * o.a - o.b * o.b * d
         # conjugate trick; norm is rational and nonzero for nonzero o

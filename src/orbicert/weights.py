@@ -35,11 +35,9 @@ def proportional_weights(cfg: SurfaceConfig) -> WeightedBoundary:
         )
     d1, d2, d3 = (c.degree for c in paired)
     c = 4 * d1 * d2 * d3
-    by_component = {}
-    it = iter((c // d1, c // d2, c // d3))
-    for idx, comp in enumerate(cfg.components):
-        by_component[idx] = next(it) if comp.paired else 3 * c // 4
-    return WeightedBoundary.make([by_component[i] for i in range(len(cfg.components))])
+    return WeightedBoundary.make(
+        [c // comp.degree if comp.paired else 3 * c // 4 for comp in cfg.components]
+    )
 
 
 @dataclass(frozen=True)

@@ -5,14 +5,17 @@ checklist.  All arithmetic assertions are exact; the only floating point
 below is the Decimal interval cross-check, which uses directed rounding.
 """
 
+import contextlib
+import io
 import itertools
+import json
 import os
 import random
 import time
 from decimal import Decimal, getcontext
 from fractions import Fraction
 
-from orbicert import sampling
+from orbicert import cli
 from orbicert.catalog import load_builtin
 from orbicert.certifier import build_report
 from orbicert.constants import feasible_chain, verify_chain
@@ -31,9 +34,8 @@ from orbicert.orbifold import (
     is_orbifold_morphism,
     support_bound,
 )
-from orbicert.positivity import WeightedBoundary, ample_sufficient
+from orbicert.positivity import WeightedBoundary
 from orbicert.quadext import QuadExt, compare_cross
-from orbicert.certifier import filtration_inequality, volume_ratio_lower
 from orbicert.constants import filtration_sections_lower, sections_power_exact
 
 FOUR_LINES = load_builtin("four-lines")
@@ -138,38 +140,19 @@ def test_criterion_3_line_ratio_and_slack_cross_check():
 
 def test_criterion_4_randomized_equivalence():
     start = time.monotonic()
-    rng = random.Random(2024)
-    want = 500
-    passes = 0
-    samples = 0
-    violations = 0
-    while passes < want and samples < 50 * want:
-        if rng.random() < 0.7:
-            cfg, wb = sampling.random_passing_candidate(rng)
-        else:
-            cfg = sampling.random_config(rng)
-            wb = sampling.random_weights(rng, cfg)
-        samples += 1
-        if not ample_sufficient(cfg, wb).certified:
-            continue
-        all_hold = True
-        for i in range(len(cfg.components)):
-            holds = filtration_inequality(cfg, wb, i)
-            exceeds = (
-                compare_cross(volume_ratio_lower(cfg, wb, i), Fraction(wb.weights[i]))
-                > 0
-            )
-            if holds != exceeds:
-                violations += 1
-            all_hold = all_hold and holds
-        if all_hold:
-            passes += 1
-    assert violations == 0
-    assert passes >= want
+    # the boundary stress suite runs build_report on every sample, and the
+    # report raises when an inequality and its volume ratio disagree
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["stress", "--suite", "boundary", "--samples", "500", "--seed", "2024"])
+    final = json.loads(out.getvalue().strip().splitlines()[-1])
+    assert code == 0
+    assert final["violations"] == 0
+    assert final["passes"] >= 500
     elapsed = time.monotonic() - start
     _report(
-        f"criterion 4 (inequality implies ratio above weight on {passes} "
-        f"passing configs, {samples} sampled): PASS in {elapsed:.3f}s"
+        f"criterion 4 (inequality implies ratio above weight on {final['passes']} "
+        f"passing configs, {final['samples']} sampled): PASS in {elapsed:.3f}s"
     )
 
 

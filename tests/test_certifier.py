@@ -19,9 +19,6 @@ from orbicert.certifier import (
     decode_number,
     encode_multiplicity,
     encode_number,
-    filtration_inequality,
-    truncation_root,
-    volume_ratio_lower,
     weight_slack,
 )
 from orbicert.cli import main
@@ -59,14 +56,6 @@ def test_four_lines_exact_numbers():
     assert report.slack.is_rational
     assert report.slack.as_fraction() == Fraction(1, 176)
     assert report.slack_lower == Fraction(1, 176)
-
-
-def test_module_level_helpers_match_report():
-    report = build_report(FOUR_LINES, WEIGHTS)
-    for i in range(4):
-        assert truncation_root(FOUR_LINES, WEIGHTS, i) == report.components[i].truncation_root
-        assert filtration_inequality(FOUR_LINES, WEIGHTS, i)
-        assert volume_ratio_lower(FOUR_LINES, WEIGHTS, i) == report.components[i].volume_ratio
 
 
 def test_four_lines_certificate():
@@ -119,8 +108,7 @@ def test_plane_one_line_fails_filtration():
     statuses = {h.name: h.status for h in cert.hypotheses}
     assert statuses["component_count"] == "waived"
     assert statuses["ampleness"] == "pass"
-    root = truncation_root(cfg, WeightedBoundary.make(["1"]), 0)
-    assert root == QuadExt(1)
+    assert cert.components[0].truncation_root == QuadExt(1)
 
 
 def test_no_three_meet_flag_fails():

@@ -1,10 +1,12 @@
 """Command line behaviour: exit codes, printed verdicts, artifact files."""
 
+import hashlib
 import json
 import time
 
 import pytest
 
+from orbicert import certifier
 from orbicert.catalog import load_builtin
 from orbicert.certifier import Certificate
 from orbicert.cli import main
@@ -100,8 +102,15 @@ def test_certify_input_errors(capsys):
         ["certify", "--bogus"],
         ["search", "--bound", "x"],
         ["stress", "--suite", "nope"],
+        ["search", "--bound", "4", "--threads", "0"],
+        ["stress", "--samples", "5", "--threads", "0"],
+        ["stress", "--suite", "product", "--samples", "5", "--threads", "-2"],
+        ["stress", "--samples", "5", "--batches", "0"],
+        ["stress", "--suite", "subspace", "--samples", "5", "--batches", "-1"],
     ],
-    ids=["missing-value", "unknown-option", "bad-int", "bad-choice"],
+    ids=["missing-value", "unknown-option", "bad-int", "bad-choice",
+         "search-threads", "boundary-threads", "product-threads",
+         "boundary-batches", "subspace-batches"],
 )
 def test_malformed_command_line_exits_3(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -182,6 +191,39 @@ def test_stress_boundary(capsys):
     assert last["done"] is True
     assert last["violations"] == 0
     assert last["passes"] >= 20
+
+
+@pytest.mark.parametrize(
+    "seed, digest",
+    [
+        (11, "56b409966fb06ea353294715cb70ce4749777ba868ee337cc73e4714818d44da"),
+        (2024, "afd9d9a5a423697475bb1a30f4070621d98b38ccdff0f1d8b863b3928e717b32"),
+        (77, "a895303c4e4d25504002499dba7085a36fd33f79dd77c791af63b050a4d88d6b"),
+    ],
+    ids=["seed-11", "seed-2024", "seed-77"],
+)
+def test_stress_boundary_stdout_is_pinned(capsys, seed, digest):
+    code, out, err = run(
+        capsys, "stress", "--suite", "boundary", "--samples", "200",
+        "--max-degree", "6", "--coeff-bound", "300", "--seed", str(seed),
+    )
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_stress_boundary_counts_cross_check_failures(capsys, monkeypatch):
+    # a flipped inequality disagrees with the volume ratio on every ample
+    # sample, so build_report raises and the suite counts a violation
+    holds = certifier._component_holds
+    monkeypatch.setattr(certifier, "_component_holds", lambda *args: not holds(*args))
+    code, out, err = run(
+        capsys, "stress", "--suite", "boundary", "--samples", "10", "--seed", "11"
+    )
+    assert code == 1
+    last = json.loads(out.strip().splitlines()[-1])
+    assert last["done"] is True and last["violations"] > 0
+    assert last["passes"] == 0
+    assert err == ""
 
 
 def test_stress_subspace(capsys):
@@ -288,6 +330,7 @@ def test_config_missing_degree_exits_3(capsys, tmp_path):
 
 
 def test_python_dash_m_entry_point():
+    import os
     import subprocess
     import sys
     from pathlib import Path
@@ -299,7 +342,11 @@ def test_python_dash_m_entry_point():
         [sys.executable, "-m", "orbicert", "search", "--bound", "4"],
         capture_output=True,
         text=True,
-        env={"PYTHONPATH": src},
+        # keep the caller's bytecode settings, so no __pycache__ lands in src
+        env={"PYTHONPATH": src, **{
+            k: os.environ[k] for k in ("PYTHONDONTWRITEBYTECODE", "PYTHONPYCACHEPREFIX")
+            if k in os.environ
+        }},
         timeout=120,
     )
     assert done.returncode == 0, done.stderr

@@ -20,7 +20,6 @@ from orbicert.certifier import (
     boundary_pairings,
     build_report,
     checklist_holds,
-    filtration_inequality,
 )
 from orbicert.lattice import SurfaceConfig, canonical_class, intersect, strict_transform
 from orbicert.positivity import WeightedBoundary, boundary_class
@@ -96,7 +95,7 @@ def assert_decision_agrees(cfg: SurfaceConfig, wb: WeightedBoundary) -> bool:
     assert decided == exceeds
     assert decided == (report.slack is not None and report.slack.sign() > 0)
     for check in report.components:
-        assert filtration_inequality(cfg, wb, check.index) == check.exceeds_weight
+        assert check.inequality_holds == check.exceeds_weight
     return decided
 
 

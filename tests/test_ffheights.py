@@ -1,6 +1,7 @@
 """Places, heights, counting functions, the subspace inequality, the probe."""
 
 import itertools
+import os
 import random
 import subprocess
 import sys
@@ -216,7 +217,11 @@ def test_sweeps_never_import_sympy():
         [sys.executable, "-c", SWEEPS_WITHOUT_SYMPY],
         capture_output=True,
         text=True,
-        env={"PYTHONPATH": src},
+        # keep the caller's bytecode settings, so no __pycache__ lands in src
+        env={"PYTHONPATH": src, **{
+            k: os.environ[k] for k in ("PYTHONDONTWRITEBYTECODE", "PYTHONPYCACHEPREFIX")
+            if k in os.environ
+        }},
         timeout=120,
     )
     assert done.returncode == 0, done.stderr

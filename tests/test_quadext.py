@@ -290,7 +290,9 @@ def same_field_pairs(draw):
 @given(same_field_pairs(), st.integers(-3, 3))
 def test_arithmetic_results_are_canonical(pair, e):
     x, y = pair
+    # y is rational in about half the draws; x / (-7/3) divides by one always
     results = [x + y, x - y, y - x, x * y, -x, x - x, x + 1, Fraction(1, 3) * y]
+    results.append(x / Fraction(-7, 3))
     if y.sign() != 0:
         results += [x / y, 2 / y]
     if x.sign() != 0 or e >= 0:
