@@ -224,8 +224,10 @@ def weight_slack(report: BoundaryReport) -> tuple[QuadExt, Fraction]:
         raise InternalError("no slack from a nonempty component list")
     if slack.is_rational:
         return slack, slack.as_fraction()
+    # a report with a failing component has a negative slack
+    size = slack if slack.sign() > 0 else -slack
     gap = Fraction(1)
-    while not QuadExt(gap) < slack:
+    while not QuadExt(gap) < size:
         gap /= 2
     return slack, rational_below(slack, gap / 2**40)
 

@@ -13,7 +13,6 @@ import dataclasses
 import json
 import sys
 from fractions import Fraction
-from functools import partial
 
 from . import ffheights, sampling
 from .catalog import builtin_names, load_builtin
@@ -272,59 +271,46 @@ def _stress_boundary(args) -> int:
 def cmd_stress(args) -> int:
     if args.samples < 0:
         raise ConfigError(f"samples {args.samples} must not be negative")
-    _require_positive(args, "threads", "batches")
+    _require_positive(args, "threads")
     if args.suite == "boundary":
         return _stress_boundary(args)
 
-    # each suite names its sweep, the keys summed over batches and the keys
-    # that count as failures
+    # sample i of a sweep draws from (suite, seed, i) alone, so --threads
+    # never changes the record
     if args.suite == "subspace":
-        sweep = partial(
-            ffheights.subspace_sweep,
+        record = ffheights.subspace_sweep(
+            args.samples,
+            seed=args.seed,
             processes=args.threads,
             max_deg=args.max_degree,
             bound=args.coeff_bound,
         )
-        keys = ("samples", "violations", "fmt_failures", "degenerate")
         bad_keys = ("violations", "fmt_failures")
     elif args.suite == "product":
-        sweep = partial(ffheights.product_formula_sweep, processes=args.threads)
-        keys, bad_keys = ("samples", "failures"), ("failures",)
+        record = ffheights.product_formula_sweep(
+            args.samples, seed=args.seed, processes=args.threads
+        )
+        bad_keys = ("failures",)
     elif args.suite == "probe":
         cfg = _load_config(args)
         wb = _resolve_weights(args, cfg)
-        sweep = partial(
-            ffheights.probe_sweep,
+        record = ffheights.probe_sweep(
             cfg,
             wb,
             ffheights.realization_from_config(cfg),
+            args.samples,
+            seed=args.seed,
             processes=args.threads,
             max_deg=min(args.max_degree, 8),
             bound=min(args.coeff_bound, 50),
         )
-        keys, bad_keys = ("samples", "excluded"), ()
+        bad_keys = ()
     else:
         raise ConfigError(f"unknown suite {args.suite!r}")
-
-    batches = args.batches
-    per = [args.samples // batches] * batches
-    per[0] += args.samples - sum(per)
-    records = []
-    for idx, count in enumerate(per):
-        got = sweep(count, seed=args.seed + idx)
-        got["suite"] = args.suite
-        got["batch"] = idx
-        _print_record(got)
-        records.append(got)
-
-    total: dict = {k: sum(got[k] for got in records) for k in keys}
-    if args.suite == "probe":
-        alpha = max(Fraction(got["alpha_emp"]) for got in records)
-        total["alpha_emp"] = str(alpha)
-    total["suite"] = args.suite
-    total["done"] = True
-    _print_record(total)
-    return EXIT_PASS if sum(total[k] for k in bad_keys) == 0 else EXIT_FAIL
+    record["suite"] = args.suite
+    record["done"] = True
+    _print_record(record)
+    return EXIT_FAIL if any(record[k] for k in bad_keys) else EXIT_PASS
 
 
 # -- parser ----------------------------------------------------------------------
@@ -395,7 +381,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_stress.add_argument("--samples", type=int, default=500)
     p_stress.add_argument("--seed", type=int, default=0)
     p_stress.add_argument("--threads", type=int, default=1)
-    p_stress.add_argument("--batches", type=int, default=8)
     p_stress.add_argument("--max-degree", type=int, default=4)
     p_stress.add_argument("--coeff-bound", type=int, default=50)
     p_stress.set_defaults(func=cmd_stress)

@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -167,7 +168,13 @@ class RatMap:
         for row in rows:
             for c in row:
                 den = math.lcm(den, c.denominator)
-        ints = [polys.trim([int(c * den) for c in row]) for row in rows]
+        return RatMap._from_ints(
+            [polys.trim([int(c * den) for c in row]) for row in rows]
+        )
+
+    @staticmethod
+    def _from_ints(ints: list[IntPoly]) -> "RatMap":
+        """The point with trimmed integer coordinates ints, made coprime."""
         if all(polys.is_zero(p) for p in ints):
             raise ConfigError("all coordinates vanish")
         ints = _divide_common(ints)
@@ -460,18 +467,20 @@ def height(x: RatMap) -> int:
     return x.height
 
 
-def _local_lambda(e: int, fx: IntPoly, x: RatMap, place: Place) -> int:
-    if polys.is_zero(fx):
-        raise DegenerateError("the point lies on the hypersurface")
+def _local_lambda(e: int, v: int, x: RatMap, place: Place) -> int:
+    """v - e * min_j v(x_j), where v = v(F(x)) for a form F of degree e."""
     base = min(
         place.valuation(c) for c in x.coords if not polys.is_zero(c)
     )
-    return place.valuation(fx) - e * base
+    return v - e * base
 
 
 def weil_hypersurface(form: HForm, x: RatMap, place: Place) -> int:
     """Local Weil value v(F(x)) - deg(F) * min_j v(x_j); nonnegative."""
-    return _local_lambda(form.degree, form.evaluate(x), x, place)
+    fx = form.evaluate(x)
+    if polys.is_zero(fx):
+        raise DegenerateError("the point lies on the hypersurface")
+    return _local_lambda(form.degree, place.valuation(fx), x, place)
 
 
 @dataclass(frozen=True)
@@ -501,8 +510,8 @@ def counting_functions(
     if polys.is_zero(fx):
         raise DegenerateError("the point lies on the hypersurface")
     e = form.degree
-    lam_inf = _local_lambda(e, fx, x, Place.infinite())
     deg_fx = polys.degree(fx)
+    lam_inf = _local_lambda(e, -deg_fx, x, Place.infinite())
 
     prox = 0
     finite_in_s = 0
@@ -514,7 +523,7 @@ def counting_functions(
             prox += lam_inf
             continue
         v = place.valuation(fx)
-        prox += place.degree * _local_lambda(e, fx, x, place)
+        prox += place.degree * _local_lambda(e, v, x, place)
         finite_in_s += place.degree * v
         if v > 0:
             trunc_in_s += place.degree
@@ -811,7 +820,7 @@ def random_map(
         raw = [_random_poly(rng, max_deg, bound) for _ in range(m + 1)]
         if all(polys.is_zero(p) for p in raw):
             continue
-        x = RatMap.make(raw)
+        x = RatMap._from_ints(raw)
         if nondegenerate and not coordinates_nondegenerate(x):
             continue
         if nondegenerate and x.height == 0:
@@ -880,19 +889,32 @@ def _random_form(rng: random.Random, nvars: int, degree: int, bound: int) -> HFo
             return HForm.make(nvars, terms)
 
 
-def _sweep(
-    chunk, salt: int, samples: int, seed: int, processes: int, params: tuple
-) -> list:
-    """Split samples over max(1, processes) chunks and run them in order.
+def _sample_rng(suite: str, seed: int, index: int) -> random.Random:
+    """Sample index's generator; the string key is injective and independent
+    of PYTHONHASHSEED."""
+    return random.Random(f"{suite}:{seed}:{index}")
 
-    Chunk idx is called with (seed * salt + idx, its sample count, *params).
+
+def _run_range(args) -> list:
+    sample, suite, seed, start, stop, params = args
+    return [sample(_sample_rng(suite, seed, i), *params) for i in range(start, stop)]
+
+
+def _sweep(
+    sample, suite: str, samples: int, seed: int, processes: int, params: tuple
+) -> list:
+    """[sample(rng_i, *params) for i in range(samples)], rng_i drawn from
+    (suite, seed, i).
+
+    The indices are split into max(1, processes) contiguous ranges that run
+    in index order, so no process count changes the result.
     """
     if samples < 0:
         raise ValueError("negative sample count")
     parts = max(1, processes)
-    base, extra = divmod(samples, parts)
-    args = [(seed * salt + idx, base + (idx < extra), *params) for idx in range(parts)]
-    return sampling.run_chunks(chunk, args, processes)
+    ends = [samples * k // parts for k in range(parts + 1)]
+    args = [(sample, suite, seed, lo, hi, params) for lo, hi in zip(ends, ends[1:])]
+    return [r for chunk in sampling.run_chunks(_run_range, args, processes) for r in chunk]
 
 
 def _require_drawable(max_deg: int, bound: int) -> None:
@@ -905,40 +927,32 @@ def _require_drawable(max_deg: int, bound: int) -> None:
         )
 
 
-def _merge_tallies(results: list[dict]) -> dict:
-    merged: dict = {}
-    for r in results:
-        for k, v in r.items():
-            merged[k] = merged.get(k, 0) + v
-    return merged
+def _tally(keys: tuple[str, ...], outcomes: list[tuple[str, ...]]) -> dict:
+    """How many samples counted in each key; a sample names its keys."""
+    counts = Counter(key for outcome in outcomes for key in outcome)
+    return {key: counts[key] for key in keys}
 
 
-def _subspace_chunk(args) -> dict:
-    seed, count, max_m, max_deg, bound = args
-    rng = random.Random(seed)
-    out = {"samples": 0, "violations": 0, "fmt_failures": 0, "degenerate": 0}
-    for _ in range(count):
-        m = rng.randint(1, max_m)
-        x = random_map(rng, m, max_deg, bound, nondegenerate=True)
-        q = rng.randint(m + 1, m + 3)
-        hyperplanes = random_hyperplanes(rng, m, q, 9)
-        places = random_places(rng)
-        try:
-            report = subspace_inequality(x, hyperplanes, places)
-        except DegenerateError:
-            out["degenerate"] += 1
-            continue
-        out["samples"] += 1
-        if not report.holds:
-            out["violations"] += 1
-        form = _random_form(rng, m + 1, rng.randint(1, 3), 9)
-        fx = form.evaluate(x)
-        if polys.is_zero(fx):
-            out["degenerate"] += 1
-            continue
-        counting = counting_functions(form, x, places, truncated=False)
-        if counting.proximity + counting.counting != counting.total:
-            out["fmt_failures"] += 1
+def _subspace_sample(
+    rng: random.Random, max_m: int, max_deg: int, bound: int
+) -> tuple[str, ...]:
+    m = rng.randint(1, max_m)
+    x = random_map(rng, m, max_deg, bound, nondegenerate=True)
+    q = rng.randint(m + 1, m + 3)
+    hyperplanes = random_hyperplanes(rng, m, q, 9)
+    places = random_places(rng)
+    try:
+        report = subspace_inequality(x, hyperplanes, places)
+    except DegenerateError:
+        return ("degenerate",)
+    out = ("samples",) if report.holds else ("samples", "violations")
+    form = _random_form(rng, m + 1, rng.randint(1, 3), 9)
+    fx = form.evaluate(x)
+    if polys.is_zero(fx):
+        return out + ("degenerate",)
+    counting = counting_functions(form, x, places, truncated=False)
+    if counting.proximity + counting.counting != counting.total:
+        return out + ("fmt_failures",)
     return out
 
 
@@ -960,63 +974,52 @@ def subspace_sweep(
         )
     _require_drawable(max_deg, bound)
     params = (max_m, max_deg, bound)
-    return _merge_tallies(
-        _sweep(_subspace_chunk, 1_000_003, samples, seed, processes, params)
+    return _tally(
+        ("samples", "violations", "fmt_failures", "degenerate"),
+        _sweep(_subspace_sample, "subspace", samples, seed, processes, params),
     )
 
 
-def _product_formula_chunk(args) -> dict:
-    seed, count = args
-    rng = random.Random(seed)
+def _product_formula_sample(rng: random.Random) -> tuple[str, ...]:
+    exps = [rng.randint(0, 3) for _ in _PLACE_POOL]
+    c = rng.choice([k for k in range(-9, 10) if k])
+    f: IntPoly = (c,)
+    for p, e in zip(_PLACE_POOL, exps):
+        f = polys.mul(f, polys.pow_(p, e))
+    total = 0
+    ok = True
+    for place, e in zip(_pool_places(), exps):
+        v = place.valuation(f)
+        if v != e:
+            ok = False
+        total += place.degree * v
     inf = Place.infinite()
-    out = {"samples": 0, "failures": 0}
-    for _ in range(count):
-        exps = [rng.randint(0, 3) for _ in _PLACE_POOL]
-        c = rng.choice([k for k in range(-9, 10) if k])
-        f: IntPoly = (c,)
-        for p, e in zip(_PLACE_POOL, exps):
-            f = polys.mul(f, polys.pow_(p, e))
-        total = 0
-        ok = True
-        for place, e in zip(_pool_places(), exps):
-            v = place.valuation(f)
-            if v != e:
-                ok = False
-            total += place.degree * v
-        total += inf.degree * inf.valuation(f)
-        out["samples"] += 1
-        if not ok or total != 0:
-            out["failures"] += 1
-    return out
+    total += inf.degree * inf.valuation(f)
+    return ("samples",) if ok and total == 0 else ("samples", "failures")
 
 
 def product_formula_sweep(samples: int, *, seed: int = 0, processes: int = 1) -> dict:
     """Build elements with known factorizations and re-read their valuations."""
-    return _merge_tallies(
-        _sweep(_product_formula_chunk, 7_777_777, samples, seed, processes, ())
+    return _tally(
+        ("samples", "failures"),
+        _sweep(_product_formula_sample, "product", samples, seed, processes, ()),
     )
 
 
-def _probe_chunk(args) -> dict:
-    seed, count, cfg, wb, realization, max_deg, bound = args
-    rng = random.Random(seed)
-    out = {"samples": 0, "excluded": 0, "alpha": Fraction(0), "worst": None}
-    for _ in range(count):
-        x = random_map(rng, 2, max_deg, bound)
-        try:
-            record = height_bound_probe(cfg, wb, realization, x)
-        except ProbeExcluded:
-            out["excluded"] += 1
-            continue
-        out["samples"] += 1
-        if record.ratio > out["alpha"]:
-            out["alpha"] = record.ratio
-            out["worst"] = {
-                "height": record.height,
-                "degree": str(record.pullback_degree),
-                "support": record.support_count,
-            }
-    return out
+def _probe_sample(
+    rng: random.Random,
+    cfg: SurfaceConfig,
+    wb: WeightedBoundary,
+    realization: PlaneRealization,
+    max_deg: int,
+    bound: int,
+) -> ProbeRecord | None:
+    """The probe record of one random curve, None when it is excluded."""
+    x = random_map(rng, 2, max_deg, bound)
+    try:
+        return height_bound_probe(cfg, wb, realization, x)
+    except ProbeExcluded:
+        return None
 
 
 def probe_sweep(
@@ -1032,14 +1035,23 @@ def probe_sweep(
 ) -> dict:
     _require_drawable(max_deg, bound)
     params = (cfg, wb, realization, max_deg, bound)
-    results = _sweep(_probe_chunk, 31_337, samples, seed, processes, params)
-    # the first chunk with the largest ratio names the worst case
-    top = max(results, key=lambda r: r["alpha"])
+    records = _sweep(_probe_sample, "probe", samples, seed, processes, params)
+    # the least index with the largest ratio names the worst case
+    alpha, worst = Fraction(0), None
+    for index, record in enumerate(records):
+        if record is not None and record.ratio > alpha:
+            alpha = record.ratio
+            worst = {
+                "index": index,
+                "height": record.height,
+                "degree": str(record.pullback_degree),
+                "support": record.support_count,
+            }
+    kept = sum(record is not None for record in records)
     return {
-        "samples": sum(r["samples"] for r in results),
-        "excluded": sum(r["excluded"] for r in results),
-        "alpha_emp": str(top["alpha"]),
-        "alpha_emp_float": float(top["alpha"]),
-        "worst": top["worst"],
+        "samples": kept,
+        "excluded": len(records) - kept,
+        "alpha_emp": str(alpha),
+        "alpha_emp_float": float(alpha),
+        "worst": worst,
     }
-

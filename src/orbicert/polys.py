@@ -105,13 +105,13 @@ def pow_(a: IntPoly, n: int) -> IntPoly:
     if n == 1:
         return a
     out = ONE
-    base = a
-    while n:
+    while True:
         if n & 1:
-            out = mul(out, base)
-        base = mul(base, base)
+            out = mul(out, a)
         n >>= 1
-    return out
+        if not n:
+            return out
+        a = mul(a, a)
 
 
 def derivative(a: IntPoly) -> IntPoly:

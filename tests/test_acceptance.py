@@ -179,6 +179,8 @@ def test_criterion_5_constants_chain_reverifies():
 
 def test_criterion_6_subspace_and_product_sweeps():
     start = time.monotonic()
+    # the process count only spreads the work: sample i draws from
+    # (suite, seed, i), so every machine tests the same maps
     processes = os.cpu_count() or 1
     out = subspace_sweep(
         100_000, seed=2026, processes=processes, max_m=3, max_deg=10, bound=100
@@ -258,14 +260,16 @@ def test_criterion_8_probe_self_consistency():
     alpha = Fraction(out["alpha_emp"])
     assert alpha > 0
 
-    # replay the identical sample stream and check every curve individually
-    rng = random.Random(seed * 31_337)
+    def replay(index):
+        x = random_map(random.Random(f"probe:{seed}:{index}"), 2, 8, 50)
+        return height_bound_probe(FOUR_LINES, WEIGHTS, realization, x)
+
+    # replay every sample from its index and check each curve individually
     seen = 0
     worst = Fraction(0)
-    for _ in range(samples):
-        x = random_map(rng, 2, 8, 50)
+    for index in range(samples):
         try:
-            record = height_bound_probe(FOUR_LINES, WEIGHTS, realization, x)
+            record = replay(index)
         except ProbeExcluded:
             continue
         seen += 1
@@ -274,6 +278,12 @@ def test_criterion_8_probe_self_consistency():
         worst = max(worst, record.ratio)
     assert seen == out["samples"]
     assert worst == alpha
+    # the worst case alone, rebuilt from its index, gives alpha_emp exactly
+    record = replay(out["worst"]["index"])
+    assert record.ratio == alpha
+    assert (record.height, str(record.pullback_degree), record.support_count) == (
+        out["worst"]["height"], out["worst"]["degree"], out["worst"]["support"]
+    )
 
     elapsed = time.monotonic() - start
     _report(

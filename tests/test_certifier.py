@@ -188,6 +188,26 @@ def test_weight_slack_empty_report_rejected():
         weight_slack(replace(report, components=()))
 
 
+def test_weight_slack_of_a_failing_report():
+    # the last line of (1, 1, 1, 1) falls short by an irrational amount
+    report = build_report(FOUR_LINES, WeightedBoundary.make([1, 1, 1, 1]))
+    assert report.slack is None
+    slack, lower = weight_slack(report)
+    assert slack.sign() < 0 and not slack.is_rational
+    assert QuadExt(lower) < slack < QuadExt(lower * (1 - Fraction(1, 2**30)))
+
+
+def stated_inequality(report, check) -> bool:
+    """2 D_p^2 x > (D_p . D_i) x^2 + 3 D_p^2 p_i at the truncation root x.
+
+    The filtration inequality as stated, evaluated in QuadExt on the
+    report's own numbers, apart from both verdicts build_report compares.
+    """
+    x = check.truncation_root
+    dp2 = report.dp_square
+    return 2 * dp2 * x > check.dp_pairing * x * x + 3 * dp2 * check.weight
+
+
 def test_report_invariants_random_weights():
     rng = random.Random(411)
     for _ in range(150):
@@ -195,7 +215,7 @@ def test_report_invariants_random_weights():
         report = build_report(FOUR_LINES, wb)
         assert report.ample.certified
         for check in report.components:
-            assert check.inequality_holds == check.exceeds_weight
+            assert check.exceeds_weight == stated_inequality(report, check)
         if all(c.inequality_holds for c in report.components):
             assert report.slack is not None
             for check in report.components:

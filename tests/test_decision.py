@@ -88,6 +88,17 @@ def rational_weights(cfg: SurfaceConfig):
     return generic | st.integers(2, 6).flatmap(lambda q: near_passing_weights(cfg, q))
 
 
+def stated_inequality(report, check) -> bool:
+    """2 D_p^2 x > (D_p . D_i) x^2 + 3 D_p^2 p_i at the truncation root x.
+
+    The filtration inequality as stated, evaluated in QuadExt on the
+    report's own numbers, apart from both verdicts build_report compares.
+    """
+    x = check.truncation_root
+    dp2 = report.dp_square
+    return 2 * dp2 * x > check.dp_pairing * x * x + 3 * dp2 * check.weight
+
+
 def assert_decision_agrees(cfg: SurfaceConfig, wb: WeightedBoundary) -> bool:
     report = build_report(cfg, wb)
     decided = checklist_holds(cfg, wb)
@@ -95,7 +106,7 @@ def assert_decision_agrees(cfg: SurfaceConfig, wb: WeightedBoundary) -> bool:
     assert decided == exceeds
     assert decided == (report.slack is not None and report.slack.sign() > 0)
     for check in report.components:
-        assert check.inequality_holds == check.exceeds_weight
+        assert check.exceeds_weight == stated_inequality(report, check)
     return decided
 
 

@@ -7,7 +7,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
-from operator import itemgetter
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import orbicert
-from orbicert import polys
+from orbicert import polys, sampling
 from orbicert.catalog import load_builtin
 from orbicert.ffheights import (
     DegenerateError,
@@ -206,7 +206,7 @@ ffheights.product_formula_sweep(10, seed=1)
 ffheights.subspace_sweep(10, seed=1)
 ffheights.probe_sweep(cfg, wb, real, 10, seed=1)
 for suite in ("subspace", "product", "probe"):
-    cli.main(["stress", "--suite", suite, "--samples", "6", "--batches", "2"])
+    cli.main(["stress", "--suite", suite, "--samples", "6", "--threads", "2"])
 assert "sympy" not in sys.modules, "the sweeps imported sympy"
 """
 
@@ -446,15 +446,34 @@ def test_gaussian_rank_against_sympy():
         assert gaussian_rank(mat) == sympy.Matrix(mat).rank()
 
 
-def test_split():
-    # each chunk reports the (seed, count) it was given
-    seed_count = itemgetter(0, 1)
-    assert _sweep(seed_count, 10, 10, 3, 4, ()) == [(30, 3), (31, 3), (32, 2), (33, 2)]
-    assert _sweep(seed_count, 10, 3, 3, 1, ("param",)) == [(30, 3)]
-    assert _sweep(seed_count, 7, 0, 1, 2, ()) == [(7, 0), (8, 0)]
-    assert _sweep(itemgetter(2), 10, 4, 0, 2, ("param",)) == ["param", "param"]
+def _draw(rng, *params):
+    return rng.randrange(10**9), params
+
+
+def test_split(monkeypatch):
+    # sample i draws from (suite, seed, i) alone, whatever the process count
+    want = [(random.Random(f"t:3:{i}").randrange(10**9), ("p",)) for i in range(10)]
+    for processes in (1, 2, 4, 8):
+        assert _sweep(_draw, "t", 10, 3, processes, ("p",)) == want
+    assert _sweep(_draw, "t", 0, 3, 2, ()) == []
     with pytest.raises(ValueError):
-        _sweep(seed_count, 10, -1, 0, 2, ())
+        _sweep(_draw, "t", -1, 0, 2, ())
+    # one contiguous index range per process asked for, in index order
+    ranges = []
+
+    def record(worker, args, processes):
+        ranges.append([a[3:5] for a in args])
+        return [[] for _ in args]
+
+    monkeypatch.setattr(sampling, "run_chunks", record)
+    _sweep(_draw, "t", 10, 3, 4, ())
+    _sweep(_draw, "t", 3, 3, 4, ())
+    _sweep(_draw, "t", 7, 3, 0, ())
+    assert ranges == [
+        [(0, 2), (2, 5), (5, 7), (7, 10)],
+        [(0, 0), (0, 1), (1, 2), (2, 3)],
+        [(0, 7)],
+    ]
 
 
 # -- subspace inequality ------------------------------------------------------------
@@ -658,29 +677,49 @@ def test_probe_sweep_small():
 
 
 def test_sweeps_on_two_processes_are_pinned():
-    # chunk i of a sweep draws from seed * salt + i, so two chunks draw other
-    # samples than one and the probe's worst case differs
+    # sample i draws from (suite, seed, i), so one process and two draw the
+    # same samples and name the same worst case
     real = realization_from_config(FOUR_LINES)
     small = {"max_deg": 3, "bound": 5}
-    assert subspace_sweep(60, seed=5, processes=2, max_deg=4, bound=3) == {
-        "samples": 60,
-        "violations": 0,
-        "fmt_failures": 0,
-        "degenerate": 0,
+    for processes in (1, 2):
+        assert subspace_sweep(60, seed=5, processes=processes, max_deg=4, bound=3) == {
+            "samples": 60,
+            "violations": 0,
+            "fmt_failures": 0,
+            "degenerate": 0,
+        }
+        assert product_formula_sweep(51, seed=5, processes=processes) == {
+            "samples": 51,
+            "failures": 0,
+        }
+        out = probe_sweep(
+            FOUR_LINES, WEIGHTS, real, 100, seed=5, processes=processes, **small
+        )
+        assert out == {
+            "samples": 83,
+            "excluded": 17,
+            "alpha_emp": "15",
+            "alpha_emp_float": 15.0,
+            "worst": {"index": 20, "height": 1, "degree": "15", "support": 3},
+        }
+        out = probe_sweep(
+            FOUR_LINES, WEIGHTS, real, 300, seed=5, processes=processes, **small
+        )
+        assert (out["samples"], out["excluded"], out["alpha_emp"]) == (246, 54, "30")
+        assert out["worst"]["index"] == 204
+
+
+@pytest.mark.parametrize("seed", [0, 5, 77])
+def test_sweeps_do_not_depend_on_the_process_count(seed):
+    real = realization_from_config(FOUR_LINES)
+    sweeps = {
+        "subspace": partial(subspace_sweep, 24, seed=seed, max_deg=4, bound=5),
+        "product": partial(product_formula_sweep, 40, seed=seed),
+        "probe": partial(
+            probe_sweep, FOUR_LINES, WEIGHTS, real, 60, seed=seed, max_deg=3, bound=5
+        ),
     }
-    assert product_formula_sweep(51, seed=5, processes=2) == {
-        "samples": 51,
-        "failures": 0,
-    }
-    two = probe_sweep(FOUR_LINES, WEIGHTS, real, 100, seed=5, processes=2, **small)
-    assert two == {
-        "samples": 81,
-        "excluded": 19,
-        "alpha_emp": "15",
-        "alpha_emp_float": 15.0,
-        "worst": {"height": 1, "degree": "15", "support": 3},
-    }
-    one = probe_sweep(FOUR_LINES, WEIGHTS, real, 100, seed=5, processes=1, **small)
-    assert one["alpha_emp"] == "30"
-    two = probe_sweep(FOUR_LINES, WEIGHTS, real, 300, seed=5, processes=2, **small)
-    assert (two["samples"], two["excluded"], two["alpha_emp"]) == (249, 51, "30")
+    for suite, sweep in sweeps.items():
+        one = sweep(processes=1)
+        assert sweep(processes=2) == one, suite
+        assert sweep(processes=8) == one, suite
