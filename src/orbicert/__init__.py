@@ -28,7 +28,6 @@ from .quadext import (  # noqa: F401
     NoRealRootError,
     QuadExt,
     compare_cross,
-    min_root_quadratic,
     rational_above,
     rational_below,
 )

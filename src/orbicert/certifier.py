@@ -11,6 +11,12 @@ D_1..D_r, positive integer weights p, and checks, in exact arithmetic:
   truncation root x of D_i^2 * x^2 - 2 (D_p . D_i) x + D_p^2;
 * every volume-ratio lower bound exceeds its weight, with positive slack.
 
+Roots and ratios are closed forms in h = sum(p_i d_i), S = the paired
+square and D = D_p^2 = h^2 - S: a paired component has x = D / (2 D_p.D_i)
+and ratio x/2, an unpaired one of degree d has x = (h - sqrt(S)) / d and
+ratio (h (D - 2S) + 2 S sqrt(S)) / (3 D d).  sqrt(S) is split at most
+once per report, and only when an unpaired root or ratio needs it.
+
 Each check lands in a Certificate with a named pass/fail/inconclusive
 status, exact values (rational or quadratic) and a serialization that
 round-trips byte for byte.
@@ -20,6 +26,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from functools import cached_property
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -34,13 +41,8 @@ from .positivity import (
     check_multiplicity,
     orbifold_canonical_big,
 )
-from .quadext import (
-    NoPositiveRootError,
-    QuadExt,
-    compare_cross,
-    min_root_quadratic,
-    rational_below,
-)
+from . import quadext
+from .quadext import NoPositiveRootError, QuadExt, compare_cross, rational_below
 
 CERTIFICATE_FORMAT_VERSION = 1
 
@@ -99,7 +101,12 @@ class BoundaryPairings:
         D_i^2 = [unpaired] d_i^2
         D_i . K = -3 d_i + [paired] d_i^2
 
-    The values are ints for integer weights and Fractions otherwise.
+    The values are ints for integer weights and Fractions otherwise.  With
+    D = D_p^2, a paired component has truncation root x = D / (2 D_p.D_i) and
+    volume ratio x/2; an unpaired one of degree d has x = (h - sqrt(S)) / d
+    and ratio (h (D - 2S) + 2 S sqrt(S)) / (3 D d).  sqrt(S) = s sqrt(f) is
+    split on first use and kept: at most once per report, never for
+    checklist_holds.
     """
 
     h: Coeff
@@ -109,25 +116,52 @@ class BoundaryPairings:
     di2: tuple[int, ...]
     dik: tuple[int, ...]
     dpk: Coeff
+    degrees: tuple[int, ...]
+
+    @cached_property
+    def sqrt_split(self) -> tuple[Coeff, int]:
+        """(s, f) with sqrt(S) = s sqrt(f), f squarefree; f == 1 for a square S."""
+        num, den = self.paired_square.numerator, self.paired_square.denominator
+        if num == 0:
+            return 0, 1
+        # sqrt(p/q) = sqrt(p q) / q
+        s, f = quadext._square_split(num * den)
+        return (s if den == 1 else Fraction(s, den)), f
+
+    def _surd(self, a: Coeff, b: Coeff, den: Coeff) -> QuadExt:
+        # (a + b sqrt(S)) / den in canonical form; b == 0 needs no split
+        if b:
+            s, f = self.sqrt_split
+            if f != 1:
+                return quadext._make(Fraction(a, den), Fraction(b * s, den), f)
+            a += b * s
+        return quadext._make(Fraction(a, den), quadext._ZERO, 0)
+
+    def _check_root(self, i: int) -> None:
+        if self.dp2 <= 0 or self.dpdi[i] <= 0:
+            raise NoPositiveRootError(f"no positive truncation root for component {i}")
 
     def truncation_root(self, i: int) -> QuadExt:
         """Smallest positive root of D_i^2 x^2 - 2 (D_p . D_i) x + D_p^2.
 
-        With D_p certified ample the Hodge index theorem keeps the quarter
-        discriminant nonnegative; a NoRealRootError therefore flags corrupted
-        input upstream rather than a legitimate geometry.
+        Raises NoPositiveRootError unless D_p^2 > 0 and D_p . D_i > 0, which
+        a certified ample D_p gives.
         """
-        return min_root_quadratic(self.di2[i], self.dpdi[i], self.dp2)
+        self._check_root(i)
+        if self.di2[i] == 0:
+            return self._surd(self.dp2, 0, 2 * self.dpdi[i])
+        return self._surd(self.h, -1, self.degrees[i])
 
-    def volume_ratio(self, i: int, root: QuadExt) -> QuadExt:
+    def volume_ratio(self, i: int) -> QuadExt:
         """Closed-form lower bound for the asymptotic section volume ratio.
 
         ((2/3) x D_p^2 - (1/3) (D_p . D_i) x^2) / D_p^2 at the truncation root x.
         """
-        dp2 = Fraction(self.dp2)
-        return (
-            root * dp2 * Fraction(2, 3) - root * root * self.dpdi[i] * Fraction(1, 3)
-        ) / dp2
+        self._check_root(i)
+        if self.di2[i] == 0:
+            return self._surd(self.dp2, 0, 4 * self.dpdi[i])
+        h, dp2, sq = self.h, self.dp2, self.paired_square
+        return self._surd(h * (dp2 - 2 * sq), 2 * sq, 3 * dp2 * self.degrees[i])
 
 
 def boundary_pairings(cfg: SurfaceConfig, weights: Sequence[Coeff]) -> BoundaryPairings:
@@ -159,6 +193,7 @@ def boundary_pairings(cfg: SurfaceConfig, weights: Sequence[Coeff]) -> BoundaryP
         di2=tuple(di2),
         dik=tuple(dik),
         dpk=dpk,
+        degrees=tuple(c.degree for c in cfg.components),
     )
 
 
@@ -176,8 +211,7 @@ def _component_holds(
     """
     comp = cfg.components[i]
     if comp.paired:
-        if bp.dpdi[i] <= 0 or bp.dp2 <= 0:
-            raise NoPositiveRootError("no positive truncation root")
+        bp._check_root(i)
         return bp.dp2 > 4 * bp.dpdi[i] * weights[i]
     u = bp.h - 3 * comp.degree * weights[i]
     if bp.dp2 <= 0 or u <= 0:
@@ -227,7 +261,7 @@ def weight_slack(report: BoundaryReport) -> tuple[QuadExt, Fraction]:
     # a report with a failing component has a negative slack
     size = slack if slack.sign() > 0 else -slack
     gap = Fraction(1)
-    while not QuadExt(gap) < size:
+    while compare_cross(gap, size) >= 0:
         gap /= 2
     return slack, rational_below(slack, gap / 2**40)
 
@@ -236,7 +270,6 @@ def build_report(cfg: SurfaceConfig, wb: WeightedBoundary) -> BoundaryReport:
     """Evaluate ampleness and all per-component checks once."""
     wb.check_against(cfg)
     bp = boundary_pairings(cfg, wb.weights)
-    dp2 = Fraction(bp.dp2)
     ample = ample_sufficient(cfg, wb)
     closed_form = _ample(cfg, bp)
     if ample.certified != closed_form:
@@ -247,7 +280,7 @@ def build_report(cfg: SurfaceConfig, wb: WeightedBoundary) -> BoundaryReport:
             root = bp.truncation_root(i)
             weight = Fraction(wb.weights[i])
             holds = _component_holds(cfg, bp, wb.weights, i)
-            ratio = bp.volume_ratio(i, root)
+            ratio = bp.volume_ratio(i)
             exceeds = compare_cross(ratio, weight) > 0
             # the square-root-free inequality and the QuadExt ratio bound
             # are the same statement, decided independently
@@ -270,7 +303,7 @@ def build_report(cfg: SurfaceConfig, wb: WeightedBoundary) -> BoundaryReport:
                 )
             )
     report = BoundaryReport(
-        dp_square=dp2, ample=ample, components=tuple(components),
+        dp_square=Fraction(bp.dp2), ample=ample, components=tuple(components),
         slack=None, slack_lower=None,
     )
     if ample.certified and components and all(c.inequality_holds for c in components):

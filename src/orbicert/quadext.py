@@ -30,7 +30,7 @@ class CrossFieldError(ValueError):
 
 
 class NoRealRootError(ValueError):
-    """Negative discriminant in a root extraction."""
+    """Negative radicand under a square root."""
 
 
 class NoPositiveRootError(ValueError):
@@ -194,9 +194,6 @@ class QuadExt:
     def sign(self) -> int:
         return _sign(self.a, self.b, self.delta)
 
-    def compare(self, other: "QuadExt | Rational") -> int:
-        return compare_cross(self, other)
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (QuadExt, int, Fraction)):
             return compare_cross(self, other) == 0
@@ -282,39 +279,6 @@ def compare_cross(x: QuadExt | Rational, y: QuadExt | Rational) -> int:
         return sp
     # sign of P^2 - Q^2 = (pa^2 + xb^2 xd - yb^2 yd) + 2 pa xb sqrt(xd)
     return sp * _sign(pa * pa + xb * xb * xd - yq.b * yq.b * yq.delta, 2 * pa * xb, xd)
-
-
-def min_root_quadratic(
-    a_coeff: Rational, b_coeff: Rational, c_coeff: Rational
-) -> QuadExt:
-    """Smallest positive solution of A*x^2 - 2*B*x + C = 0.
-
-    Degenerate A == 0 gives the linear solution C / (2*B).  A negative
-    quarter discriminant B^2 - A*C raises NoRealRootError; real roots with
-    no positive one raise NoPositiveRootError.
-    """
-    a = Fraction(a_coeff)
-    b = Fraction(b_coeff)
-    c = Fraction(c_coeff)
-    if a == 0:
-        if b == 0:
-            raise NoPositiveRootError("degenerate equation")
-        linear = c / (2 * b)
-        if linear <= 0:
-            raise NoPositiveRootError("linear solution is nonpositive")
-        return QuadExt(linear)
-    disc = b * b - a * c
-    if disc < 0:
-        raise NoRealRootError(f"quarter discriminant {disc} < 0")
-    root = QuadExt(Fraction(0), Fraction(1), disc)
-    # (B -+ sqrt(disc)) / A in increasing order for either sign of A
-    low = (QuadExt(b) - root) / a if a > 0 else (QuadExt(b) + root) / a
-    if low.sign() > 0:
-        return low
-    high = (QuadExt(b) + root) / a if a > 0 else (QuadExt(b) - root) / a
-    if high.sign() > 0:
-        return high
-    raise NoPositiveRootError("both roots nonpositive")
 
 
 def _cf_state(x: QuadExt) -> tuple[int, int, int]:

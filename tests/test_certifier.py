@@ -5,16 +5,21 @@ import json
 import math
 import random
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbicert import certifier, quadext
 from orbicert.catalog import builtin_names, load_builtin
 from orbicert.certifier import (
     Certificate,
+    boundary_pairings,
     build_report,
     certify,
+    checklist_holds,
     decode_multiplicity,
     decode_number,
     encode_multiplicity,
@@ -24,7 +29,8 @@ from orbicert.certifier import (
 from orbicert.cli import main
 from orbicert.lattice import ConfigError, InternalError, SurfaceConfig
 from orbicert.positivity import WeightedBoundary
-from orbicert.quadext import QuadExt, compare_cross
+from orbicert.quadext import NoPositiveRootError, QuadExt, compare_cross
+from test_quadext import min_root_quadratic
 
 FOUR_LINES = load_builtin("four-lines")
 WEIGHTS = WeightedBoundary.make([4, 4, 4, 3])
@@ -229,16 +235,114 @@ def test_report_invariants_random_weights():
             assert report.slack is None
 
 
+def components_config(*components) -> SurfaceConfig:
+    """A config from (degree, paired) pairs."""
+    return SurfaceConfig.from_json_dict(
+        {"components": [{"degree": d, "paired": p} for d, p in components]}
+    )
+
+
+# two paired lines, so S = w1^2 + w2^2, beside an unpaired conic and cubic
+TWO_UNPAIRED = components_config((1, True), (1, True), (2, False), (3, False))
+
+
 def test_build_report_splits_each_irrational_root_once(monkeypatch):
+    # sqrt(S) is split at most once per report, however many roots use it,
+    # and the integer checklist decision splits nothing
     calls = []
     split = quadext._square_split
     monkeypatch.setattr(quadext, "_square_split", lambda n: calls.append(n) or split(n))
-    for weights in ([4, 4, 4, 3], [50, 1, 1, 1], [4001, 4003, 4007, 3002]):
+    cases = [(FOUR_LINES, w) for w in ([4, 4, 4, 3], [50, 1, 1, 1], [4001, 4003, 4007, 3002])]
+    cases += [(TWO_UNPAIRED, [4, 5, 1, 1]), (TWO_UNPAIRED, [Fraction(7, 2), 5, 2, 1])]
+    for cfg, weights in cases:
+        wb = WeightedBoundary.make(weights)
         calls.clear()
-        report = build_report(FOUR_LINES, WeightedBoundary.make(weights))
+        checklist_holds(cfg, wb)
+        assert calls == [], (weights, calls)
+        report = build_report(cfg, wb)
         irrational = sum(not c.truncation_root.is_rational for c in report.components)
-        assert irrational >= 1
-        assert len(calls) <= irrational, (weights, calls)
+        assert irrational >= (2 if cfg is TWO_UNPAIRED else 1)
+        assert len(calls) <= 1, (weights, calls)
+
+
+# -- closed-form roots and ratios against the generic root solver -------------------
+
+
+def assert_closed_forms_match_reference(cfg: SurfaceConfig, weights) -> None:
+    """truncation_root and volume_ratio, field by field and type by type,
+    against min_root_quadratic and the stated ratio formula in QuadExt."""
+    bp = boundary_pairings(cfg, weights)
+    for i in range(cfg.r):
+        if bp.dp2 <= 0 or bp.dpdi[i] <= 0:
+            with pytest.raises(NoPositiveRootError):
+                bp.truncation_root(i)
+            with pytest.raises(NoPositiveRootError):
+                bp.volume_ratio(i)
+            continue
+        x = min_root_quadratic(bp.di2[i], bp.dpdi[i], bp.dp2)
+        dp2 = Fraction(bp.dp2)
+        ratio = (Fraction(2, 3) * x * dp2 - Fraction(1, 3) * bp.dpdi[i] * x * x) / dp2
+        for got, want in ((bp.truncation_root(i), x), (bp.volume_ratio(i), ratio)):
+            fields = (got.a, got.b, got.delta)
+            assert fields == (want.a, want.b, want.delta), (cfg.components, weights, i)
+            assert tuple(map(type, fields)) == (Fraction, Fraction, int)
+
+
+@st.composite
+def pairing_cases(draw):
+    """Configs of 1-4 components of degree 1-6, paired or not, with integer
+    or rational weights."""
+    cfg = components_config(*draw(st.lists(
+        st.tuples(st.integers(1, 6), st.booleans()), min_size=1, max_size=4
+    )))
+    weight = draw(st.sampled_from([
+        st.integers(1, 60),
+        st.fractions(min_value=Fraction(1, 6), max_value=60, max_denominator=6),
+    ]))
+    return cfg, draw(st.lists(weight, min_size=cfg.r, max_size=cfg.r))
+
+
+@settings(max_examples=400, deadline=None, database=None, derandomize=True)
+@given(pairing_cases())
+def test_closed_forms_match_reference(case):
+    assert_closed_forms_match_reference(*case)
+
+
+@pytest.mark.parametrize(
+    "cfg, weights",
+    [
+        (FOUR_LINES, [4, 4, 4, 3]),
+        (FOUR_LINES, [Fraction(9, 2), 4, Fraction(11, 3), 3]),
+        (TWO_UNPAIRED, [4, 5, 1, 1]),
+        # one paired component: S = (w d)^2 is a perfect square
+        (components_config((2, True), (2, False), (3, False)), [5, 2, 3]),
+        (components_config((3, True), (1, False)), [Fraction(5, 3), 2]),
+        # no paired component: S = 0
+        (components_config((1, False), (2, False), (5, False)), [1, 2, 3]),
+        (components_config((4, False), (6, False)), [Fraction(1, 2), Fraction(7, 5)]),
+        # a lone paired component: D_p^2 = 0 and D_p . D_i = 0
+        (components_config((3, True)), [2]),
+    ],
+    ids=["four-lines", "four-lines-rational", "two-unpaired", "square-S",
+         "square-S-rational", "zero-S", "zero-S-rational", "zero-D"],
+)
+def test_closed_forms_on_edge_cases(cfg, weights):
+    assert_closed_forms_match_reference(cfg, weights)
+    bp = boundary_pairings(cfg, weights)
+    s, f = bp.sqrt_split
+    assert s * s * f == bp.paired_square
+    if bp.paired_square == 0:
+        assert (s, f) == (0, 1)
+
+
+def test_nonpositive_boundary_square_has_no_root():
+    bp = boundary_pairings(TWO_UNPAIRED, [4, 5, 1, 1])
+    for dp2 in (0, -3):
+        for i in range(TWO_UNPAIRED.r):
+            with pytest.raises(NoPositiveRootError):
+                replace(bp, dp2=dp2).truncation_root(i)
+            with pytest.raises(NoPositiveRootError):
+                replace(bp, dp2=dp2).volume_ratio(i)
 
 
 def test_certify_large_weights_with_multiplicities(tmp_path, capsys):

@@ -2,14 +2,19 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import orbicert
 from orbicert import certifier
 from orbicert.catalog import load_builtin
 from orbicert.certifier import Certificate
-from orbicert.cli import main
+from orbicert.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -318,17 +323,11 @@ def test_config_missing_degree_exits_3(capsys, tmp_path):
     assert "overall" not in out
 
 
-def test_python_dash_m_entry_point():
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    import orbicert
-
+def run_module(*argv) -> subprocess.CompletedProcess:
+    """python -m orbicert in a fresh interpreter."""
     src = str(Path(orbicert.__file__).resolve().parent.parent)
-    done = subprocess.run(
-        [sys.executable, "-m", "orbicert", "search", "--bound", "4"],
+    return subprocess.run(
+        [sys.executable, "-m", "orbicert", *argv],
         capture_output=True,
         text=True,
         # keep the caller's bytecode settings, so no __pycache__ lands in src
@@ -338,8 +337,25 @@ def test_python_dash_m_entry_point():
         }},
         timeout=120,
     )
+
+
+def test_python_dash_m_entry_point():
+    done = run_module("search", "--bound", "4")
     assert done.returncode == 0, done.stderr
     assert "best (min-sum): 4,4,4,3" in done.stdout
+
+
+def test_parser_is_built_once_and_reused(capsys):
+    # a usage error and --help leave nothing behind in the shared parser
+    assert build_parser() is build_parser()
+    assert run(capsys, "search", "--bound", "x")[0] == 3
+    assert run(capsys, "--help")[0] == 0
+    argv = ("stress", "--suite", "boundary", "--samples", "8", "--seed", "11")
+    first = run(capsys, *argv)
+    second = run(capsys, *argv)
+    assert first[0] == 0 and first == second
+    fresh = run_module(*argv)
+    assert (fresh.returncode, fresh.stdout, fresh.stderr) == first
 
 
 @pytest.mark.parametrize(

