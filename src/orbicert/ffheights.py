@@ -205,6 +205,8 @@ def _divide_common(ints: list[IntPoly]) -> list[IntPoly]:
     for p in ints:
         if not polys.is_zero(p):
             g = polys.gcd_poly(g, p)
+            if polys.degree(g) == 0:
+                break
     if polys.degree(g) > 0:
         # g is primitive, so each cofactor is an integer polynomial
         quotients = [polys.exact_quotient(p, g) for p in ints]
@@ -229,15 +231,17 @@ class HForm:
     def make(nvars: int, terms: Mapping[tuple[int, ...], int | Fraction]) -> "HForm":
         cleaned = {}
         for exps, coeff in terms.items():
-            coeff = Fraction(coeff)
-            if coeff.denominator != 1:
-                raise ConfigError("form coefficients must be integers")
+            if not isinstance(coeff, int):
+                coeff = Fraction(coeff)
+                if coeff.denominator != 1:
+                    raise ConfigError("form coefficients must be integers")
+                coeff = int(coeff)
             if coeff == 0:
                 continue
             exps = tuple(int(e) for e in exps)
             if len(exps) != nvars or any(e < 0 for e in exps):
                 raise ConfigError(f"bad exponent tuple {exps}")
-            cleaned[exps] = cleaned.get(exps, 0) + int(coeff)
+            cleaned[exps] = cleaned.get(exps, 0) + coeff
         cleaned = {e: c for e, c in cleaned.items() if c}
         if not cleaned:
             raise ConfigError("zero form")
@@ -253,6 +257,13 @@ class HForm:
     def evaluate(self, x: RatMap) -> IntPoly:
         if len(x.coords) != self.nvars:
             raise ConfigError(f"{len(x.coords)} coordinates for {self.nvars} variables")
+        if self.degree == 1:
+            # sum_j c_j x_j, accumulated into one coefficient list
+            acc = [0] * max(len(c) for c in x.coords)
+            for exps, coeff in self.terms:
+                for i, c in enumerate(x.coords[exps.index(1)]):
+                    acc[i] += coeff * c
+            return polys.trim(acc)
         powers: dict[tuple[int, int], IntPoly] = {}
         total: IntPoly = ()
         for exps, coeff in self.terms:
@@ -277,12 +288,12 @@ class HForm:
             total += term
         return total
 
-    def linear_vector(self) -> tuple[Fraction, ...]:
+    def linear_vector(self) -> tuple[int, ...]:
         if self.degree != 1:
             raise ConfigError("not a linear form")
-        vec = [Fraction(0)] * self.nvars
+        vec = [0] * self.nvars
         for exps, coeff in self.terms:
-            vec[exps.index(1)] = Fraction(coeff)
+            vec[exps.index(1)] = coeff
         return tuple(vec)
 
     def __str__(self) -> str:
@@ -547,7 +558,8 @@ def counting_functions(
 
 def gaussian_rank(rows: Iterable[Sequence[Fraction | int]]) -> int:
     mat = [list(row) for row in rows]
-    if any(c.denominator != 1 for row in mat for c in row):
+    if not all(isinstance(c, int) for row in mat for c in row):
+        # scale each row to integers; the rank is unchanged
         scaled = []
         for row in mat:
             fracs = [Fraction(c) for c in row]
@@ -556,8 +568,6 @@ def gaussian_rank(rows: Iterable[Sequence[Fraction | int]]) -> int:
                 den = math.lcm(den, f.denominator)
             scaled.append([int(f * den) for f in fracs])
         mat = scaled
-    else:
-        mat = [[int(c) for c in row] for row in mat]
     # fraction-free elimination: replace row_r by lead*row_r - factor*row_rank
     rank = 0
     col = 0
@@ -624,8 +634,18 @@ def subspace_inequality(
     ]
     if not bases:
         raise InternalError("a nonempty hyperplane family has no basis")
+    return _subspace_report(x, hyperplanes, places, bases)
 
-    values = [hyperplanes[j].evaluate(x) for j in range(len(hyperplanes))]
+
+def _subspace_report(
+    x: RatMap,
+    hyperplanes: Sequence[HForm],
+    places: Sequence[Place],
+    bases: Sequence[tuple[int, ...]],
+) -> SubspaceReport:
+    """The report of subspace_inequality, given the bases of the family: the
+    index tuples of its maximal independent subfamilies."""
+    values = [hp.evaluate(x) for hp in hyperplanes]
     for fx in values:
         if polys.is_zero(fx):
             raise DegenerateError("the point lies on a hyperplane")
@@ -636,9 +656,10 @@ def subspace_inequality(
         base = min(place.valuation(c) for c in x.coords if not polys.is_zero(c))
         lams = [place.valuation(fx) - base for fx in values]
         lhs += place.degree * max(sum(lams[j] for j in combo) for combo in bases)
+    m = x.m
     rhs = (m + 1) * Fraction(x.height) + Fraction(m * (m + 1), 2) * (len(places) - 2)
     return SubspaceReport(
-        lhs=lhs, rhs=rhs, holds=lhs <= rhs, family_rank=family_rank
+        lhs=lhs, rhs=rhs, holds=lhs <= rhs, family_rank=len(bases[0])
     )
 
 
@@ -781,8 +802,8 @@ def height_bound_probe(
     support = polys.radical_degree(product)
     if polys.degree(product) < sum(f.degree for f in realization.boundary_forms) * h:
         support += 1
-    degree = sum(
-        Fraction(w) * form.degree * h
+    degree = h * sum(
+        Fraction(w) * form.degree
         for w, form in zip(wb.weights, realization.boundary_forms)
     )
     ratio = Fraction(degree) / max(1, support - 2)
@@ -801,6 +822,14 @@ _PLACE_POOL: tuple[IntPoly, ...] = (
     (-2, 0, 1),      # t^2 - 2
     (1, 1, 0, 1),    # t^3 + t + 1
 )
+
+
+def _require_positive_bound(bound: int, drawn: str) -> None:
+    if bound < 1:
+        raise ConfigError(
+            f"coefficient bound {bound} must be at least 1: every {drawn} drawn "
+            "would be zero"
+        )
 
 
 def _random_poly(rng: random.Random, max_deg: int, bound: int) -> IntPoly:
@@ -851,6 +880,7 @@ def random_hyperplanes(
     rng: random.Random, m: int, q: int, bound: int
 ) -> list[HForm]:
     """q integer hyperplanes with every min(q, m+1)-subfamily independent."""
+    _require_positive_bound(bound, "hyperplane")
     k = min(q, m + 1)
     while True:
         forms = []
@@ -878,6 +908,7 @@ def random_hyperplanes(
 
 
 def _random_form(rng: random.Random, nvars: int, degree: int, bound: int) -> HForm:
+    _require_positive_bound(bound, "form")
     exps = [
         e
         for e in itertools.product(range(degree + 1), repeat=nvars)
@@ -920,11 +951,7 @@ def _sweep(
 def _require_drawable(max_deg: int, bound: int) -> None:
     if max_deg < 0:
         raise ConfigError(f"max degree {max_deg} must not be negative")
-    if bound < 1:
-        raise ConfigError(
-            f"coefficient bound {bound} must be at least 1: every map drawn "
-            "would be zero"
-        )
+    _require_positive_bound(bound, "map")
 
 
 def _tally(keys: tuple[str, ...], outcomes: list[tuple[str, ...]]) -> dict:
@@ -941,8 +968,11 @@ def _subspace_sample(
     q = rng.randint(m + 1, m + 3)
     hyperplanes = random_hyperplanes(rng, m, q, 9)
     places = random_places(rng)
+    # random_map proved x nondegenerate and random_hyperplanes proved every
+    # (m+1)-subfamily a basis, so subspace_inequality's checks would repeat
+    bases = list(itertools.combinations(range(q), m + 1))
     try:
-        report = subspace_inequality(x, hyperplanes, places)
+        report = _subspace_report(x, hyperplanes, places, bases)
     except DegenerateError:
         return ("degenerate",)
     out = ("samples",) if report.holds else ("samples", "violations")
@@ -980,12 +1010,19 @@ def subspace_sweep(
     )
 
 
+# _POOL_POWERS[i][e] is the e-th power of _PLACE_POOL[i], for the exponents
+# 0 to 3 that the product suite draws
+_POOL_POWERS: tuple[tuple[IntPoly, ...], ...] = tuple(
+    tuple(polys.pow_(p, e) for e in range(4)) for p in _PLACE_POOL
+)
+
+
 def _product_formula_sample(rng: random.Random) -> tuple[str, ...]:
     exps = [rng.randint(0, 3) for _ in _PLACE_POOL]
     c = rng.choice([k for k in range(-9, 10) if k])
     f: IntPoly = (c,)
-    for p, e in zip(_PLACE_POOL, exps):
-        f = polys.mul(f, polys.pow_(p, e))
+    for powers, e in zip(_POOL_POWERS, exps):
+        f = polys.mul(f, powers[e])
     total = 0
     ok = True
     for place, e in zip(_pool_places(), exps):

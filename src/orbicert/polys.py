@@ -6,14 +6,18 @@ degrees and radicals are invariant under nonzero rational scaling, so most
 routines work on primitive integer tuples and rational inputs are cleared
 to that form once at the boundary.  Division runs in integers only:
 ``exact_quotient`` is the one kernel, and Gauss's lemma makes it decide
-divisibility by any primitive divisor.
+divisibility by any primitive divisor.  ``gcd_poly`` evaluates: it reads a
+candidate gcd off the integer gcd of the operands' values at one point and
+returns it only once the candidate is proven to divide both operands (the
+heuristic gcd of Char, Geddes and Gonnet, J. Symbolic Comput. 7 (1989)).
+The primitive pseudo-remainder sequence it replaced is the tests' reference.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 IntPoly = tuple[int, ...]
 
@@ -150,9 +154,12 @@ def exact_quotient(a: IntPoly, p: IntPoly) -> IntPoly | None:
     rem = list(a)
     quo = [0] * (len(a) - top)
     for shift in range(len(quo) - 1, -1, -1):
-        coef, r = divmod(rem[shift + top], lead)
-        if r:
-            return None
+        if lead == 1:
+            coef = rem[shift + top]
+        else:
+            coef, r = divmod(rem[shift + top], lead)
+            if r:
+                return None
         if coef:
             quo[shift] = coef
             for j in range(top):
@@ -203,35 +210,75 @@ def valuation_linear(root_num: int, root_den: int, a: IntPoly) -> int:
 
 
 def gcd_poly(a: IntPoly, b: IntPoly) -> IntPoly:
-    """Primitive gcd in Q[t] via a primitive pseudo-remainder sequence."""
+    """Primitive gcd in Q[t] with a positive leading coefficient.
+
+    Each evaluation point xi proposes a candidate, and the first candidate
+    proven right is returned (see ``_gcd_at``).  The points start at
+    2 * min(|a|_inf, |b|_inf) + 2 for the primitive parts a and b and grow
+    by the factor 73794/27011 of Geddes, Czapor and Labahn, "Algorithms for
+    Computer Algebra", section 7.7.  The loop ends: a wrong candidate carries
+    an integer factor that divides Res(a / g, b / g), and once xi outgrows
+    it and every coefficient involved, the digits are exact.
+    """
     a, b = primitive(a), primitive(b)
     if not a:
         return _pos_lead(b)
     if not b:
         return _pos_lead(a)
-    if degree(a) < degree(b):
-        a, b = b, a
-    while b:
-        # in-place pseudo-remainder keeps everything in Z[t]; reducing to
-        # the primitive part after every step blocks coefficient blowup and
-        # only changes the result by a unit
-        r = list(a)
-        lead = b[-1]
-        while len(r) >= len(b):
-            factor = r[-1]
-            shift = len(r) - len(b)
-            for j in range(len(b) - 1):
-                r[shift + j] = lead * r[shift + j] - factor * b[j]
-            for j in range(shift):
-                r[j] *= lead
-            r.pop()
-            while r and r[-1] == 0:
-                r.pop()
-            g = content(r)
-            if g > 1:
-                r = [c // g for c in r]
-        a, b = b, tuple(r)
-    return _pos_lead(a)
+    if len(a) == 1 or len(b) == 1:
+        return ONE
+    for xi in _evaluation_points(a, b):
+        g = _gcd_at(a, b, xi)
+        if g is not None:
+            return g
+
+
+def _evaluation_points(a: IntPoly, b: IntPoly) -> Iterator[int]:
+    xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 2
+    while True:
+        yield xi
+        xi = xi * 73794 // 27011
+
+
+def _gcd_at(a: IntPoly, b: IntPoly, xi: int) -> IntPoly | None:
+    """gcd(a, b) for primitive nonconstant a and b, proven from the values
+    at xi >= 2 * min(|a|_inf, |b|_inf) + 2, or None when xi proves nothing.
+
+    Let h be the primitive part of the balanced base-xi digits of
+    gamma = gcd(a(xi), b(xi)).  Say a has the smaller norm.  Every root of a
+    has modulus below 1 + |a|_inf <= xi / 2 (Cauchy), so each nonconstant
+    factor c of a has |c(xi)| > xi / 2.  The true gcd g divides gamma at xi,
+    so a nonconstant g makes |gamma| > xi / 2, which takes two digits: a
+    constant h proves gcd 1 (Geddes, Czapor and Labahn, Theorem 7.7).  A
+    nonconstant h is returned only after h * (a / h) == a and
+    h * (b / h) == b, with the cofactors read off the digits of a(xi) / h(xi)
+    and b(xi) / h(xi).  Then g = h * c, and c(xi) divides the content of
+    gamma's digits, which is at most xi / 2, so c is a unit.  The proof runs
+    on ``mul`` alone, never on ``exact_quotient``.
+    """
+    h = primitive(_digits(gcd(eval_int(a, xi), eval_int(b, xi)), xi))
+    if len(h) == 1:
+        return ONE
+    h_xi = eval_int(h, xi)
+    for p in (a, b):
+        cofactor, rem = divmod(eval_int(p, xi), h_xi)
+        if rem or mul(h, _digits(cofactor, xi)) != p:
+            return None
+    return _pos_lead(h)
+
+
+def _digits(n: int, xi: int) -> IntPoly:
+    """The balanced base-xi digits of n, constant first: the polynomial p
+    with p(xi) = n and every coefficient in (-xi / 2, xi / 2]."""
+    half = xi // 2
+    out = []
+    while n:
+        d = n % xi
+        if d > half:
+            d -= xi
+        out.append(d)
+        n = (n - d) // xi
+    return tuple(out)
 
 
 def _pos_lead(p: IntPoly) -> IntPoly:
@@ -244,9 +291,9 @@ def radical_degree(a: IntPoly) -> int:
     """Number of distinct roots in an algebraic closure (degree of a/gcd(a, a'))."""
     if not a:
         raise ValueError("radical of the zero polynomial")
-    if degree(a) == 0:
+    if len(a) == 1:
         return 0
-    return degree(a) - degree(gcd_poly(a, derivative(a)))
+    return len(a) - len(gcd_poly(a, derivative(a)))
 
 
 def to_string(p: IntPoly, var: str = "t") -> str:

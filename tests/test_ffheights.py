@@ -25,6 +25,7 @@ from orbicert.ffheights import (
     ProbeExcluded,
     RatMap,
     _certify_irreducible,
+    _subspace_report,
     _sweep,
     coordinates_nondegenerate,
     counting_functions,
@@ -45,6 +46,7 @@ from orbicert.ffheights import (
 )
 from orbicert.lattice import ConfigError
 from orbicert.positivity import WeightedBoundary
+from test_internal_checks import time_limit
 
 FOUR_LINES = load_builtin("four-lines")
 WEIGHTS = WeightedBoundary.make([4, 4, 4, 3])
@@ -310,6 +312,9 @@ def test_hform_make_validation():
     form = HForm.make(3, {(1, 0, 0): 1, (0, 1, 0): -1, (0, 0, 1): 0})
     assert form.degree == 1
     assert form.linear_vector() == (1, -1, 0)
+    assert HForm.make(3, {(1, 0, 0): Fraction(4, 2), (0, 1, 0): 3}) == HForm.make(
+        3, {(1, 0, 0): 2, (0, 1, 0): 3}
+    )
     with pytest.raises(ConfigError):
         HForm.make(3, {(2, 0, 0): 1}).linear_vector()
 
@@ -333,6 +338,31 @@ def test_evaluate_matches_point_substitution():
         lhs = polys.eval_int(form.evaluate(x), t0)
         rhs = form.evaluate_point([polys.eval_int(c, t0) for c in x.coords])
         assert lhs == rhs
+
+
+def product_loop_evaluate(form: HForm, x: RatMap) -> tuple:
+    """F(x) as a sum of coefficient times products of coordinate powers."""
+    total = ()
+    for exps, coeff in form.terms:
+        term = (coeff,)
+        for coord, e in zip(x.coords, exps):
+            term = polys.mul(term, polys.pow_(coord, e))
+        total = polys.add(total, term)
+    return total
+
+
+def test_linear_evaluate_matches_product_loop():
+    rng = random.Random(1109)
+    for _ in range(300):
+        m = rng.randint(1, 4)
+        form = random_hyperplanes(rng, m, 1, rng.choice([1, 9, 1000]))[0]
+        assert all(type(c) is int for c in form.linear_vector())
+        x = random_map(rng, m, rng.randint(0, 5), rng.choice([1, 9, 1000]))
+        assert form.evaluate(x) == product_loop_evaluate(form, x)
+    # cancellation in the low terms, and down to the zero polynomial
+    form = parse_form("2*X - Y", 2)
+    assert form.evaluate(RatMap.make([[1, 2], [2, 4, 1]])) == (0, 0, -1)
+    assert form.evaluate(RatMap.make([[1], [2]])) == ()
 
 
 def test_parse_form():
@@ -517,6 +547,32 @@ def test_random_hyperplanes_general_position():
         k = min(q, m + 1)
         for combo in itertools.combinations(range(q), k):
             assert gaussian_rank([vectors[j] for j in combo]) == k
+
+
+def test_subspace_sample_bases_match_subspace_inequality():
+    # the sweep passes every (m+1)-subfamily as a basis instead of deriving
+    # the bases again; on its draws that is what subspace_inequality derives
+    rng = random.Random(1523)
+    for _ in range(150):
+        m = rng.randint(1, 3)
+        x = random_map(rng, m, 6, 20, nondegenerate=True)
+        q = rng.randint(m + 1, m + 3)
+        hyperplanes = random_hyperplanes(rng, m, q, 9)
+        places = random_places(rng)
+        bases = list(itertools.combinations(range(q), m + 1))
+        assert _subspace_report(x, hyperplanes, places, bases) == subspace_inequality(
+            x, hyperplanes, places
+        )
+
+
+def test_random_forms_reject_a_bound_below_one():
+    from orbicert.ffheights import _random_form
+
+    for bound in (0, -3):
+        with time_limit(1), pytest.raises(ConfigError, match="coefficient bound"):
+            random_hyperplanes(random.Random(1), 2, 3, bound)
+        with time_limit(1), pytest.raises(ConfigError, match="coefficient bound"):
+            _random_form(random.Random(1), 3, 2, bound)
 
 
 def test_random_map_canonical():

@@ -2,9 +2,12 @@
 
 Each forcing function breaks one layer underneath a check and calls the
 code that performs it.  The same functions run in a ``python -O``
-subprocess, where an ``assert`` would have been dropped.
+subprocess, where an ``assert`` would have been dropped.  Each runs under a
+time limit, so a retry loop that a broken layer keeps from finishing fails
+the test instead of hanging it.
 """
 
+import signal
 import subprocess
 import sys
 from contextlib import contextmanager
@@ -19,6 +22,25 @@ from orbicert import constants, ffheights, lattice, polys
 from orbicert.catalog import load_builtin
 from orbicert.lattice import DivisorClass, InternalError, SurfaceConfig
 from orbicert.positivity import WeightedBoundary
+
+
+LIMIT_S = 10
+
+
+@contextmanager
+def time_limit(seconds):
+    """Raise TimeoutError in the main thread once seconds have passed."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @contextmanager
@@ -66,7 +88,8 @@ def force_subspace_basis():
 
 
 def force_gcd_cofactor():
-    # the common factor t + 1 of both coordinates fails to divide them
+    # the common factor t + 1 of both coordinates fails to divide them;
+    # gcd_poly proves its result without exact_quotient, so it still ends
     with patched(polys, "exact_quotient", lambda a, p: None):
         ffheights.RatMap.make([[1, 1], [2, 2]])
 
@@ -82,7 +105,7 @@ FORCED = {
 
 @pytest.mark.parametrize("name", sorted(FORCED))
 def test_forced_check_raises_internal_error(name):
-    with pytest.raises(InternalError):
+    with time_limit(LIMIT_S), pytest.raises(InternalError):
         FORCED[name]()
 
 
@@ -94,9 +117,12 @@ from orbicert.lattice import InternalError
 assert sys.flags.optimize
 for name, force in sorted(t.FORCED.items()):
     try:
-        force()
+        with t.time_limit(t.LIMIT_S):
+            force()
     except InternalError:
         print(name, "raised")
+    except TimeoutError:
+        print(name, "timed out")
     else:
         print(name, "passed silently")
 """

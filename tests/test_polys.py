@@ -2,7 +2,9 @@
 
 Random products with known factorizations act as the oracle for the
 valuation, gcd and radical routines.  Long division over Q, kept here as
-``rational_divmod``, is the oracle for the integer division kernel.
+``rational_divmod``, is the oracle for the integer division kernel, and the
+primitive pseudo-remainder sequence, kept here as ``prs_gcd``, is the oracle
+for the gcd by evaluation.
 """
 
 import random
@@ -235,6 +237,94 @@ def test_gcd_poly_contains_common_factor():
         assert d[-1] > 0
     assert gcd_poly(ZERO, (2, 4)) == (1, 2)
     assert gcd_poly((3,), (0, 5)) == (1,)
+
+
+def prs_gcd(a: tuple, b: tuple) -> tuple:
+    """Primitive gcd in Q[t], positive lead, via a primitive pseudo-remainder
+    sequence."""
+    a, b = primitive(a), primitive(b)
+    if degree(a) < degree(b):
+        a, b = b, a
+    while b:
+        # in-place pseudo-remainder keeps everything in Z[t]; reducing to
+        # the primitive part after every step blocks coefficient blowup and
+        # only changes the result by a unit
+        r = list(a)
+        lead = b[-1]
+        while len(r) >= len(b):
+            factor = r[-1]
+            shift = len(r) - len(b)
+            for j in range(len(b) - 1):
+                r[shift + j] = lead * r[shift + j] - factor * b[j]
+            for j in range(shift):
+                r[j] *= lead
+            r.pop()
+            while r and r[-1] == 0:
+                r.pop()
+            r = list(primitive(tuple(r)))
+        a, b = b, tuple(r)
+    return neg(a) if a and a[-1] < 0 else a
+
+
+def evaluation_points_used(a: tuple, b: tuple) -> int:
+    """How many evaluation points gcd_poly tries on nonconstant a and b."""
+    a, b = primitive(a), primitive(b)
+    for used, xi in enumerate(polys._evaluation_points(a, b), 1):
+        if polys._gcd_at(a, b, xi) is not None:
+            return used
+
+
+small_polys = st.lists(st.integers(-60, 60), max_size=6).map(trim)
+
+
+@st.composite
+def gcd_pairs(draw):
+    """Pairs with a planted common factor, coprime pairs whose coefficients
+    sit near xi / 2 for the first evaluation point xi, and free pairs, the
+    zero polynomial and constants among them; leads of either sign."""
+    kind = draw(st.sampled_from(("planted", "near-bound", "free")))
+    if kind == "planted":
+        g = draw(small_polys)
+        a, b = mul(g, draw(small_polys)), mul(g, draw(small_polys))
+    elif kind == "near-bound":
+        n = draw(st.integers(1, 60))
+        near = st.integers(max(0, n - 1), n + 1).flatmap(
+            lambda c: st.sampled_from((c, -c))
+        )
+        a, b = (trim(draw(st.lists(near, min_size=2, max_size=7))) for _ in "ab")
+    else:
+        a, b = draw(small_polys), draw(small_polys)
+    if draw(st.booleans()):
+        a = neg(a)
+    return a, b
+
+
+@PROPERTY
+@given(gcd_pairs())
+def test_gcd_poly_matches_prs_reference(pair):
+    a, b = pair
+    expected = prs_gcd(a, b)
+    assert gcd_poly(a, b) == expected
+    assert gcd_poly(b, a) == expected
+
+
+@PROPERTY
+@given(small_polys, small_polys, st.integers(1, 3))
+def test_radical_degree_matches_prs_reference(g, q, k):
+    a = mul(pow_(g, k), q)
+    if is_zero(a):
+        return
+    assert radical_degree(a) == degree(a) - degree(prs_gcd(a, derivative(a)))
+
+
+def test_gcd_poly_pins_pairs_that_need_several_points():
+    # the first point's candidate fails to divide, so xi has to grow
+    for a, b, used, expected in (
+        ((2, 1, -5, -1, 6, -2, -4), (2, -1, 2, -2, -4), 2, (-2, 1, 2)),
+        ((-120, -147, -1014, 930), (0, 40, 9, 9, 9, -31), 4, (-40, 31)),
+    ):
+        assert evaluation_points_used(a, b) == used
+        assert gcd_poly(a, b) == prs_gcd(a, b) == expected
 
 
 def test_radical_degree_counts_distinct_roots():
