@@ -76,14 +76,11 @@ def _require_positive(args, *options: str) -> None:
             raise ConfigError(f"{flag} {value} must be at least 1")
 
 
-def _print_record(record: dict) -> None:
-    print(json.dumps(record, sort_keys=True), flush=True)
-
-
 # -- certify ---------------------------------------------------------------------
 
 
 def cmd_certify(args) -> int:
+    _require_positive(args, "cap")
     cfg = _load_config(args)
     wb = _resolve_weights(args, cfg)
     mults = _resolve_multiplicities(args, cfg)
@@ -154,6 +151,7 @@ def cmd_search(args) -> int:
 
 
 def cmd_constants(args) -> int:
+    _require_positive(args, "cap")
     cfg = _load_config(args)
     wb = _resolve_weights(args, cfg)
     report = build_report(cfg, wb)
@@ -214,71 +212,25 @@ def cmd_beta(args) -> int:
 # -- stress ----------------------------------------------------------------------
 
 
-def _stress_boundary(args) -> int:
-    import random
-
-    # weights are drawn from [1, coeff-bound] and degrees from [1, max-degree]
-    _require_positive(args, "coeff_bound", "max_degree")
-    rng = random.Random(args.seed)
-    passes = 0
-    samples = 0
-    violations = 0
-    not_ample = 0
-    cap = 50 * args.samples
-    while passes < args.samples and samples < cap:
-        if rng.random() < 0.7:
-            cfg, wb = sampling.random_passing_candidate(
-                rng, max_degree=args.max_degree, bound=args.coeff_bound
-            )
-        else:
-            cfg = sampling.random_config(rng, max_degree=args.max_degree)
-            wb = sampling.random_weights(rng, cfg, bound=args.coeff_bound)
-        samples += 1
-        # build_report cross-checks the square-root-free inequalities against
-        # the exact volume ratios, and the closed-form ampleness against the
-        # lattice test; a disagreement is an InternalError
-        try:
-            report = build_report(cfg, wb)
-        except InternalError:
-            violations += 1
-            continue
-        if not report.ample.certified:
-            not_ample += 1
-            continue
-        if all(c.inequality_holds for c in report.components):
-            passes += 1
-            if passes % max(1, args.samples // 10) == 0:
-                _print_record(
-                    {
-                        "suite": "boundary",
-                        "passes": passes,
-                        "samples": samples,
-                        "violations": violations,
-                    }
-                )
-    _print_record(
-        {
-            "suite": "boundary",
-            "samples": samples,
-            "passes": passes,
-            "not_ample": not_ample,
-            "violations": violations,
-            "done": True,
-        }
-    )
-    return EXIT_PASS if violations == 0 and passes >= args.samples else EXIT_FAIL
-
-
 def cmd_stress(args) -> int:
     if args.samples < 0:
         raise ConfigError(f"samples {args.samples} must not be negative")
     _require_positive(args, "threads")
-    if args.suite == "boundary":
-        return _stress_boundary(args)
-
-    # sample i of a sweep draws from (suite, seed, i) alone, so --threads
+    # sample i of every suite draws from (suite, seed, i) alone, so --threads
     # never changes the record
-    if args.suite == "subspace":
+    if args.suite == "boundary":
+        # weights are drawn from [1, coeff-bound] and degrees from [1, max-degree]
+        _require_positive(args, "coeff_bound", "max_degree")
+        record = sampling.boundary_sweep(
+            args.samples,
+            seed=args.seed,
+            processes=args.threads,
+            max_degree=args.max_degree,
+            bound=args.coeff_bound,
+        )
+        # --samples counts passes; the sweep stops at 50 draws per pass
+        failed = record["violations"] or record["passes"] < args.samples
+    elif args.suite == "subspace":
         record = ffheights.subspace_sweep(
             args.samples,
             seed=args.seed,
@@ -286,12 +238,12 @@ def cmd_stress(args) -> int:
             max_deg=args.max_degree,
             bound=args.coeff_bound,
         )
-        bad_keys = ("violations", "fmt_failures")
+        failed = record["violations"] or record["fmt_failures"]
     elif args.suite == "product":
         record = ffheights.product_formula_sweep(
             args.samples, seed=args.seed, processes=args.threads
         )
-        bad_keys = ("failures",)
+        failed = record["failures"]
     elif args.suite == "probe":
         cfg = _load_config(args)
         wb = _resolve_weights(args, cfg)
@@ -305,13 +257,13 @@ def cmd_stress(args) -> int:
             max_deg=min(args.max_degree, 8),
             bound=min(args.coeff_bound, 50),
         )
-        bad_keys = ()
+        failed = False
     else:
         raise ConfigError(f"unknown suite {args.suite!r}")
     record["suite"] = args.suite
     record["done"] = True
-    _print_record(record)
-    return EXIT_FAIL if any(record[k] for k in bad_keys) else EXIT_PASS
+    print(json.dumps(record, sort_keys=True), flush=True)
+    return EXIT_FAIL if failed else EXIT_PASS
 
 
 # -- parser ----------------------------------------------------------------------

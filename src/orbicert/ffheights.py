@@ -17,16 +17,16 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
-from . import polys, sampling
+from . import polys
 from .lattice import ConfigError, InternalError, SurfaceConfig, malformed
 from .polys import IntPoly
 from .positivity import WeightedBoundary
+from .sampling import _sweep, _tally
 
 
 class DegenerateError(Exception):
@@ -879,32 +879,28 @@ def random_places(rng: random.Random) -> list[Place]:
 def random_hyperplanes(
     rng: random.Random, m: int, q: int, bound: int
 ) -> list[HForm]:
-    """q integer hyperplanes with every min(q, m+1)-subfamily independent."""
+    """q integer hyperplanes with every min(q, m+1)-subfamily independent.
+    ConfigError after _MAP_TRIES families that are not in general position."""
     _require_positive_bound(bound, "hyperplane")
     k = min(q, m + 1)
-    while True:
-        forms = []
+    for _ in range(_MAP_TRIES):
+        vectors = []
         for _ in range(q):
             while True:
                 vec = [rng.randint(-bound, bound) for _ in range(m + 1)]
                 if any(vec):
                     break
-            forms.append(
-                HForm.make(
-                    m + 1,
-                    {
-                        tuple(1 if j == i else 0 for j in range(m + 1)): c
-                        for i, c in enumerate(vec)
-                        if c
-                    },
-                )
-            )
-        vectors = [f.linear_vector() for f in forms]
+            vectors.append(vec)
         if all(
             gaussian_rank([vectors[j] for j in combo]) == k
             for combo in itertools.combinations(range(q), k)
         ):
-            return forms
+            unit = [tuple(int(j == i) for j in range(m + 1)) for i in range(m + 1)]
+            return [HForm.make(m + 1, dict(zip(unit, vec))) for vec in vectors]
+    raise ConfigError(
+        f"no {q} hyperplanes in P^{m} in general position with coefficients "
+        f"in [-{bound}, {bound}] in {_MAP_TRIES} draws"
+    )
 
 
 def _random_form(rng: random.Random, nvars: int, degree: int, bound: int) -> HForm:
@@ -920,44 +916,10 @@ def _random_form(rng: random.Random, nvars: int, degree: int, bound: int) -> HFo
             return HForm.make(nvars, terms)
 
 
-def _sample_rng(suite: str, seed: int, index: int) -> random.Random:
-    """Sample index's generator; the string key is injective and independent
-    of PYTHONHASHSEED."""
-    return random.Random(f"{suite}:{seed}:{index}")
-
-
-def _run_range(args) -> list:
-    sample, suite, seed, start, stop, params = args
-    return [sample(_sample_rng(suite, seed, i), *params) for i in range(start, stop)]
-
-
-def _sweep(
-    sample, suite: str, samples: int, seed: int, processes: int, params: tuple
-) -> list:
-    """[sample(rng_i, *params) for i in range(samples)], rng_i drawn from
-    (suite, seed, i).
-
-    The indices are split into max(1, processes) contiguous ranges that run
-    in index order, so no process count changes the result.
-    """
-    if samples < 0:
-        raise ValueError("negative sample count")
-    parts = max(1, processes)
-    ends = [samples * k // parts for k in range(parts + 1)]
-    args = [(sample, suite, seed, lo, hi, params) for lo, hi in zip(ends, ends[1:])]
-    return [r for chunk in sampling.run_chunks(_run_range, args, processes) for r in chunk]
-
-
 def _require_drawable(max_deg: int, bound: int) -> None:
     if max_deg < 0:
         raise ConfigError(f"max degree {max_deg} must not be negative")
     _require_positive_bound(bound, "map")
-
-
-def _tally(keys: tuple[str, ...], outcomes: list[tuple[str, ...]]) -> dict:
-    """How many samples counted in each key; a sample names its keys."""
-    counts = Counter(key for outcome in outcomes for key in outcome)
-    return {key: counts[key] for key in keys}
 
 
 def _subspace_sample(

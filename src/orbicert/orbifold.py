@@ -218,13 +218,14 @@ def _check_target(profile: PullbackProfile, target: Sequence[Multiplicity]) -> N
         check_multiplicity(m)
 
 
+_MAX_TWIST_M = 4096
+
+
 def ample_twist_threshold(
     cfg: SurfaceConfig,
     wb: WeightedBoundary,
     alpha: Fraction | int,
     delta: OrbifoldDivisor,
-    *,
-    max_m: int = 4096,
 ) -> int:
     """Least m >= 1 keeping D_p - (alpha/m) * sum of support components ample.
 
@@ -247,8 +248,8 @@ def ample_twist_threshold(
         twist = term if twist is None else twist + term
     if twist is None or alpha == 0:
         return 1
-    for m in range(1, max_m + 1):
+    for m in range(1, _MAX_TWIST_M + 1):
         candidate = dp - (alpha / m) * twist
         if ample_class_sufficient(cfg, candidate).certified:
             return m
-    raise ValueError(f"no admissible twist denominator at or below {max_m}")
+    raise ValueError(f"no admissible twist denominator at or below {_MAX_TWIST_M}")

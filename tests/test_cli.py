@@ -15,6 +15,7 @@ from orbicert import certifier
 from orbicert.catalog import load_builtin
 from orbicert.certifier import Certificate
 from orbicert.cli import build_parser, main
+from orbicert.sampling import _boundary_sample, _sample_rng, _tally
 
 
 def run(capsys, *argv):
@@ -112,10 +113,12 @@ def test_certify_input_errors(capsys):
         ["stress", "--suite", "product", "--samples", "5", "--threads", "-2"],
         ["stress", "--samples", "5", "--batches", "2"],
         ["stress", "--suite", "subspace", "--samples", "5", "--batches", "1"],
+        ["constants", "--eps", "1/176", "--cap", "0"],
+        ["certify", "--multiplicities", "2000000,2000000,2000000,2000000", "--cap", "-3"],
     ],
     ids=["missing-value", "unknown-option", "bad-int", "bad-choice",
          "search-threads", "boundary-threads", "product-threads",
-         "boundary-batches", "subspace-batches"],
+         "boundary-batches", "subspace-batches", "constants-cap", "certify-cap"],
 )
 def test_malformed_command_line_exits_3(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -198,22 +201,52 @@ def test_stress_boundary(capsys):
     assert last["passes"] >= 20
 
 
+BOUNDARY_PINNED = ["--samples", "200", "--max-degree", "6", "--coeff-bound", "300"]
+
+
 @pytest.mark.parametrize(
     "seed, digest",
     [
-        (11, "56b409966fb06ea353294715cb70ce4749777ba868ee337cc73e4714818d44da"),
-        (2024, "afd9d9a5a423697475bb1a30f4070621d98b38ccdff0f1d8b863b3928e717b32"),
-        (77, "a895303c4e4d25504002499dba7085a36fd33f79dd77c791af63b050a4d88d6b"),
+        (11, "58719181e53716631b84a97757ab4826fcd13b0f6f5a6d5d00e73da4ad1ca3ec"),
+        (2024, "8f1cb657bc47a518c3e1c21d895d20965ab1c0031f61cfc6a9ee232d9ef9adf0"),
+        (77, "f7f11fd1d98b7f2480e4346208dcef4e73c094471e8d0a2a399d3e9ba7c854a4"),
     ],
     ids=["seed-11", "seed-2024", "seed-77"],
 )
 def test_stress_boundary_stdout_is_pinned(capsys, seed, digest):
     code, out, err = run(
-        capsys, "stress", "--suite", "boundary", "--samples", "200",
-        "--max-degree", "6", "--coeff-bound", "300", "--seed", str(seed),
+        capsys, "stress", "--suite", "boundary", *BOUNDARY_PINNED, "--seed", str(seed)
     )
     assert code == 0 and err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("seed", [11, 2024, 77])
+def test_stress_boundary_stdout_does_not_depend_on_threads(capsys, seed):
+    argv = ["stress", "--suite", "boundary", *BOUNDARY_PINNED, "--seed", str(seed)]
+    code, one, err = run(capsys, *argv, "--threads", "1")
+    assert code == 0 and err == ""
+    assert run(capsys, *argv, "--threads", "2") == (0, one, "")
+
+
+@pytest.mark.parametrize("seed", [11, 2024, 77])
+def test_stress_boundary_samples_replay_by_index(capsys, seed):
+    code, out, _ = run(
+        capsys, "stress", "--suite", "boundary", *BOUNDARY_PINNED, "--seed", str(seed)
+    )
+    assert code == 0
+    record = json.loads(out)
+    outcomes = [
+        _boundary_sample(_sample_rng("boundary", seed, i), 6, 300)
+        for i in range(record["samples"])
+    ]
+    assert record == {
+        **_tally(("samples", "passes", "not_ample", "violations"), outcomes),
+        "suite": "boundary",
+        "done": True,
+    }
+    # --samples counts passes, and the draws end at the last one
+    assert record["passes"] == 200 and outcomes[-1] == ("samples", "passes")
 
 
 def test_stress_boundary_counts_cross_check_failures(capsys, monkeypatch):
@@ -229,6 +262,20 @@ def test_stress_boundary_counts_cross_check_failures(capsys, monkeypatch):
     assert last["done"] is True and last["violations"] > 0
     assert last["passes"] == 0
     assert err == ""
+
+
+def test_stress_boundary_stops_at_the_draw_cap(capsys, monkeypatch):
+    # with every ample sample a violation nothing passes, so the suite draws
+    # 50 samples per pass asked for and stops
+    holds = certifier._component_holds
+    monkeypatch.setattr(certifier, "_component_holds", lambda *args: not holds(*args))
+    code, out, err = run(
+        capsys, "stress", "--suite", "boundary", "--samples", "10", "--seed", "11"
+    )
+    assert code == 1 and err == ""
+    record = json.loads(out)
+    assert record["samples"] == 500 and record["passes"] == 0
+    assert record["violations"] + record["not_ample"] == 500
 
 
 def test_stress_subspace(capsys):
@@ -265,6 +312,16 @@ def test_stress_probe(capsys):
     assert record["samples"] + record["excluded"] == 120
     assert record["alpha_emp_float"] > 0
     assert 0 <= record["worst"]["index"] < 120
+
+
+@pytest.mark.parametrize("suite", ["boundary", "subspace", "product", "probe"])
+def test_stress_prints_one_record(capsys, suite):
+    code, out, err = run(capsys, "stress", "--suite", suite, "--samples", "30")
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    assert len(lines) == 1
+    record = json.loads(lines[0])
+    assert record["suite"] == suite and record["done"] is True
 
 
 @pytest.mark.parametrize("suite", ["subspace", "product", "probe"])

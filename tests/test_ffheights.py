@@ -575,6 +575,13 @@ def test_random_forms_reject_a_bound_below_one():
             _random_form(random.Random(1), 3, 2, bound)
 
 
+def test_random_hyperplanes_give_up_without_general_position():
+    # {-1, 0, 1}^2 holds only four pairwise independent directions, so no
+    # draw of five lines in P^1 is in general position
+    with time_limit(5), pytest.raises(ConfigError, match="general position"):
+        random_hyperplanes(random.Random(1), 1, 5, 1)
+
+
 def test_random_map_canonical():
     rng = random.Random(1601)
     for _ in range(150):
