@@ -28,6 +28,7 @@ import json
 from dataclasses import dataclass, replace
 from functools import cached_property
 from fractions import Fraction
+from math import floor
 from typing import Mapping, Sequence
 
 from . import __version__ as _tool_version
@@ -258,12 +259,12 @@ def weight_slack(report: BoundaryReport) -> tuple[QuadExt, Fraction]:
         raise InternalError("no slack from a nonempty component list")
     if slack.is_rational:
         return slack, slack.as_fraction()
-    # a report with a failing component has a negative slack
+    # a report with a failing component has a negative slack.  The gap is
+    # 2^-40 times the largest 2^-k (k >= 0) below |slack|: 1/|slack| is
+    # irrational, so 2^k > 1/|slack| exactly when 2^k > floor(1/|slack|)
     size = slack if slack.sign() > 0 else -slack
-    gap = Fraction(1)
-    while compare_cross(gap, size) >= 0:
-        gap /= 2
-    return slack, rational_below(slack, gap / 2**40)
+    k = floor(1 / size).bit_length()
+    return slack, rational_below(slack, Fraction(1, 2 ** (k + 40)))
 
 
 def build_report(cfg: SurfaceConfig, wb: WeightedBoundary) -> BoundaryReport:

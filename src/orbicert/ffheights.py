@@ -157,7 +157,13 @@ class Place:
 
 @dataclass(frozen=True)
 class RatMap:
-    """Coprime integer coordinates of a point of P^m over Q(t)."""
+    """Coprime integer coordinates of a point of P^m over Q(t).
+
+    _from_ints is the only path that builds one, and it divides out the
+    integer content and the polynomial gcd.  So no finite place divides
+    every coordinate: min_j v(x_j) is 0 at every finite place, and -height
+    at the infinite place (see _coord_min).
+    """
 
     coords: tuple[IntPoly, ...]
 
@@ -478,12 +484,14 @@ def height(x: RatMap) -> int:
     return x.height
 
 
+def _coord_min(x: RatMap, place: Place) -> int:
+    """min_j v(x_j), read off the coprime coordinates without a valuation."""
+    return -x.height if place.is_infinite else 0
+
+
 def _local_lambda(e: int, v: int, x: RatMap, place: Place) -> int:
     """v - e * min_j v(x_j), where v = v(F(x)) for a form F of degree e."""
-    base = min(
-        place.valuation(c) for c in x.coords if not polys.is_zero(c)
-    )
-    return v - e * base
+    return v - e * _coord_min(x, place)
 
 
 def weil_hypersurface(form: HForm, x: RatMap, place: Place) -> int:
@@ -652,8 +660,7 @@ def _subspace_report(
 
     lhs = 0
     for place in places:
-        # one coordinate minimum per place, shared by every hyperplane
-        base = min(place.valuation(c) for c in x.coords if not polys.is_zero(c))
+        base = _coord_min(x, place)
         lams = [place.valuation(fx) - base for fx in values]
         lhs += place.degree * max(sum(lams[j] for j in combo) for combo in bases)
     m = x.m

@@ -21,7 +21,7 @@ import json
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 Coeff = Union[int, Fraction]
 
@@ -138,26 +138,31 @@ class BlownPoint:
         return BlownPoint(str(ident), frozenset(int(i) for i in on))
 
 
-def _generate_points(comps: Iterable[Component]) -> tuple[tuple[BlownPoint, ...], bool]:
-    """degree^2 points P<i+1>.<k+1> per paired component, and whether any pad."""
-    points = []
-    padded = False
+def _generated_ids(comps: Iterable[Component]) -> Iterator[tuple[str, int]]:
+    """(P<i+1>.<k+1>, i) for the degree^2 points of every paired component."""
     for i, comp in enumerate(comps):
         if comp.paired:
-            padded = padded or comp.pairing_degree < comp.degree
-            points.extend(
-                BlownPoint.make(f"P{i + 1}.{k + 1}", [i])
-                for k in range(comp.degree**2)
-            )
-    return tuple(points), padded
+            for k in range(comp.degree**2):
+                yield f"P{i + 1}.{k + 1}", i
+
+
+def _pads(comps: Iterable[Component]) -> bool:
+    """Whether a paired component carries padding points (b < d)."""
+    return any(c.paired and c.pairing_degree < c.degree for c in comps)
 
 
 @dataclass
 class SurfaceConfig:
-    """Combinatorial description of the blown-up plane and its boundary."""
+    """Combinatorial description of the blown-up plane and its boundary.
+
+    points=None stands for the generated list P<i+1>.<k+1>, degree^2 points
+    per paired component.  Such a config stores no point objects: cfg.points
+    builds the list each time it is read, and everything else reads only
+    point_counts.
+    """
 
     components: tuple[Component, ...]
-    points: tuple[BlownPoint, ...]
+    points: tuple[BlownPoint, ...] | None
     no_three_meet: bool = True
     allow_single_component: bool = False
     padded: bool = False
@@ -167,13 +172,30 @@ class SurfaceConfig:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        if self.points is None:
+            # reads of cfg.points now fall through to __getattr__
+            del self.points
         self.validate()
+
+    def __getattr__(self, name: str) -> tuple[BlownPoint, ...]:
+        if name != "points":
+            raise AttributeError(
+                f"'SurfaceConfig' object has no attribute {name!r}", name=name, obj=self
+            )
+        return tuple(
+            BlownPoint(ident, frozenset((i,)))
+            for ident, i in _generated_ids(self.components)
+        )
 
     # -- invariants ---------------------------------------------------------
 
     def validate(self) -> None:
+        """Check the components, and the point list if one was supplied;
+        a generated list is valid by construction."""
         if not self.components:
             raise ConfigError("at least one component is required")
+        if "points" not in vars(self):
+            return
         counts = {i: 0 for i, c in enumerate(self.components) if c.paired}
         seen: set[str] = set()
         for pt in self.points:
@@ -208,10 +230,13 @@ class SurfaceConfig:
         hyperplane: bool = True,
         **kwargs,
     ) -> "SurfaceConfig":
-        """Assemble a config with auto-generated points, one per incidence.
+        """Assemble a config whose points are generated, one per incidence.
 
-        Each paired component of degree d receives d*b transversal points
-        plus d*(d-b) padding points, where b is its pairing degree.
+        Each paired component of degree d carries d*b transversal points
+        plus d*(d-b) padding points, where b is its pairing degree.  The
+        config stores only the components: the points P<i+1>.<k+1> are
+        built when cfg.points is read, and to_json_dict writes them from
+        point_counts.
         """
         degrees = list(paired_degrees)
         pairings = list(pairing_degrees) if pairing_degrees else degrees[:]
@@ -223,9 +248,8 @@ class SurfaceConfig:
         ]
         if hyperplane:
             comps.append(Component(degree=1, paired=False, role="hyperplane"))
-        points, padded = _generate_points(comps)
         return SurfaceConfig(
-            components=tuple(comps), points=points, padded=padded, **kwargs
+            components=tuple(comps), points=None, padded=_pads(comps), **kwargs
         )
 
     @property
@@ -254,9 +278,14 @@ class SurfaceConfig:
                 }
                 for c in self.components
             ],
-            "points": [
-                {"id": p.ident, "on": sorted(p.on)} for p in self.points
-            ],
+            "points": (
+                [{"id": p.ident, "on": sorted(p.on)} for p in self.points]
+                if "points" in vars(self)
+                else [
+                    {"id": ident, "on": [i]}
+                    for ident, i in _generated_ids(self.components)
+                ]
+            ),
             "no_three_meet": self.no_three_meet,
             "allow_single_component": self.allow_single_component,
             "padded": self.padded,
@@ -298,13 +327,13 @@ class SurfaceConfig:
         if doc.get("hyperplane", False):
             comps.append(Component(degree=1, paired=False, role="hyperplane"))
         padded = bool(doc.get("padded", False))
+        points = None
         if "points" in doc:
             points = tuple(
                 BlownPoint.make(raw["id"], raw["on"]) for raw in doc["points"]
             )
         else:
-            points, generated_padding = _generate_points(comps)
-            padded = padded or generated_padding
+            padded = padded or _pads(comps)
         weights = doc.get("weights")
         mults = doc.get("multiplicities")
         return SurfaceConfig(

@@ -56,6 +56,13 @@ class WeightedBoundary:
     def make(weights: Sequence[Coeff]) -> "WeightedBoundary":
         ws = []
         for w in weights:
+            if type(w) is int:
+                # the common case keeps its int; bool and int subclasses
+                # take the Fraction path below
+                if w <= 0:
+                    raise ConfigError(f"weight {w} must be positive")
+                ws.append(w)
+                continue
             f = Fraction(w)
             if f <= 0:
                 raise ConfigError(f"weight {w} must be positive")

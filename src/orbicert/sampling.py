@@ -1,5 +1,5 @@
 """Random configurations and weight vectors, the per-index sweep, the
-boundary stress suite and the one process pool.
+boundary stress suite and the process pools.
 
 Uniform weights almost never satisfy the filtration inequalities, so the
 passing-candidate sampler scales the proportional vector: with three
@@ -9,8 +9,10 @@ jitter keeps a useful mix of passing and failing neighbours.
 
 Every stress suite runs on _sweep: sample i draws from (suite, seed, i)
 alone, so no process count changes a record and any index replays.
-run_chunks is the only place that starts worker processes: searches and
-sweeps hand it their chunk arguments and merge what it returns.
+run_chunks maps chunks over worker processes: searches and sweeps hand it
+their chunk arguments and merge what it returns.  It starts a pool per call,
+unless the caller passes one: boundary_sweep keeps one pool for all its
+rounds.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 import os
 import random
 from collections import Counter
+from contextlib import nullcontext
 from math import lcm
 from multiprocessing import Pool
 
@@ -62,15 +65,18 @@ def random_passing_candidate(
     return cfg, WeightedBoundary.make(weights)
 
 
-def run_chunks(worker, args: list, processes: int) -> list:
+def run_chunks(worker, args: list, processes: int, pool=None) -> list:
     """[worker(a) for a in args], mapped over a pool when more than one
-    process would get work.  The pool has at most one process per argument
-    and per CPU, whatever processes asks for."""
+    process would get work: at most one process per argument and per CPU,
+    whatever processes asks for.  The pool is the given one, or else one
+    started for this call."""
     processes = min(processes, len(args), os.cpu_count() or 1)
-    if processes > 1:
-        with Pool(processes) as pool:
-            return pool.map(worker, args)
-    return [worker(a) for a in args]
+    if processes <= 1:
+        return [worker(a) for a in args]
+    if pool is not None:
+        return pool.map(worker, args)
+    with Pool(processes) as own:
+        return own.map(worker, args)
 
 
 def _sample_rng(suite: str, seed: int, index: int) -> random.Random:
@@ -85,20 +91,22 @@ def _run_range(args) -> list:
 
 
 def _sweep(
-    sample, suite: str, samples: int, seed: int, processes: int, params: tuple, *, start=0
+    sample, suite: str, samples: int, seed: int, processes: int, params: tuple, *,
+    start=0, pool=None,
 ) -> list:
     """[sample(rng_i, *params) for i in range(start, start + samples)], rng_i
     drawn from (suite, seed, i).
 
     The indices are split into max(1, processes) contiguous ranges that run
-    in index order, so no process count changes the result.
+    in index order, so no process count changes the result.  pool, if
+    given, runs them instead of a pool of this call's own.
     """
     if samples < 0:
         raise ValueError("negative sample count")
     parts = max(1, processes)
     ends = [start + samples * k // parts for k in range(parts + 1)]
     args = [(sample, suite, seed, lo, hi, params) for lo, hi in zip(ends, ends[1:])]
-    return [r for chunk in run_chunks(_run_range, args, processes) for r in chunk]
+    return [r for chunk in run_chunks(_run_range, args, processes, pool) for r in chunk]
 
 
 def _tally(keys: tuple[str, ...], outcomes: list[tuple[str, ...]]) -> dict:
@@ -134,16 +142,20 @@ def boundary_sweep(
     are drawn; returns the tallies of the drawn samples.
 
     Each round draws as many new indices as passes are still missing, so the
-    draws end at the last pass (or the cap) whatever the process count.
+    draws end at the last pass (or the cap) whatever the process count.  All
+    rounds share one pool, started only when more than one CPU would work.
     """
     params = (max_degree, bound)
     cap, missing, outcomes = 50 * passes, passes, []
-    while missing > 0 and len(outcomes) < cap:
-        start = len(outcomes)
-        count = min(missing, cap - start)
-        drawn = _sweep(
-            _boundary_sample, "boundary", count, seed, processes, params, start=start
-        )
-        missing -= sum("passes" in outcome for outcome in drawn)
-        outcomes += drawn
+    workers = min(processes, os.cpu_count() or 1)
+    with Pool(workers) if workers > 1 and passes > 0 else nullcontext() as pool:
+        while missing > 0 and len(outcomes) < cap:
+            start = len(outcomes)
+            count = min(missing, cap - start)
+            drawn = _sweep(
+                _boundary_sample, "boundary", count, seed, processes, params,
+                start=start, pool=pool,
+            )
+            missing -= sum("passes" in outcome for outcome in drawn)
+            outcomes += drawn
     return _tally(("samples", "passes", "not_ample", "violations"), outcomes)

@@ -29,7 +29,7 @@ from orbicert.certifier import (
 from orbicert.cli import main
 from orbicert.lattice import ConfigError, InternalError, SurfaceConfig
 from orbicert.positivity import WeightedBoundary
-from orbicert.quadext import NoPositiveRootError, QuadExt, compare_cross
+from orbicert.quadext import NoPositiveRootError, QuadExt, compare_cross, rational_below
 from test_quadext import min_root_quadratic
 
 FOUR_LINES = load_builtin("four-lines")
@@ -201,6 +201,52 @@ def test_weight_slack_of_a_failing_report():
     slack, lower = weight_slack(report)
     assert slack.sign() < 0 and not slack.is_rational
     assert QuadExt(lower) < slack < QuadExt(lower * (1 - Fraction(1, 2**30)))
+
+
+def slack_gap_reference(slack: QuadExt) -> Fraction:
+    """The loop weight_slack used to run: halve 1 while it is at least |slack|."""
+    size = slack if slack.sign() > 0 else -slack
+    gap = Fraction(1)
+    while compare_cross(gap, size) >= 0:
+        gap /= 2
+    return gap / 2**40
+
+
+@st.composite
+def irrational_slacks(draw) -> QuadExt:
+    """(a + b sqrt(delta)) / 2^e, of either sign, from far above 1 down to 2^-80."""
+    a = draw(st.fractions(min_value=-1000, max_value=1000, max_denominator=50))
+    b = draw(st.fractions(min_value=-50, max_value=50, max_denominator=50).filter(bool))
+    delta = draw(st.sampled_from([2, 3, 5, 6, 7, 10, 13, 15, 1001, 2 * 3 * 5 * 7 * 11 * 13]))
+    return QuadExt(a, b, delta) / 2 ** draw(st.integers(0, 80))
+
+
+def report_with_slack(slack: QuadExt):
+    """A report whose one component at weight 1 has ratio 1 + slack."""
+    report = build_report(FOUR_LINES, WEIGHTS)
+    check = replace(report.components[0], weight=Fraction(1), volume_ratio=slack + 1)
+    return replace(report, components=(check,))
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(irrational_slacks())
+def test_slack_lower_bound_matches_the_gap_halving_loop(slack):
+    assert not slack.is_rational
+    got, lower = weight_slack(report_with_slack(slack))
+    assert got == slack
+    assert lower == rational_below(slack, slack_gap_reference(slack))
+
+
+def test_slack_gap_at_powers_of_two():
+    # sqrt(2) - 1 < 1/2 < 2 - sqrt(2) < 1 < sqrt(2) < 3 + sqrt(5), each scaled
+    # by powers of two and of either sign
+    for slack in (QuadExt(0, 1, 2), QuadExt(-1, 1, 2), QuadExt(2, -1, 2), QuadExt(3, 1, 5)):
+        for e in range(0, 12):
+            for sign in (1, -1):
+                x = sign * slack / 2**e
+                assert weight_slack(report_with_slack(x))[1] == rational_below(
+                    x, slack_gap_reference(x)
+                )
 
 
 def stated_inequality(report, check) -> bool:

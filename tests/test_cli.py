@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import orbicert
-from orbicert import certifier
+from orbicert import certifier, sampling
 from orbicert.catalog import load_builtin
 from orbicert.certifier import Certificate
 from orbicert.cli import build_parser, main
@@ -227,6 +227,27 @@ def test_stress_boundary_stdout_does_not_depend_on_threads(capsys, seed):
     code, one, err = run(capsys, *argv, "--threads", "1")
     assert code == 0 and err == ""
     assert run(capsys, *argv, "--threads", "2") == (0, one, "")
+
+
+def test_boundary_sweep_starts_at_most_one_pool(monkeypatch):
+    started = []
+    real_pool = sampling.Pool
+
+    def counting_pool(processes):
+        started.append(processes)
+        return real_pool(processes)
+
+    monkeypatch.setattr(sampling, "Pool", counting_pool)
+    monkeypatch.setattr(sampling.os, "cpu_count", lambda: 2)
+    args = {"seed": 5, "max_degree": 6, "bound": 300}
+    one = sampling.boundary_sweep(200, processes=1, **args)
+    assert started == []
+    # several rounds: the first draws 200 indices and not all of them pass
+    assert one["samples"] > 200
+    assert sampling.boundary_sweep(200, processes=2, **args) == one
+    assert started == [2]
+    assert sampling.boundary_sweep(0, processes=2, **args)["samples"] == 0
+    assert started == [2]
 
 
 @pytest.mark.parametrize("seed", [11, 2024, 77])

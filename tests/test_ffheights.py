@@ -25,6 +25,7 @@ from orbicert.ffheights import (
     ProbeExcluded,
     RatMap,
     _certify_irreducible,
+    _coord_min,
     _subspace_report,
     _sweep,
     coordinates_nondegenerate,
@@ -275,6 +276,37 @@ def test_ratmap_keeps_unequal_contents_of_the_cofactors():
     assert RatMap.make([[-2, 0, 2], [3, 3], [0]]).coords == ((-2, 2), (3,), ())
 
 
+small_polys = st.lists(st.integers(-9, 9), min_size=1, max_size=4).map(polys.trim)
+
+
+@st.composite
+def points_and_places(draw):
+    """A place, and coordinates p^e_j r_j g: some divisible by the place, all
+    by a common factor g that RatMap divides out."""
+    place = draw(st.sampled_from([
+        Place.infinite(), Place.finite([0, 1]), Place.finite([-2, 3]),
+        Place.finite([1, 0, 1]), Place.finite([-2, 0, 1]), Place.finite([1, 1, 1]),
+    ]))
+    g = draw(small_polys.filter(lambda p: not polys.is_zero(p)))
+    raw = []
+    for _ in range(draw(st.integers(2, 4))):
+        r = draw(small_polys)
+        if not place.is_infinite:
+            r = polys.mul(r, polys.pow_(place.poly, draw(st.integers(0, 2))))
+        raw.append(polys.mul(r, g))
+    if all(polys.is_zero(p) for p in raw):
+        raw[0] = g
+    return RatMap.make(raw), place
+
+
+@PROPERTY
+@given(points_and_places())
+def test_coordinate_minimum_needs_no_valuation(case):
+    x, place = case
+    want = min(place.valuation(c) for c in x.coords if not polys.is_zero(c))
+    assert _coord_min(x, place) == want
+
+
 def test_random_places_are_two_to_four_distinct_places():
     rng = random.Random(5)
     counts = set()
@@ -491,7 +523,7 @@ def test_split(monkeypatch):
     # one contiguous index range per process asked for, in index order
     ranges = []
 
-    def record(worker, args, processes):
+    def record(worker, args, processes, pool=None):
         ranges.append([a[3:5] for a in args])
         return [[] for _ in args]
 

@@ -1,5 +1,6 @@
 """Intersection lattice, Euler characteristics and config serialization."""
 
+import itertools
 import random
 import re
 from fractions import Fraction
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from orbicert.catalog import load_builtin
+from orbicert.certifier import build_report, certify
 from orbicert.lattice import (
     BlownPoint,
     Component,
@@ -19,6 +21,9 @@ from orbicert.lattice import (
     intersect,
     strict_transform,
 )
+from orbicert.positivity import WeightedBoundary
+from orbicert.sampling import _boundary_sample, _sample_rng
+from orbicert.weights import proportional_weights
 
 
 def four_lines() -> SurfaceConfig:
@@ -266,3 +271,101 @@ def test_built_and_generated_points_serialize_identically():
             "hyperplane": True,
         }
         assert SurfaceConfig.from_json_dict(doc).to_json() == built.to_json()
+
+
+# -- generated points against the eager reference -------------------------------
+
+
+def generate_points_reference(comps) -> tuple[tuple[BlownPoint, ...], bool]:
+    """The eager generator SurfaceConfig.build used to run: degree^2 points
+    P<i+1>.<k+1> per paired component, and whether any pad."""
+    points = []
+    padded = False
+    for i, comp in enumerate(comps):
+        if comp.paired:
+            padded = padded or comp.pairing_degree < comp.degree
+            points.extend(
+                BlownPoint.make(f"P{i + 1}.{k + 1}", [i])
+                for k in range(comp.degree**2)
+            )
+    return tuple(points), padded
+
+
+def built_shapes():
+    """Every list of one or two paired degrees 1-6 with every pairing degree,
+    with and without the hyperplane."""
+    pairs = [(d, b) for d in range(1, 7) for b in range(1, d + 1)]
+    for size in (1, 2):
+        for shape in itertools.product(pairs, repeat=size):
+            for hyperplane in (True, False):
+                yield [d for d, _ in shape], [b for _, b in shape], hyperplane
+
+
+def test_built_points_match_the_eager_reference():
+    shapes = 0
+    for degrees, pairings, hyperplane in built_shapes():
+        kwargs = {"name": "shape", "allow_single_component": True}
+        built = SurfaceConfig.build(degrees, pairings, hyperplane=hyperplane, **kwargs)
+        points, padded = generate_points_reference(built.components)
+        eager = SurfaceConfig(
+            components=built.components, points=points, padded=padded, **kwargs
+        )
+        assert built.points == points
+        assert built.padded == padded
+        for i in range(-1, built.r + 1):
+            assert built.points_on(i) == [p for p in points if i in p.on]
+        assert built.to_json_dict() == eager.to_json_dict()
+        assert built.to_json() == eager.to_json()
+        assert built == eager and eager == built
+        assert SurfaceConfig.from_json(built.to_json()) == built
+        shapes += 1
+    assert shapes == 2 * (21 + 21 * 21)
+
+
+def test_built_configs_compare_by_value():
+    a = SurfaceConfig.build([2, 3], [1, 3])
+    assert a == SurfaceConfig.build([2, 3], [1, 3])
+    assert a != SurfaceConfig.build([2, 3], [2, 3])
+    assert a != SurfaceConfig.build([2, 3], [1, 3], name="other")
+    renamed = list(a.points)
+    renamed[0] = BlownPoint.make("Q", [0])
+    assert a != SurfaceConfig(components=a.components, points=tuple(renamed), padded=True)
+
+
+class ConstructionCounter:
+    """Counts BlownPoint constructions through make and through __init__."""
+
+    def __init__(self, monkeypatch):
+        self.count = 0
+        make, init = BlownPoint.make, BlownPoint.__init__
+
+        def counted_make(*args):
+            self.count += 1
+            return make(*args)
+
+        def counted_init(point, *args):
+            self.count += 1
+            init(point, *args)
+
+        monkeypatch.setattr(BlownPoint, "make", staticmethod(counted_make))
+        monkeypatch.setattr(BlownPoint, "__init__", counted_init)
+
+
+def test_build_and_report_construct_no_blown_point(monkeypatch):
+    counter = ConstructionCounter(monkeypatch)
+    slacks = set()
+    shapes = (([1, 1, 1], [1, 1, 1]), ([2, 3, 4], [1, 3, 2]), ([6, 5, 1], [6, 1, 1]))
+    for degrees, pairings in shapes:
+        cfg = SurfaceConfig.build(degrees, pairings, hyperplane=True)
+        base = proportional_weights(cfg).weights
+        for weights in (base, [3 * w - 1 for w in base], [1] * cfg.r):
+            wb = WeightedBoundary.make(weights)
+            slacks.add(build_report(cfg, wb).slack is not None)
+            certify(cfg, wb)
+    outcomes = [_boundary_sample(_sample_rng("boundary", 1, i), 6, 300) for i in range(60)]
+    assert slacks == {True, False}
+    assert {"passes", "not_ample"} <= {key for keys in outcomes for key in keys}
+    assert counter.count == 0
+    # the counter sees the points a read builds
+    assert len(cfg.points) == 36 + 25 + 1
+    assert counter.count == 36 + 25 + 1

@@ -31,6 +31,27 @@ def test_weighted_boundary_make():
             WeightedBoundary.make([4, bad])
 
 
+@pytest.mark.parametrize(
+    "raw, want",
+    [(True, 1), ("4", 4), (Fraction(6, 2), 3), (Fraction(1, 2), Fraction(1, 2)), (7, 7)],
+    ids=["bool", "string", "whole-fraction", "half", "int"],
+)
+def test_weighted_boundary_make_pins(raw, want):
+    (w,) = WeightedBoundary.make([raw]).weights
+    assert w == want and type(w) is type(want)
+
+
+@pytest.mark.parametrize("raw", [0, -1, False, "-4", Fraction(-1, 2)])
+def test_weighted_boundary_make_rejects_nonpositive(raw):
+    with pytest.raises(ConfigError, match=rf"^weight {raw} must be positive$"):
+        WeightedBoundary.make([3, raw])
+
+
+def test_weighted_boundary_make_keeps_an_int():
+    big = 10**40 + 1
+    assert WeightedBoundary.make([big]).weights[0] is big
+
+
 def test_weight_count_must_match():
     with pytest.raises(ConfigError):
         boundary_class(FOUR_LINES, WeightedBoundary.make([4, 4, 4]))
