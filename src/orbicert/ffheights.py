@@ -704,9 +704,6 @@ class PlaneRealization:
                 raise ConfigError(f"pairing form mismatch at component {i}")
             if pairing is not None and pairing.degree != comp.pairing_degree:
                 raise ConfigError(f"pairing degree mismatch at component {i}")
-        on_component = {
-            p.ident: i for i in range(len(cfg.components)) for p in cfg.points_on(i)
-        }
         seen = set()
         for point in cfg.points:
             coords = points.get(point.ident)
@@ -716,7 +713,7 @@ class PlaneRealization:
             if norm in seen:
                 raise ConfigError(f"blown points collide at {coords}")
             seen.add(norm)
-            home = on_component[point.ident]
+            (home,) = point.on
             for i, form in enumerate(self.boundary_forms):
                 value = form.evaluate_point(coords)
                 if i == home and value != 0:

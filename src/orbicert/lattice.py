@@ -48,6 +48,13 @@ def malformed(what: str):
         raise ConfigError(f"malformed {what}: {exc}") from exc
 
 
+def _typed(value, kind: type, what: str):
+    # bool() would read "false" as true, and int() would read 1.7 as 1
+    if type(value) is not kind:
+        raise ConfigError(f"{what} must be {kind.__name__}, not {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class DivisorClass:
     """h*H - sum(c[i] * E_i), n[i] points under E_i, c[i] = 0 where n[i] = 0."""
@@ -135,7 +142,9 @@ class BlownPoint:
 
     @staticmethod
     def make(ident: str, on: Iterable[int]) -> "BlownPoint":
-        return BlownPoint(str(ident), frozenset(int(i) for i in on))
+        return BlownPoint(
+            str(ident), frozenset(_typed(i, int, f"point {ident!r} component") for i in on)
+        )
 
 
 def _generated_ids(comps: Iterable[Component]) -> Iterator[tuple[str, int]]:
@@ -312,21 +321,22 @@ class SurfaceConfig:
             raise ConfigError(f"unsupported config version {version}")
         comps = []
         for raw in doc.get("components", []):
+            paired = _typed(raw.get("paired", False), bool, "paired")
             comps.append(
                 Component(
-                    degree=int(raw["degree"]),
-                    paired=bool(raw.get("paired", False)),
+                    degree=_typed(raw["degree"], int, "degree"),
+                    paired=paired,
                     pairing_degree=(
-                        int(raw["pairing_degree"])
-                        if raw.get("paired", False) and "pairing_degree" in raw
+                        _typed(raw["pairing_degree"], int, "pairing_degree")
+                        if paired and "pairing_degree" in raw
                         else None
                     ),
                     role=str(raw.get("role", "boundary")),
                 )
             )
-        if doc.get("hyperplane", False):
+        if _typed(doc.get("hyperplane", False), bool, "hyperplane"):
             comps.append(Component(degree=1, paired=False, role="hyperplane"))
-        padded = bool(doc.get("padded", False))
+        padded = _typed(doc.get("padded", False), bool, "padded")
         points = None
         if "points" in doc:
             points = tuple(
@@ -339,8 +349,10 @@ class SurfaceConfig:
         return SurfaceConfig(
             components=tuple(comps),
             points=points,
-            no_three_meet=bool(doc.get("no_three_meet", True)),
-            allow_single_component=bool(doc.get("allow_single_component", False)),
+            no_three_meet=_typed(doc.get("no_three_meet", True), bool, "no_three_meet"),
+            allow_single_component=_typed(
+                doc.get("allow_single_component", False), bool, "allow_single_component"
+            ),
             padded=padded,
             name=str(doc.get("name", "")),
             default_weights=(

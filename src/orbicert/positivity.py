@@ -63,6 +63,8 @@ class WeightedBoundary:
                     raise ConfigError(f"weight {w} must be positive")
                 ws.append(w)
                 continue
+            if isinstance(w, float):
+                raise ConfigError(f"weight {w!r} is a float, not an exact number")
             f = Fraction(w)
             if f <= 0:
                 raise ConfigError(f"weight {w} must be positive")

@@ -1,5 +1,5 @@
 """Random configurations and weight vectors, the per-index sweep, the
-boundary stress suite and the process pools.
+boundary stress suite and the ordered sample stream.
 
 Uniform weights almost never satisfy the filtration inequalities, so the
 passing-candidate sampler scales the proportional vector: with three
@@ -7,12 +7,10 @@ paired components of degrees d1, d2, d3 and L = lcm(d), the weights
 (4L/d1, 4L/d2, 4L/d3, 3L) pass, multiples pass by homogeneity, and small
 jitter keeps a useful mix of passing and failing neighbours.
 
-Every stress suite runs on _sweep: sample i draws from (suite, seed, i)
-alone, so no process count changes a record and any index replays.
-run_chunks maps chunks over worker processes: searches and sweeps hand it
-their chunk arguments and merge what it returns.  It starts a pool per call,
-unless the caller passes one: boundary_sweep keeps one pool for all its
-rounds.
+Sample i of a stress suite, _sample_at(..., i), draws from (suite, seed, i)
+alone, so no process count changes a record and any index replays.  The
+sweeps read ordered_map's in-order stream whole; boundary_sweep stops at
+its last pass.
 """
 
 from __future__ import annotations
@@ -20,7 +18,8 @@ from __future__ import annotations
 import os
 import random
 from collections import Counter
-from contextlib import nullcontext
+from contextlib import contextmanager
+from functools import partial
 from math import lcm
 from multiprocessing import Pool
 
@@ -65,18 +64,17 @@ def random_passing_candidate(
     return cfg, WeightedBoundary.make(weights)
 
 
-def run_chunks(worker, args: list, processes: int, pool=None) -> list:
-    """[worker(a) for a in args], mapped over a pool when more than one
-    process would get work: at most one process per argument and per CPU,
-    whatever processes asks for.  The pool is the given one, or else one
-    started for this call."""
-    processes = min(processes, len(args), os.cpu_count() or 1)
-    if processes <= 1:
-        return [worker(a) for a in args]
-    if pool is not None:
-        return pool.map(worker, args)
-    with Pool(processes) as own:
-        return own.map(worker, args)
+@contextmanager
+def ordered_map(worker, items, processes: int, chunk: int):
+    """Yields worker(a) for a in items, in item order; a pool of at most one
+    process per item and per CPU runs chunk items per task when more than
+    one would work, and ends with the block, early exits included."""
+    workers = min(processes, len(items), os.cpu_count() or 1)
+    if workers <= 1:
+        yield map(worker, items)
+        return
+    with Pool(workers) as pool:
+        yield pool.imap(worker, items, chunk)
 
 
 def _sample_rng(suite: str, seed: int, index: int) -> random.Random:
@@ -85,28 +83,23 @@ def _sample_rng(suite: str, seed: int, index: int) -> random.Random:
     return random.Random(f"{suite}:{seed}:{index}")
 
 
-def _run_range(args) -> list:
-    sample, suite, seed, start, stop, params = args
-    return [sample(_sample_rng(suite, seed, i), *params) for i in range(start, stop)]
+def _sample_at(sample, suite: str, seed: int, params: tuple, index: int):
+    """Sample index of a suite; every sweep draws through here, so any index
+    replays on its own."""
+    return sample(_sample_rng(suite, seed, index), *params)
 
 
 def _sweep(
-    sample, suite: str, samples: int, seed: int, processes: int, params: tuple, *,
-    start=0, pool=None,
+    sample, suite: str, samples: int, seed: int, processes: int, params: tuple
 ) -> list:
-    """[sample(rng_i, *params) for i in range(start, start + samples)], rng_i
-    drawn from (suite, seed, i).
-
-    The indices are split into max(1, processes) contiguous ranges that run
-    in index order, so no process count changes the result.  pool, if
-    given, runs them instead of a pool of this call's own.
-    """
+    """[_sample_at(sample, suite, seed, params, i) for i in range(samples)],
+    in contiguous chunks of ceil(samples / processes) indices."""
     if samples < 0:
         raise ValueError("negative sample count")
-    parts = max(1, processes)
-    ends = [start + samples * k // parts for k in range(parts + 1)]
-    args = [(sample, suite, seed, lo, hi, params) for lo, hi in zip(ends, ends[1:])]
-    return [r for chunk in run_chunks(_run_range, args, processes, pool) for r in chunk]
+    at = partial(_sample_at, sample, suite, seed, params)
+    chunk = -(-samples // max(1, processes))
+    with ordered_map(at, range(samples), processes, chunk) as outcomes:
+        return list(outcomes)
 
 
 def _tally(keys: tuple[str, ...], outcomes: list[tuple[str, ...]]) -> dict:
@@ -138,24 +131,17 @@ def _boundary_sample(rng: random.Random, max_degree: int, bound: int) -> tuple[s
 def boundary_sweep(
     passes: int, *, seed: int = 0, processes: int = 1, max_degree: int = 4, bound: int = 50
 ) -> dict:
-    """Boundary samples 0, 1, 2, ... until passes of them pass or 50 * passes
-    are drawn; returns the tallies of the drawn samples.
-
-    Each round draws as many new indices as passes are still missing, so the
-    draws end at the last pass (or the cap) whatever the process count.  All
-    rounds share one pool, started only when more than one CPU would work.
+    """Tallies of boundary samples 0, 1, 2, ... up to the passes-th pass, or
+    to 50 * passes samples.  The stream is read in index order, so the draws
+    end there at any process count; what a pool computed past it is dropped.
     """
-    params = (max_degree, bound)
-    cap, missing, outcomes = 50 * passes, passes, []
-    workers = min(processes, os.cpu_count() or 1)
-    with Pool(workers) if workers > 1 and passes > 0 else nullcontext() as pool:
-        while missing > 0 and len(outcomes) < cap:
-            start = len(outcomes)
-            count = min(missing, cap - start)
-            drawn = _sweep(
-                _boundary_sample, "boundary", count, seed, processes, params,
-                start=start, pool=pool,
-            )
-            missing -= sum("passes" in outcome for outcome in drawn)
-            outcomes += drawn
+    at = partial(_sample_at, _boundary_sample, "boundary", seed, (max_degree, bound))
+    chunk = -(-passes // max(1, processes))
+    outcomes, passed = [], 0
+    with ordered_map(at, range(50 * passes), processes, chunk) as stream:
+        for outcome in stream:
+            outcomes.append(outcome)
+            passed += "passes" in outcome
+            if passed == passes:
+                break
     return _tally(("samples", "passes", "not_ample", "violations"), outcomes)

@@ -22,7 +22,7 @@ from .certifier import build_report, checklist_holds
 from .lattice import ConfigError, InternalError, SurfaceConfig
 from .positivity import WeightedBoundary
 from .quadext import QuadExt, compare_cross
-from .sampling import run_chunks
+from .sampling import ordered_map
 
 
 def proportional_weights(cfg: SurfaceConfig) -> WeightedBoundary:
@@ -118,8 +118,8 @@ def search_weights(
         raise ConfigError("empty component list")
 
     tasks = [(cfg, bound, first) for first in range(1, bound + 1)]
-    chunks = run_chunks(_search_chunk, tasks, processes)
-    hits: list[SearchHit] = [h for chunk in chunks for h in chunk]
+    with ordered_map(_search_chunk, tasks, processes, 1) as chunks:
+        hits: list[SearchHit] = [h for chunk in chunks for h in chunk]
     best: SearchHit | None = None
     for hit in hits:
         if best is None or _better(hit, best, objective):

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -250,6 +251,14 @@ def test_boundary_sweep_starts_at_most_one_pool(monkeypatch):
     assert started == [2]
 
 
+def test_boundary_sweep_leaves_no_child_process(monkeypatch):
+    monkeypatch.setattr(sampling.os, "cpu_count", lambda: 2)
+    record = sampling.boundary_sweep(200, processes=2, seed=5, max_degree=6, bound=300)
+    # the stream stops at the 200th pass, long before the 10000-sample cap
+    assert record["passes"] == 200 and record["samples"] < 10000
+    assert multiprocessing.active_children() == []
+
+
 @pytest.mark.parametrize("seed", [11, 2024, 77])
 def test_stress_boundary_samples_replay_by_index(capsys, seed):
     code, out, _ = run(
@@ -390,6 +399,36 @@ def test_stress_negative_samples_exits_3(capsys, suite):
     assert code == 3
     assert "must not be negative" in err
     assert out == ""
+
+
+@pytest.mark.parametrize(
+    "where, value",
+    [
+        (("no_three_meet",), "false"),
+        (("allow_single_component",), 0),
+        (("padded",), None),
+        (("hyperplane",), "yes"),
+        (("components", 0, "paired"), 1),
+        (("components", 0, "degree"), 1.7),
+        (("components", 0, "degree"), True),
+        (("components", 0, "pairing_degree"), "1"),
+        (("points", 0, "on", 0), 0.0),
+    ],
+)
+def test_config_mistyped_field_exits_3(capsys, tmp_path, where, value):
+    # flags must be JSON booleans and degrees JSON integers
+    doc = load_builtin("four-lines").to_json_dict()
+    *path, key = where
+    parent = doc
+    for step in path:
+        parent = parent[step]
+    parent[key] = value
+    config = tmp_path / "mistyped.json"
+    config.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "certify", "--config", str(config))
+    assert code == 3
+    assert err.startswith("input error") and f"not {value!r}" in err
+    assert "overall" not in out
 
 
 def test_config_missing_degree_exits_3(capsys, tmp_path):

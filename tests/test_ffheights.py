@@ -1,6 +1,7 @@
 """Places, heights, counting functions, the subspace inequality, the probe."""
 
 import itertools
+import multiprocessing
 import os
 import random
 import subprocess
@@ -512,7 +513,7 @@ def _draw(rng, *params):
     return rng.randrange(10**9), params
 
 
-def test_split(monkeypatch):
+def test_split(request):
     # sample i draws from (suite, seed, i) alone, whatever the process count
     want = [(random.Random(f"t:3:{i}").randrange(10**9), ("p",)) for i in range(10)]
     for processes in (1, 2, 4, 8):
@@ -520,22 +521,36 @@ def test_split(monkeypatch):
     assert _sweep(_draw, "t", 0, 3, 2, ()) == []
     with pytest.raises(ValueError):
         _sweep(_draw, "t", -1, 0, 2, ())
-    # one contiguous index range per process asked for, in index order
-    ranges = []
-
-    def record(worker, args, processes, pool=None):
-        ranges.append([a[3:5] for a in args])
-        return [[] for _ in args]
-
-    monkeypatch.setattr(sampling, "run_chunks", record)
-    _sweep(_draw, "t", 10, 3, 4, ())
+    # one contiguous chunk per process asked for, in index order, on a pool
+    # of at most one process per sample and per CPU
+    pool = request.getfixturevalue("stand_in_pool")
+    assert _sweep(_draw, "t", 10, 3, 4, ("p",)) == want
     _sweep(_draw, "t", 3, 3, 4, ())
     _sweep(_draw, "t", 7, 3, 0, ())
-    assert ranges == [
-        [(0, 2), (2, 5), (5, 7), (7, 10)],
-        [(0, 0), (0, 1), (1, 2), (2, 3)],
-        [(0, 7)],
+    _sweep(_draw, "t", 10, 3, 8, ())
+    assert pool.sizes == [4, 3, 4]
+    assert pool.tasks == [
+        [[0, 1, 2], [3, 4, 5], [6, 7, 8], [9]],
+        [[0], [1], [2]],
+        [[0, 1], [2, 3], [4, 5], [6, 7], [8, 9]],
     ]
+
+
+def _fail_at(rng, failing):
+    # raises at the sample whose first draw is failing
+    value = rng.randrange(10**9)
+    if value == failing:
+        raise ArithmeticError(f"sample drew {value}")
+    return value
+
+
+def test_a_failing_sample_raises_alike_at_any_process_count(monkeypatch):
+    monkeypatch.setattr(sampling.os, "cpu_count", lambda: 2)
+    failing = random.Random("t:3:7").randrange(10**9)
+    for processes in (1, 2):
+        with pytest.raises(ArithmeticError, match=f"^sample drew {failing}$"):
+            _sweep(_fail_at, "t", 10, 3, processes, (failing,))
+    assert multiprocessing.active_children() == []
 
 
 # -- subspace inequality ------------------------------------------------------------

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from orbicert.catalog import load_builtin
+from orbicert.catalog import builtin_names, load_builtin
 from orbicert.certifier import build_report, certify
 from orbicert.lattice import (
     BlownPoint,
@@ -234,6 +234,19 @@ def test_class_str():
     d = DivisorClass.make(four_lines(), 15, [4, -2, 0, 7])
     text = str(d)
     assert text == "15H - 4E1 + 2E2"
+
+
+def test_config_flags_are_booleans_and_degrees_integers():
+    doc = load_builtin("four-lines").to_json_dict()
+    # bool("false") would certify no_three_meet, int(1.7) would read degree 1
+    with pytest.raises(ConfigError, match="^no_three_meet must be bool, not 'false'$"):
+        SurfaceConfig.from_json_dict({**doc, "no_three_meet": "false"})
+    comps = [{**doc["components"][0], "degree": 1.7}, *doc["components"][1:]]
+    with pytest.raises(ConfigError, match=r"^degree must be int, not 1\.7$"):
+        SurfaceConfig.from_json_dict({**doc, "components": comps})
+    for name in builtin_names():
+        cfg = load_builtin(name)
+        assert SurfaceConfig.from_json_dict(cfg.to_json_dict()) == cfg
 
 
 def test_missing_keys_are_config_errors():

@@ -47,6 +47,13 @@ def test_weighted_boundary_make_rejects_nonpositive(raw):
         WeightedBoundary.make([3, raw])
 
 
+def test_weighted_boundary_make_rejects_floats():
+    # Fraction(0.1) is the binary expansion 3602879701896397/2**55, not 1/10
+    for raw in (0.1, 2.0):
+        with pytest.raises(ConfigError, match=rf"^weight {raw} is a float"):
+            WeightedBoundary.make([3, raw])
+
+
 def test_weighted_boundary_make_keeps_an_int():
     big = 10**40 + 1
     assert WeightedBoundary.make([big]).weights[0] is big

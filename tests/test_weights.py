@@ -12,10 +12,10 @@ from orbicert.lattice import ConfigError, InternalError, SurfaceConfig
 from orbicert.positivity import WeightedBoundary
 from orbicert.quadext import compare_cross
 from orbicert.sampling import (
+    ordered_map,
     random_config,
     random_passing_candidate,
     random_weights,
-    run_chunks,
 )
 from orbicert.weights import proportional_weights, search_weights
 
@@ -143,33 +143,29 @@ def test_search_hit_without_slack_is_internal_error(monkeypatch):
         search_weights(FOUR_LINES, 2)
 
 
-def test_run_chunks_bounds_the_pool(monkeypatch):
-    # a stand-in Pool records its size and maps in this process
-    sizes = []
+def _mapped(items, processes, chunk=1):
+    with ordered_map((2).__mul__, items, processes, chunk) as results:
+        return list(results)
 
-    class StandInPool:
-        def __init__(self, processes):
-            sizes.append(processes)
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, worker, args):
-            return [worker(a) for a in args]
-
-    monkeypatch.setattr(sampling, "Pool", StandInPool)
-    monkeypatch.setattr(sampling.os, "cpu_count", lambda: 4)
-    double = (2).__mul__
-    assert run_chunks(double, [1, 2, 3], 64) == [2, 4, 6]
-    assert run_chunks(double, list(range(10)), 64) == [2 * a for a in range(10)]
-    assert run_chunks(double, list(range(10)), 3) == [2 * a for a in range(10)]
-    assert sizes == [3, 4, 3]
-    # one argument, one process or an unknown CPU count: no pool at all
-    assert run_chunks(double, [5], 64) == [10]
-    assert run_chunks(double, [1, 2], 1) == [2, 4]
+def test_ordered_map_bounds_the_pool(stand_in_pool, monkeypatch):
+    # at most one process per item and per CPU, chunk items per task
+    assert _mapped([1, 2, 3], 64) == [2, 4, 6]
+    assert _mapped(list(range(10)), 64) == [2 * a for a in range(10)]
+    assert _mapped(list(range(10)), 3, chunk=4) == [2 * a for a in range(10)]
+    assert stand_in_pool.sizes == [3, 4, 3]
+    assert stand_in_pool.tasks[2] == [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9]]
+    # one item, one process or an unknown CPU count: no pool at all
+    assert _mapped([5], 64) == [10]
+    assert _mapped([1, 2], 1) == [2, 4]
     monkeypatch.setattr(sampling.os, "cpu_count", lambda: None)
-    assert run_chunks(double, [1, 2], 64) == [2, 4]
-    assert sizes == [3, 4, 3]
+    assert _mapped([1, 2], 64) == [2, 4]
+    assert stand_in_pool.sizes == [3, 4, 3]
+
+
+def test_search_maps_one_first_weight_per_task(stand_in_pool):
+    one = search_weights(FOUR_LINES, 4, processes=1)
+    assert stand_in_pool.sizes == []
+    assert search_weights(FOUR_LINES, 4, processes=2) == one
+    assert stand_in_pool.sizes == [2]
+    assert stand_in_pool.tasks == [[[(FOUR_LINES, 4, first)] for first in range(1, 5)]]
