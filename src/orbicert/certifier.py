@@ -32,7 +32,8 @@ from math import floor
 from typing import Mapping, Sequence
 
 from . import __version__ as _tool_version
-from .lattice import Coeff, ConfigError, InternalError, SurfaceConfig, malformed
+from .lattice import Coeff, ConfigError, InternalError, SurfaceConfig
+from .lattice import _typed, load_json, malformed
 from .lattice import intersect  # noqa: F401  importable from here; bench/test_bench.py relies on it
 from .positivity import (
     Multiplicity,
@@ -339,9 +340,13 @@ def encode_number(value, tag: str | None = None) -> dict:
 
 
 def decode_number(doc: Mapping):
-    if doc["kind"] == "quadratic":
-        return QuadExt(Fraction(doc["a"]), Fraction(doc["b"]), int(doc["delta"]))
-    return Fraction(doc["value"])
+    kind = _typed(doc["kind"], str, "number kind")
+    if kind == "quadratic":
+        a, b = (Fraction(_typed(doc[k], str, k)) for k in "ab")
+        return QuadExt(a, b, _typed(doc["delta"], int, "delta"))
+    if kind != "rational":
+        raise ConfigError(f"unknown number kind {kind!r}")
+    return Fraction(_typed(doc["value"], str, "value"))
 
 
 def encode_multiplicity(m: Multiplicity):
@@ -349,11 +354,13 @@ def encode_multiplicity(m: Multiplicity):
 
 
 def decode_multiplicity(raw) -> Multiplicity:
+    """An int, a string of ASCII digits (the command line's spelling) or inf."""
     if raw in ("inf", "Inf", "INF", None):
         return float("inf")
-    m = int(raw)
-    check_multiplicity(m)
-    return m
+    if isinstance(raw, str) and raw.isascii() and raw.isdigit():
+        raw = int(raw)
+    check_multiplicity(_typed(raw, int, "multiplicity"))
+    return raw
 
 
 # -- certificate ---------------------------------------------------------------
@@ -420,44 +427,42 @@ class Certificate:
 
     @staticmethod
     def from_json(text: str) -> "Certificate":
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"malformed certificate JSON: {exc}") from exc
-        return Certificate.from_json_dict(doc)
+        return Certificate.from_json_dict(load_json(text, "certificate"))
 
     @staticmethod
+    @malformed("certificate")
     def from_json_dict(doc: Mapping) -> "Certificate":
-        with malformed("certificate"):
-            return Certificate._from_doc(doc)
-
-    @staticmethod
-    def _from_doc(doc: Mapping) -> "Certificate":
-        if doc.get("version") != CERTIFICATE_FORMAT_VERSION:
-            raise ConfigError(f"unsupported certificate version {doc.get('version')}")
+        if _typed(doc.get("version"), int, "version") != CERTIFICATE_FORMAT_VERSION:
+            raise ConfigError(f"unsupported certificate version {doc['version']}")
         components = tuple(
             ComponentCheck(
-                index=int(c["index"]),
-                degree=int(c["degree"]),
+                index=_typed(c["index"], int, "index"),
+                degree=_typed(c["degree"], int, "degree"),
                 weight=Fraction(decode_number(c["weight"])),
                 self_square=Fraction(decode_number(c["self_square"])),
                 dp_pairing=Fraction(decode_number(c["boundary_pairing"])),
                 truncation_root=QuadExt.of(decode_number(c["truncation_root"])),
-                inequality_holds=bool(c["filtration_inequality"]),
+                inequality_holds=_typed(
+                    c["filtration_inequality"], bool, "filtration_inequality"
+                ),
                 volume_ratio=QuadExt.of(decode_number(c["volume_ratio_lower"])),
-                exceeds_weight=bool(c["exceeds_weight"]),
+                exceeds_weight=_typed(c["exceeds_weight"], bool, "exceeds_weight"),
             )
             for c in doc["components"]
         )
         return Certificate(
-            config_echo=dict(doc["config"]),
+            config_echo=_typed(doc["config"], dict, "config"),
             weights=tuple(Fraction(decode_number(w)) for w in doc["weights"]),
             multiplicities=tuple(
                 decode_multiplicity(m) for m in doc["multiplicities"]
             ),
             dp_square=Fraction(decode_number(doc["boundary_square"])),
             hypotheses=tuple(
-                Hypothesis(h["name"], h["status"], h.get("detail", ""))
+                Hypothesis(
+                    _typed(h["name"], str, "hypothesis name"),
+                    _typed(h["status"], str, "hypothesis status"),
+                    _typed(h.get("detail", ""), str, "hypothesis detail"),
+                )
                 for h in doc["hypotheses"]
             ),
             components=components,
@@ -471,10 +476,10 @@ class Certificate:
                 if doc.get("slack_lower") is not None
                 else None
             ),
-            overall=str(doc["overall"]),
-            first_failure=doc.get("first_failure"),
-            constants=doc.get("constants"),
-            orbifold=doc.get("orbifold"),
+            overall=_typed(doc["overall"], str, "overall"),
+            first_failure=_typed(doc.get("first_failure"), str, "first_failure", null=True),
+            constants=_typed(doc.get("constants"), dict, "constants", null=True),
+            orbifold=_typed(doc.get("orbifold"), dict, "orbifold", null=True),
             formulas=tuple((k, v) for k, v in doc.get("formulas", [])),
         )
 

@@ -49,10 +49,17 @@ def _load_config(args) -> SurfaceConfig:
     return cfg
 
 
+def _entries(raw: str, flag: str) -> list[str]:
+    parts = [p.strip() for p in raw.split(",")]
+    if "" in parts:
+        raise ConfigError(f"{flag} {raw!r} has an empty entry")
+    return parts
+
+
 def _resolve_weights(args, cfg: SurfaceConfig) -> WeightedBoundary:
     raw = getattr(args, "weights", None)
-    if raw:
-        return WeightedBoundary.make([p.strip() for p in raw.split(",") if p.strip()])
+    if raw is not None:
+        return WeightedBoundary.make(_entries(raw, "--weights"))
     if cfg.default_weights is not None:
         return WeightedBoundary.make(cfg.default_weights)
     return proportional_weights(cfg)
@@ -60,9 +67,8 @@ def _resolve_weights(args, cfg: SurfaceConfig) -> WeightedBoundary:
 
 def _resolve_multiplicities(args, cfg: SurfaceConfig):
     raw = getattr(args, "multiplicities", None)
-    if raw:
-        parts = [p.strip() for p in raw.split(",") if p.strip()]
-        return tuple(decode_multiplicity(p) for p in parts)
+    if raw is not None:
+        return tuple(decode_multiplicity(m) for m in _entries(raw, "--multiplicities"))
     if cfg.default_multiplicities is not None:
         return tuple(decode_multiplicity(m) for m in cfg.default_multiplicities)
     return None

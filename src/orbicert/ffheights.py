@@ -17,13 +17,14 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
 from . import polys
-from .lattice import ConfigError, InternalError, SurfaceConfig, malformed
+from .lattice import ConfigError, InternalError, SurfaceConfig, _typed, malformed
 from .polys import IntPoly
 from .positivity import WeightedBoundary
 from .sampling import _sweep, _tally
@@ -328,120 +329,78 @@ def _var_names(nvars: int) -> tuple[str, ...]:
 # -- form parser -----------------------------------------------------------------
 
 
-def _tokenize(text: str) -> list[str]:
+# a number, a name, an operator, or (last group) a bad character
+_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z]\d*)|([-+*^()])|(\S))")
+
+
+def _parse(text: str, names: Sequence[str]) -> dict[tuple[int, ...], int]:
+    """Read an integer polynomial in names into {exponents: coefficient}.
+
+    Recursive descent: runs of + and - before a term, then *, then ^ with
+    a decimal exponent, then parentheses.
+    """
     tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch in "+-*^()":
-            tokens.append(ch)
-            i += 1
-        elif ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            tokens.append(text[i:j])
-            i = j
-        elif ch.isalpha():
-            j = i + 1
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            tokens.append(text[i:j])
-            i = j
+    for match in _TOKEN.finditer(text):
+        if match[4]:
+            raise ConfigError(f"bad character {match[4]!r} in form")
+        tokens.append(match[match.lastindex])
+    tokens.reverse()  # tokens.pop() takes the next token
+    one = (0,) * len(names)
+    var = {name: one[:j] + (1,) + one[j + 1 :] for j, name in enumerate(names)}
+
+    def expr() -> dict:
+        total: dict = {}
+        while True:
+            sign = 1
+            while tokens and tokens[-1] in ("+", "-"):
+                sign = -sign if tokens.pop() == "-" else sign
+            for e, c in term().items():
+                total[e] = total.get(e, 0) + sign * c
+            if not tokens or tokens[-1] not in ("+", "-"):
+                return {e: c for e, c in total.items() if c}
+
+    def term() -> dict:
+        total = factor()
+        while tokens and tokens[-1] == "*":
+            tokens.pop()
+            total = _poly_mul(total, factor())
+        return total
+
+    def factor() -> dict:
+        tok = tokens.pop()
+        if tok == "(":
+            base = expr()
+            if tokens.pop() != ")":
+                raise ConfigError("unbalanced parentheses")
+        elif tok.isdigit():
+            base = {one: int(tok)}
+        elif tok in var:
+            base = {var[tok]: 1}
         else:
-            raise ConfigError(f"bad character {ch!r} in form")
-    return tokens
-
-
-class _Parser:
-    """Recursive descent over +, -, *, ^ and parentheses."""
-
-    def __init__(self, tokens: list[str], names: Sequence[str]):
-        self.tokens = tokens
-        self.pos = 0
-        self.names = {name: j for j, name in enumerate(names)}
-        self.nvars = len(names)
-
-    def peek(self) -> str | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def take(self) -> str:
-        tok = self.peek()
-        if tok is None:
-            raise ConfigError("unexpected end of form")
-        self.pos += 1
-        return tok
-
-    def parse(self) -> dict[tuple[int, ...], int]:
-        try:
-            out = self.expr()
-        except RecursionError:
-            raise ConfigError("form nested too deeply") from None
-        if self.peek() is not None:
-            raise ConfigError(f"trailing token {self.peek()!r}")
+            raise ConfigError(f"unknown token {tok!r}")
+        if not tokens or tokens[-1] != "^":
+            return base
+        tokens.pop()
+        tok = tokens.pop()
+        if not tok.isdigit():
+            raise ConfigError(f"bad exponent {tok!r}")
+        # by squaring: X^99999999 costs 27 squarings, not 10^8 products
+        out = {one: 1}
+        for bit in bin(int(tok))[2:]:
+            out = _poly_mul(out, out)
+            if bit == "1":
+                out = _poly_mul(out, base)
         return out
 
-    def expr(self) -> dict:
-        sign = 1
-        while self.peek() in ("+", "-"):
-            if self.take() == "-":
-                sign = -sign
-        total = _poly_scale(self.term(), sign)
-        while self.peek() in ("+", "-"):
-            sign = 1
-            while self.peek() in ("+", "-"):
-                if self.take() == "-":
-                    sign = -sign
-            total = _poly_add(total, _poly_scale(self.term(), sign))
-        return total
-
-    def term(self) -> dict:
-        total = self.factor()
-        while self.peek() == "*":
-            self.take()
-            total = _poly_mul(total, self.factor())
-        return total
-
-    def factor(self) -> dict:
-        base = self.atom()
-        if self.peek() == "^":
-            self.take()
-            tok = self.take()
-            if not tok.isdigit():
-                raise ConfigError(f"bad exponent {tok!r}")
-            out = {(0,) * self.nvars: 1}
-            for _ in range(int(tok)):
-                out = _poly_mul(out, base)
-            return out
-        return base
-
-    def atom(self) -> dict:
-        tok = self.take()
-        if tok == "(":
-            inner = self.expr()
-            if self.take() != ")":
-                raise ConfigError("unbalanced parentheses")
-            return inner
-        if tok.isdigit():
-            return {(0,) * self.nvars: int(tok)}
-        if tok in self.names:
-            exps = [0] * self.nvars
-            exps[self.names[tok]] = 1
-            return {tuple(exps): 1}
-        raise ConfigError(f"unknown token {tok!r}")
-
-
-def _poly_add(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for e, c in b.items():
-        out[e] = out.get(e, 0) + c
-    return {e: c for e, c in out.items() if c}
-
-
-def _poly_scale(a: dict, k: int) -> dict:
-    return {e: c * k for e, c in a.items() if c * k}
+    try:
+        out = expr()
+    except IndexError:  # tokens.pop() past the last token
+        raise ConfigError("unexpected end of form") from None
+    except RecursionError:
+        raise ConfigError("form nested too deeply") from None
+    if tokens:
+        raise ConfigError(f"trailing token {tokens[-1]!r}")
+    return out
 
 
 def _poly_mul(a: dict, b: dict) -> dict:
@@ -455,14 +414,12 @@ def _poly_mul(a: dict, b: dict) -> dict:
 
 def parse_form(text: str, nvars: int = 3) -> HForm:
     """Parse a homogeneous integer form in X, Y, Z, W (or X0, X1, ...)."""
-    names = _var_names(nvars)
-    table = _Parser(_tokenize(text), names).parse()
-    return HForm.make(nvars, table)
+    return HForm.make(nvars, _parse(text, _var_names(nvars)))
 
 
 def parse_poly(text: str) -> IntPoly:
     """Parse a univariate integer polynomial in t."""
-    table = _Parser(_tokenize(text), ("t",)).parse()
+    table = _parse(text, ("t",))
     out = [0] * (1 + max((e[0] for e in table), default=0))
     for (e,), c in table.items():
         out[e] = c
@@ -736,20 +693,21 @@ def _normalize_point(coords: Sequence[int]) -> tuple[int, ...]:
     return tuple(-c for c in out) if lead < 0 else out
 
 
+@malformed("realization")
 def realization_from_config(cfg: SurfaceConfig) -> PlaneRealization:
     doc = cfg.metadata.get("realization")
     if not doc:
         raise ConfigError("configuration carries no plane realization")
     r = len(cfg.components)
-    with malformed("realization"):
-        boundary = [parse_form(text) for text in doc["forms"]]
-        pairing: list[HForm | None] = [None] * r
-        for key, text in doc.get("pairings", {}).items():
-            index = int(key)
-            if not 0 <= index < r:
-                raise ConfigError(f"pairing key {key!r} is not a component index")
-            pairing[index] = parse_form(text)
-        points = {k: tuple(int(c) for c in v) for k, v in doc.get("points", {}).items()}
+    boundary = [parse_form(_typed(text, str, "form")) for text in doc["forms"]]
+    pairing: list[HForm | None] = [None] * r
+    slots = {str(i): i for i in range(r)}
+    for key, text in doc.get("pairings", {}).items():
+        if key not in slots:
+            raise ConfigError(f"pairing key {key!r} is not a component index")
+        pairing[slots[key]] = parse_form(_typed(text, str, "form"))
+    coords = doc.get("points", {}).items()
+    points = {k: tuple(_typed(c, int, "point coordinate") for c in v) for k, v in coords}
     real = PlaneRealization.make(boundary, pairing, points)
     real.validate_against(cfg)
     return real

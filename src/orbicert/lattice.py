@@ -42,17 +42,31 @@ def malformed(what: str):
     """Report a missing key or a mistyped field of a document as a ConfigError."""
     try:
         yield
+    except ConfigError:
+        raise
     except KeyError as exc:
         raise ConfigError(f"{what} is missing key {exc}") from exc
-    except (TypeError, AttributeError) as exc:
+    except (TypeError, AttributeError, ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"malformed {what}: {exc}") from exc
 
 
-def _typed(value, kind: type, what: str):
+def _typed(value, kind: type, what: str, null: bool = False):
     # bool() would read "false" as true, and int() would read 1.7 as 1
-    if type(value) is not kind:
-        raise ConfigError(f"{what} must be {kind.__name__}, not {value!r}")
+    if type(value) is not kind and not (null and value is None):
+        also = " or null" if null else ""
+        raise ConfigError(f"{what} must be {kind.__name__}{also}, not {value!r}")
     return value
+
+
+def load_json(text: str, what: str) -> dict:
+    """Parse a document that must be a JSON object."""
+    try:
+        doc = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise ConfigError(f"malformed {what} JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{what} JSON must be an object")
+    return doc
 
 
 @dataclass(frozen=True)
@@ -143,7 +157,8 @@ class BlownPoint:
     @staticmethod
     def make(ident: str, on: Iterable[int]) -> "BlownPoint":
         return BlownPoint(
-            str(ident), frozenset(_typed(i, int, f"point {ident!r} component") for i in on)
+            _typed(ident, str, "point id"),
+            frozenset(_typed(i, int, f"point {ident!r} component") for i in on),
         )
 
 
@@ -310,13 +325,9 @@ class SurfaceConfig:
         return doc
 
     @staticmethod
+    @malformed("config")
     def from_json_dict(doc: Mapping) -> "SurfaceConfig":
-        with malformed("config"):
-            return SurfaceConfig._from_doc(doc)
-
-    @staticmethod
-    def _from_doc(doc: Mapping) -> "SurfaceConfig":
-        version = doc.get("version", CONFIG_FORMAT_VERSION)
+        version = _typed(doc.get("version", CONFIG_FORMAT_VERSION), int, "version")
         if version != CONFIG_FORMAT_VERSION:
             raise ConfigError(f"unsupported config version {version}")
         comps = []
@@ -331,7 +342,7 @@ class SurfaceConfig:
                         if paired and "pairing_degree" in raw
                         else None
                     ),
-                    role=str(raw.get("role", "boundary")),
+                    role=_typed(raw.get("role", "boundary"), str, "role"),
                 )
             )
         if _typed(doc.get("hyperplane", False), bool, "hyperplane"):
@@ -354,25 +365,19 @@ class SurfaceConfig:
                 doc.get("allow_single_component", False), bool, "allow_single_component"
             ),
             padded=padded,
-            name=str(doc.get("name", "")),
+            name=_typed(doc.get("name", ""), str, "name"),
             default_weights=(
                 tuple(str(w) for w in weights) if weights is not None else None
             ),
             default_multiplicities=(
                 tuple(str(m) for m in mults) if mults is not None else None
             ),
-            metadata=dict(doc.get("metadata", {})),
+            metadata=_typed(doc.get("metadata", {}), dict, "metadata"),
         )
 
     @staticmethod
     def from_json(text: str) -> "SurfaceConfig":
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"malformed config JSON: {exc}") from exc
-        if not isinstance(doc, dict):
-            raise ConfigError("config JSON must be an object")
-        return SurfaceConfig.from_json_dict(doc)
+        return SurfaceConfig.from_json_dict(load_json(text, "config"))
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)

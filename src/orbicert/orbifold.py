@@ -14,6 +14,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .lattice import ConfigError, SurfaceConfig, strict_transform
+from .lattice import _typed, load_json, malformed
 from .positivity import (
     INF,
     Multiplicity,
@@ -78,9 +79,10 @@ class ProfilePoint:
             if j in seen:
                 raise ConfigError(f"point {ident} lists component {j} twice")
             seen.add(j)
-            if not (isinstance(j, int) and j >= 0):
+            # type(), not isinstance(): True is no component index or order
+            if not (type(j) is int and j >= 0):
                 raise ConfigError(f"bad component index {j!r}")
-            if not (isinstance(t, int) and t >= 1):
+            if not (type(t) is int and t >= 1):
                 raise ConfigError(f"bad contact order {t!r} at point {ident}")
         return ProfilePoint(ident=ident, contacts=tuple(pairs))
 
@@ -125,13 +127,14 @@ class PullbackProfile:
         }
 
     @staticmethod
+    @malformed("profile")
     def from_json_dict(doc: Mapping) -> "PullbackProfile":
         return PullbackProfile.make(
             [
-                (p["ident"], [(int(j), int(t)) for j, t in p["contacts"]])
+                (_typed(p["ident"], str, "point ident"), [(j, t) for j, t in p["contacts"]])
                 for p in doc["points"]
             ],
-            int(doc["components"]),
+            _typed(doc["components"], int, "components"),
         )
 
     def to_json(self) -> str:
@@ -139,7 +142,7 @@ class PullbackProfile:
 
     @staticmethod
     def from_json(text: str) -> "PullbackProfile":
-        return PullbackProfile.from_json_dict(json.loads(text))
+        return PullbackProfile.from_json_dict(load_json(text, "profile"))
 
 
 def induced_multiplicities(

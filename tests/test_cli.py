@@ -17,6 +17,7 @@ from orbicert.catalog import load_builtin
 from orbicert.certifier import Certificate
 from orbicert.cli import build_parser, main
 from orbicert.sampling import _boundary_sample, _sample_rng, _tally
+from test_internal_checks import time_limit
 
 
 def run(capsys, *argv):
@@ -116,10 +117,18 @@ def test_certify_input_errors(capsys):
         ["stress", "--suite", "subspace", "--samples", "5", "--batches", "1"],
         ["constants", "--eps", "1/176", "--cap", "0"],
         ["certify", "--multiplicities", "2000000,2000000,2000000,2000000", "--cap", "-3"],
+        # dropping an empty entry used to certify 4,4,4,3
+        ["certify", "--builtin", "four-lines", "--weights", "4,,4,4,3"],
+        ["certify", "--weights", "4,4,4,3,"],
+        ["certify", "--weights", ""],
+        ["certify", "--multiplicities", "7,7, ,7,7", "--skip-constants"],
+        ["stress", "--suite", "probe", "--samples", "4", "--weights", ",4,4,4,3"],
     ],
     ids=["missing-value", "unknown-option", "bad-int", "bad-choice",
          "search-threads", "boundary-threads", "product-threads",
-         "boundary-batches", "subspace-batches", "constants-cap", "certify-cap"],
+         "boundary-batches", "subspace-batches", "constants-cap", "certify-cap",
+         "weights-inner-empty", "weights-trailing-comma", "weights-empty",
+         "multiplicities-blank", "probe-weights-leading-comma"],
 )
 def test_malformed_command_line_exits_3(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -379,15 +388,27 @@ def _realization_doc(**changes) -> dict:
         _realization_doc(pairings={"0": "Y - Z", "1": "X - Z", "7": "X - Y"}),
         _realization_doc(forms=None),
         _realization_doc(points=[[0, 1, 1], [1, 0, 1], [1, 1, 0]]),
+        # int(0.4) used to read the point as (0, 1, 1), which is valid
+        _realization_doc(points={"P1.1": [0.4, 1, 1], "P2.1": [1, 0, 1], "P3.1": [1, 1, 0]}),
+        # a power used to cost one product per unit of its exponent
+        _realization_doc(forms=["X^99999999", "Y", "Z", "X + Y + Z"]),
+        # int("00") used to read component 0
+        _realization_doc(pairings={"00": "Y - Z", "1": "X - Z", "2": "X - Y"}),
     ],
-    ids=["deep-parentheses", "pairing-key-7", "missing-forms", "points-as-list"],
+    ids=[
+        "deep-parentheses", "pairing-key-7", "missing-forms", "points-as-list",
+        "float-coordinate", "huge-exponent", "pairing-key-00",
+    ],
 )
 def test_stress_probe_malformed_realization_exits_3(capsys, tmp_path, doc):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(doc))
-    code, out, err = run(
-        capsys, "stress", "--suite", "probe", "--samples", "4", "--config", str(path)
-    )
+    with time_limit(1):
+        code, out, err = run(
+            capsys, "stress", "--suite", "probe", "--samples", "4", "--config", str(path)
+        )
+    # the CLI reports time_limit's TimeoutError, an OSError, as an input error
+    assert "still running" not in err
     assert code == 3
     assert err.startswith("input error") and "Traceback" not in err
     assert out == ""
@@ -413,6 +434,12 @@ def test_stress_negative_samples_exits_3(capsys, suite):
         (("components", 0, "degree"), True),
         (("components", 0, "pairing_degree"), "1"),
         (("points", 0, "on", 0), 0.0),
+        # str() used to read these as text and dict() to copy any mapping
+        (("name",), 7),
+        (("components", 0, "role"), 7),
+        (("points", 0, "id"), 7),
+        (("metadata",), [["realization", {}]]),
+        (("version",), True),
     ],
 )
 def test_config_mistyped_field_exits_3(capsys, tmp_path, where, value):

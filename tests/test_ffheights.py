@@ -1,9 +1,11 @@
 """Places, heights, counting functions, the subspace inequality, the probe."""
 
 import itertools
+import math
 import multiprocessing
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -12,7 +14,7 @@ from functools import partial
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import orbicert
@@ -27,6 +29,7 @@ from orbicert.ffheights import (
     RatMap,
     _certify_irreducible,
     _coord_min,
+    _parse,
     _subspace_report,
     _sweep,
     coordinates_nondegenerate,
@@ -428,6 +431,221 @@ def test_parse_poly_and_place():
     assert parse_poly("7") == (7,)
     assert parse_place("inf").is_infinite
     assert parse_place(" t - 1 ").poly == (-1, 1)
+
+
+# -- the hand-written tokenizer and parser class the form reader replaced ----------
+
+
+def _old_tokenize(text: str) -> list[str]:
+    tokens = []
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+        elif ch in "+-*^()":
+            tokens.append(ch)
+            i += 1
+        elif ch.isdigit():
+            j = i
+            while j < len(text) and text[j].isdigit():
+                j += 1
+            tokens.append(text[i:j])
+            i = j
+        elif ch.isalpha():
+            j = i + 1
+            while j < len(text) and text[j].isdigit():
+                j += 1
+            tokens.append(text[i:j])
+            i = j
+        else:
+            raise ConfigError(f"bad character {ch!r} in form")
+    return tokens
+
+
+def _poly_add(a, b):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def _poly_scale(a, k):
+    return {e: c * k for e, c in a.items() if c * k}
+
+
+def _poly_mul(a, b):
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            out[e] = out.get(e, 0) + ca * cb
+    return {e: c for e, c in out.items() if c}
+
+
+class _OldParser:
+    """Recursive descent over +, -, *, ^ and parentheses; ^e takes e products."""
+
+    def __init__(self, tokens, names):
+        self.tokens = tokens
+        self.pos = 0
+        self.names = {name: j for j, name in enumerate(names)}
+        self.nvars = len(names)
+
+    def peek(self):
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+
+    def take(self):
+        tok = self.peek()
+        if tok is None:
+            raise ConfigError("unexpected end of form")
+        self.pos += 1
+        return tok
+
+    def parse(self):
+        try:
+            out = self.expr()
+        except RecursionError:
+            raise ConfigError("form nested too deeply") from None
+        if self.peek() is not None:
+            raise ConfigError(f"trailing token {self.peek()!r}")
+        return out
+
+    def expr(self):
+        sign = 1
+        while self.peek() in ("+", "-"):
+            if self.take() == "-":
+                sign = -sign
+        total = _poly_scale(self.term(), sign)
+        while self.peek() in ("+", "-"):
+            sign = 1
+            while self.peek() in ("+", "-"):
+                if self.take() == "-":
+                    sign = -sign
+            total = _poly_add(total, _poly_scale(self.term(), sign))
+        return total
+
+    def term(self):
+        total = self.factor()
+        while self.peek() == "*":
+            self.take()
+            total = _poly_mul(total, self.factor())
+        return total
+
+    def factor(self):
+        base = self.atom()
+        if self.peek() == "^":
+            self.take()
+            tok = self.take()
+            if not tok.isdigit():
+                raise ConfigError(f"bad exponent {tok!r}")
+            out = {(0,) * self.nvars: 1}
+            for _ in range(int(tok)):
+                out = _poly_mul(out, base)
+            return out
+        return base
+
+    def atom(self):
+        tok = self.take()
+        if tok == "(":
+            inner = self.expr()
+            if self.take() != ")":
+                raise ConfigError("unbalanced parentheses")
+            return inner
+        if tok.isdigit():
+            return {(0,) * self.nvars: int(tok)}
+        if tok in self.names:
+            exps = [0] * self.nvars
+            exps[self.names[tok]] = 1
+            return {tuple(exps): 1}
+        raise ConfigError(f"unknown token {tok!r}")
+
+
+def _old_parse_form(text, nvars=3):
+    names = ("X", "Y", "Z", "W")[:nvars] if nvars <= 4 else [f"X{j}" for j in range(nvars)]
+    return HForm.make(nvars, _OldParser(_old_tokenize(text), names).parse())
+
+
+def _old_parse_poly(text):
+    table = _OldParser(_old_tokenize(text), ("t",)).parse()
+    out = [0] * (1 + max((e[0] for e in table), default=0))
+    for (e,), c in table.items():
+        out[e] = c
+    return polys.trim(out)
+
+
+def _outcome(parse, text, old):
+    """The parsed value, or "reject"; int('\u00b2') made the old side raise a
+    plain ValueError, which counts as a rejection too."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        if not old:
+            assert isinstance(exc, ConfigError), exc
+        return "reject"
+
+
+_ODD = ["\t", "\n", "\u00b2", "\u00e9", "@"]
+_EXPR = st.recursive(
+    st.sampled_from(["X", "Y", "Z", "t", "0", "1", "2", "17"]),
+    lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from(["+", "-", "*", " - -", "+-", "* "]), inner).map(
+            "".join
+        ),
+        st.tuples(inner, st.sampled_from("012")).map(lambda p: f"({p[0]})^{p[1]}"),
+        inner.map(lambda e: "-" + e),
+    ),
+    max_leaves=8,
+)
+_FORM_TEXT = st.one_of(
+    _EXPR,
+    st.lists(
+        st.sampled_from(
+            ["X", "Y", "Z", "W", "t", "X1", "X10", "0", "2", "12", *"+-*^() ", *_ODD]
+        ),
+        max_size=12,
+    ).map("".join),
+    st.text(st.sampled_from(["X", "Y", "Z", "t", *"0129+-*^() ", *_ODD]), max_size=16),
+)
+
+
+@settings(max_examples=3000, deadline=None, database=None, derandomize=True)
+@given(_FORM_TEXT)
+def test_form_reader_matches_the_old_parser(text):
+    # two-digit exponents and deep powers would take the old parser too long
+    assume(not re.search(r"\^\s*\d\d", text) and text.count("^") <= 4)
+    xyz = ("X", "Y", "Z")
+    for parse, old in [
+        (partial(_parse, names=xyz), lambda t: _OldParser(_old_tokenize(t), xyz).parse()),
+        (parse_form, _old_parse_form),
+        (partial(parse_form, nvars=11), partial(_old_parse_form, nvars=11)),
+        (parse_poly, _old_parse_poly),
+    ]:
+        assert _outcome(parse, text, False) == _outcome(old, text, True), text
+
+
+def test_form_reader_pins():
+    for text in ["(X+Y+Z)^9", "--X", "-(X - -Y)^3*Z", "X^0*Y", "0^0*X", "2*X - 2*X + Y"]:
+        assert parse_form(text) == _old_parse_form(text), text
+    for text, message in [
+        ("X é Y", "bad character 'é' in form"),
+        ("X + ", "unexpected end of form"),
+        ("(X + Y", "unexpected end of form"),
+        ("(X Y)", "unbalanced parentheses"),
+        ("X^Y", "bad exponent 'Y'"),
+        ("X + Q", "unknown token 'Q'"),
+        ("X Y", "trailing token 'Y'"),
+        ("(" * 5000 + "X" + ")" * 5000, "form nested too deeply"),
+    ]:
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            parse_form(text)
+
+
+def test_powers_by_squaring():
+    with time_limit(1):
+        assert parse_form("X^99999999").terms == (((99999999, 0, 0), 1),)
+        assert parse_poly("(t + 1)^1000")[500] == math.comb(1000, 500)
+    assert parse_form("(X+Y+Z)^40") == _old_parse_form("(X+Y+Z)^40")
 
 
 # -- heights and counting ---------------------------------------------------------
