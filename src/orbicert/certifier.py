@@ -39,6 +39,7 @@ from .positivity import (
     Multiplicity,
     Verdict,
     WeightedBoundary,
+    _is_inf,
     ample_sufficient,
     check_multiplicity,
     orbifold_canonical_big,
@@ -350,9 +351,10 @@ def decode_number(doc: Mapping):
 
 
 def encode_multiplicity(m: Multiplicity):
-    return "inf" if isinstance(m, float) else int(m)
+    return "inf" if _is_inf(m) else int(m)
 
 
+@malformed("multiplicity")
 def decode_multiplicity(raw) -> Multiplicity:
     """An int, a string of ASCII digits (the command line's spelling) or inf."""
     if raw in ("inf", "Inf", "INF", None):
@@ -594,7 +596,7 @@ def certify(
 
     constants_doc: dict | None = None
     orbifold_doc: dict | None = None
-    finite = any(not isinstance(m, float) for m in multiplicities)
+    finite = any(not _is_inf(m) for m in multiplicities)
     if include_constants and finite and overall == PASS:
         constants_doc, orbifold_doc = _conclusion_sections(
             cfg, wb, report, multiplicities, Fraction(twist_alpha), constants_cap
@@ -634,7 +636,7 @@ def _conclusion_sections(
             cfg, wb, report, report.slack_lower, cap=constants_cap
         )
         constants_doc = chain.to_json_dict()
-        finite = [m for m in multiplicities if not isinstance(m, float)]
+        finite = [m for m in multiplicities if not _is_inf(m)]
         threshold_met = all(m >= chain.m0 for m in finite)
         mult_doc = {
             "multiplicity_threshold": chain.m0,

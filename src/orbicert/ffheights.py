@@ -84,13 +84,14 @@ def _has_integer_root(b: int, c: int, d: int) -> bool:
 
 
 def _certify_irreducible(poly: IntPoly) -> bool:
-    """Irreducibility over Q.
+    """Irreducibility over Q of a polynomial of degree 1, 2 or 3.
 
     Degree 1 is irreducible.  Degree 2 is irreducible iff its discriminant
     is not a perfect square (an isqrt test).  Degree 3 is irreducible iff it
     has no rational root; a3^2 f(y / a3) is a monic integer cubic, whose
     rational roots are integers, found by bisection on its monotone pieces.
-    No integer is factored.  Degree 4 and up go to sympy.
+    No integer is factored, and no other degree is decided: places stop at
+    degree 3.
     """
     deg = polys.degree(poly)
     if deg == 1:
@@ -102,11 +103,7 @@ def _certify_irreducible(poly: IntPoly) -> bool:
     if deg == 3:
         a0, a1, a2, a3 = poly
         return not _has_integer_root(a2, a1 * a3, a0 * a3 * a3)
-    import sympy
-
-    t = sympy.Symbol("t")
-    expr = sum(c * t**i for i, c in enumerate(poly))
-    return sympy.Poly(expr, t, domain="QQ").is_irreducible
+    raise InternalError(f"irreducibility of degree {deg} is not decided")
 
 
 @dataclass(frozen=True)
@@ -117,11 +114,19 @@ class Place:
 
     @staticmethod
     def finite(coeffs: Iterable[int | Fraction]) -> "Place":
+        """The place of an irreducible polynomial of degree 1, 2 or 3;
+        ConfigError for any other polynomial, degree 4 and up included."""
         p = polys.clear_rationals(Fraction(c) for c in coeffs)
         if p and p[-1] < 0:
             p = polys.neg(p)
-        if polys.degree(p) < 1:
+        deg = polys.degree(p)
+        if deg < 1:
             raise ConfigError("a finite place needs positive degree")
+        if deg > 3:
+            raise ConfigError(
+                f"place {polys.to_string(p)} has degree {deg}; "
+                "places are limited to degree 3"
+            )
         if not _certify_irreducible(p):
             raise ConfigError(f"reducible place {polys.to_string(p)}")
         return Place(poly=p)
@@ -417,28 +422,7 @@ def parse_form(text: str, nvars: int = 3) -> HForm:
     return HForm.make(nvars, _parse(text, _var_names(nvars)))
 
 
-def parse_poly(text: str) -> IntPoly:
-    """Parse a univariate integer polynomial in t."""
-    table = _parse(text, ("t",))
-    out = [0] * (1 + max((e[0] for e in table), default=0))
-    for (e,), c in table.items():
-        out[e] = c
-    return polys.trim(out)
-
-
-def parse_place(text: str) -> Place:
-    stripped = text.strip()
-    if stripped in ("inf", "oo", "infinity"):
-        return Place.infinite()
-    return Place.finite(parse_poly(stripped))
-
-
 # -- heights and counting --------------------------------------------------------
-
-
-def height(x: RatMap) -> int:
-    """Height of a point with coprime coordinates: the maximal degree."""
-    return x.height
 
 
 def _coord_min(x: RatMap, place: Place) -> int:
@@ -449,14 +433,6 @@ def _coord_min(x: RatMap, place: Place) -> int:
 def _local_lambda(e: int, v: int, x: RatMap, place: Place) -> int:
     """v - e * min_j v(x_j), where v = v(F(x)) for a form F of degree e."""
     return v - e * _coord_min(x, place)
-
-
-def weil_hypersurface(form: HForm, x: RatMap, place: Place) -> int:
-    """Local Weil value v(F(x)) - deg(F) * min_j v(x_j); nonnegative."""
-    fx = form.evaluate(x)
-    if polys.is_zero(fx):
-        raise DegenerateError("the point lies on the hypersurface")
-    return _local_lambda(form.degree, place.valuation(fx), x, place)
 
 
 @dataclass(frozen=True)
@@ -901,10 +877,10 @@ def _subspace_sample(
         return ("degenerate",)
     out = ("samples",) if report.holds else ("samples", "violations")
     form = _random_form(rng, m + 1, rng.randint(1, 3), 9)
-    fx = form.evaluate(x)
-    if polys.is_zero(fx):
+    try:
+        counting = counting_functions(form, x, places, truncated=False)
+    except DegenerateError:
         return out + ("degenerate",)
-    counting = counting_functions(form, x, places, truncated=False)
     if counting.proximity + counting.counting != counting.total:
         return out + ("fmt_failures",)
     return out

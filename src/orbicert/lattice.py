@@ -285,9 +285,6 @@ class SurfaceConfig:
         """Blown points per component: degree^2 if paired, else none."""
         return tuple(c.degree**2 if c.paired else 0 for c in self.components)
 
-    def points_on(self, index: int) -> list[BlownPoint]:
-        return [p for p in self.points if index in p.on]
-
     # -- serialization ------------------------------------------------------
 
     def to_json_dict(self) -> dict:

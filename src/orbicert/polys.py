@@ -77,10 +77,6 @@ def neg(a: IntPoly) -> IntPoly:
     return tuple(-c for c in a)
 
 
-def sub(a: IntPoly, b: IntPoly) -> IntPoly:
-    return add(a, neg(b))
-
-
 def scale(a: IntPoly, k: int) -> IntPoly:
     if k == 0:
         return ZERO
@@ -124,13 +120,6 @@ def derivative(a: IntPoly) -> IntPoly:
 
 def eval_int(a: IntPoly, x: int) -> int:
     out = 0
-    for c in reversed(a):
-        out = out * x + c
-    return out
-
-
-def eval_fraction(a: IntPoly, x: Fraction) -> Fraction:
-    out = Fraction(0)
     for c in reversed(a):
         out = out * x + c
     return out

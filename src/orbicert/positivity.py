@@ -27,9 +27,6 @@ from .lattice import (
 Multiplicity = Union[int, float]  # float admits only math.inf
 INF = float("inf")
 
-CERTIFIED = "certified-ample"
-INCONCLUSIVE = "inconclusive"
-
 
 @dataclass(frozen=True)
 class Verdict:
@@ -37,10 +34,6 @@ class Verdict:
     reason: str = ""
     checks: tuple[tuple[str, bool], ...] = ()
     value: Fraction | None = None
-
-    @property
-    def label(self) -> str:
-        return CERTIFIED if self.certified else f"{INCONCLUSIVE}({self.reason})"
 
     def __bool__(self) -> bool:
         return self.certified
@@ -65,7 +58,10 @@ class WeightedBoundary:
                 continue
             if isinstance(w, float):
                 raise ConfigError(f"weight {w!r} is a float, not an exact number")
-            f = Fraction(w)
+            try:
+                f = Fraction(w)
+            except (TypeError, ValueError, ZeroDivisionError) as exc:
+                raise ConfigError(f"weight {w!r} is not a number: {exc}") from exc
             if f <= 0:
                 raise ConfigError(f"weight {w} must be positive")
             ws.append(int(f) if f.denominator == 1 else f)

@@ -79,13 +79,22 @@ def test_certificate_misreads_are_config_errors(path, value, message):
 
 
 def test_multiplicity_misreads_are_config_errors():
-    for raw in [1.7, True, False, 7.0, float("inf"), "1.5", "+7", "seven", [], {}]:
+    # int() reads at most 4300 digits
+    long = "1" * 5000
+    for raw in [1.7, True, False, 7.0, float("inf"), "1.5", "+7", "seven", [], {}, long]:
         with pytest.raises(ConfigError):
             decode_multiplicity(raw)
     assert decode_multiplicity(7) == 7
     assert decode_multiplicity("7") == 7
     for raw in ["inf", "Inf", "INF", None]:
         assert decode_multiplicity(raw) == float("inf")
+
+
+def test_weight_misreads_are_config_errors():
+    # Fraction("True") raises a plain ValueError, Fraction("1/0") a ZeroDivisionError
+    for raw in ["True", "four", "1/0", None, []]:
+        with pytest.raises(ConfigError, match=f"^weight {re.escape(repr(raw))} is not a number"):
+            WeightedBoundary.make([raw])
 
 
 def test_number_misreads_are_config_errors():

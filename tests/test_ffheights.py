@@ -37,8 +37,6 @@ from orbicert.ffheights import (
     gaussian_rank,
     height_bound_probe,
     parse_form,
-    parse_place,
-    parse_poly,
     probe_sweep,
     product_formula_sweep,
     random_hyperplanes,
@@ -47,7 +45,6 @@ from orbicert.ffheights import (
     realization_from_config,
     subspace_inequality,
     subspace_sweep,
-    weil_hypersurface,
 )
 from orbicert.lattice import ConfigError
 from orbicert.positivity import WeightedBoundary
@@ -125,7 +122,7 @@ def has_rational_root(poly: tuple[int, ...]) -> bool:
     nums = [p for p in range(1, abs(poly[0]) + 1) if poly[0] % p == 0]
     dens = [q for q in range(1, abs(poly[-1]) + 1) if poly[-1] % q == 0]
     return any(
-        polys.eval_fraction(poly, Fraction(sign * p, q)) == 0
+        sum(c * Fraction(sign * p, q) ** i for i, c in enumerate(poly)) == 0
         for p in nums
         for q in dens
         for sign in (1, -1)
@@ -173,10 +170,15 @@ def test_irreducible_edge_cases(name):
     assert Place.finite(poly).poly == poly
 
 
-def test_quartic_places_still_decided():
-    assert Place.finite((1, 0, 0, 0, 1)).degree == 4  # t^4 + 1
-    with pytest.raises(ConfigError):
-        Place.finite(polys.mul((1, 0, 1), (-2, 0, 1)))  # (t^2 + 1)(t^2 - 2)
+def test_places_above_degree_three_are_refused():
+    for poly in [
+        (1, 0, 0, 0, 1),  # t^4 + 1, irreducible
+        polys.mul((1, 0, 1), (-2, 0, 1)),  # (t^2 + 1)(t^2 - 2)
+        (1, 1, 0, 0, 0, 1),  # t^5 + t + 1
+        (Fraction(1, 2), 0, 0, 0, 0, 3),
+    ]:
+        with pytest.raises(ConfigError, match="limited to degree 3"):
+            Place.finite(poly)
 
 
 def test_irreducibility_cost_is_polynomial():
@@ -200,7 +202,18 @@ def test_irreducibility_cost_is_polynomial():
 
 
 SWEEPS_WITHOUT_SYMPY = """
+import importlib.abc
 import sys
+
+
+class NoSympy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path, target=None):
+        if name.split(".")[0] == "sympy":
+            raise ImportError("sympy is blocked")
+
+
+sys.meta_path.insert(0, NoSympy())
+
 from orbicert import catalog, cli, ffheights
 from orbicert.positivity import WeightedBoundary
 
@@ -214,7 +227,23 @@ ffheights.subspace_sweep(10, seed=1)
 ffheights.probe_sweep(cfg, wb, real, 10, seed=1)
 for suite in ("subspace", "product", "probe"):
     cli.main(["stress", "--suite", suite, "--samples", "6", "--threads", "2"])
-assert "sympy" not in sys.modules, "the sweeps imported sympy"
+
+# every subcommand, with its usual exit code
+for argv, code in [
+    ("certify --builtin four-lines "
+     "--multiplicities 2000000,2000000,2000000,2000000", 0),
+    ("certify --builtin plane-one-line", 1),
+    ("search --builtin four-lines", 0),
+    ("constants --builtin four-lines", 0),
+    ("beta --plane 5", 0),
+    ("beta --builtin four-lines", 0),
+    ("stress --builtin four-lines --suite boundary --samples 20", 0),
+    ("stress --suite subspace --samples 20", 0),
+    ("stress --suite product --samples 20", 0),
+    ("stress --builtin four-lines --suite probe --samples 20", 0),
+]:
+    assert cli.main(argv.split()) == code, argv
+assert "sympy" not in sys.modules, "the command line imported sympy"
 """
 
 
@@ -426,13 +455,6 @@ def test_form_str_round_trip():
         assert parse_form(str(form), form.nvars) == form
 
 
-def test_parse_poly_and_place():
-    assert parse_poly("t^3 - 2*t + 1") == (1, -2, 0, 1)
-    assert parse_poly("7") == (7,)
-    assert parse_place("inf").is_infinite
-    assert parse_place(" t - 1 ").poly == (-1, 1)
-
-
 # -- the hand-written tokenizer and parser class the form reader replaced ----------
 
 
@@ -566,14 +588,6 @@ def _old_parse_form(text, nvars=3):
     return HForm.make(nvars, _OldParser(_old_tokenize(text), names).parse())
 
 
-def _old_parse_poly(text):
-    table = _OldParser(_old_tokenize(text), ("t",)).parse()
-    out = [0] * (1 + max((e[0] for e in table), default=0))
-    for (e,), c in table.items():
-        out[e] = c
-    return polys.trim(out)
-
-
 def _outcome(parse, text, old):
     """The parsed value, or "reject"; int('\u00b2') made the old side raise a
     plain ValueError, which counts as a rejection too."""
@@ -619,7 +633,6 @@ def test_form_reader_matches_the_old_parser(text):
         (partial(_parse, names=xyz), lambda t: _OldParser(_old_tokenize(t), xyz).parse()),
         (parse_form, _old_parse_form),
         (partial(parse_form, nvars=11), partial(_old_parse_form, nvars=11)),
-        (parse_poly, _old_parse_poly),
     ]:
         assert _outcome(parse, text, False) == _outcome(old, text, True), text
 
@@ -644,7 +657,7 @@ def test_form_reader_pins():
 def test_powers_by_squaring():
     with time_limit(1):
         assert parse_form("X^99999999").terms == (((99999999, 0, 0), 1),)
-        assert parse_poly("(t + 1)^1000")[500] == math.comb(1000, 500)
+        assert _parse("(t + 1)^1000", ("t",))[(500,)] == math.comb(1000, 500)
     assert parse_form("(X+Y+Z)^40") == _old_parse_form("(X+Y+Z)^40")
 
 
@@ -655,10 +668,15 @@ XYZ = parse_form("X*Y*Z")
 X_T_T2 = RatMap.make([[1], [0, 1], [0, 0, 1]])
 
 
+def weil(form, x, place):
+    """The local Weil value v(F(x)) - deg(F) * min_j v(x_j) at one place."""
+    return counting_functions(form, x, [place]).proximity // place.degree
+
+
 def test_weil_local_values():
-    assert weil_hypersurface(XYZ, X_T_T2, Place.finite([0, 1])) == 3
-    assert weil_hypersurface(XYZ, X_T_T2, Place.infinite()) == 3
-    assert weil_hypersurface(XYZ, X_T_T2, Place.finite([-1, 1])) == 0
+    assert weil(XYZ, X_T_T2, Place.finite([0, 1])) == 3
+    assert weil(XYZ, X_T_T2, Place.infinite()) == 3
+    assert weil(XYZ, X_T_T2, Place.finite([-1, 1])) == 0
 
 
 def test_counting_worked_example():
@@ -704,7 +722,7 @@ def test_height_identity_random():
         assert c.proximity + c.counting == c.total == form.degree * x.height
         assert 0 <= c.counting_truncated <= c.counting
         for place in places:
-            assert weil_hypersurface(form, x, place) >= 0
+            assert weil(form, x, place) >= 0
 
 
 # -- linear algebra ----------------------------------------------------------------

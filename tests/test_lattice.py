@@ -114,7 +114,7 @@ def test_build_four_lines_shape():
 def test_build_padding():
     cfg = SurfaceConfig.build([2], [1], hyperplane=True)
     assert cfg.padded
-    assert len(cfg.points_on(0)) == 4
+    assert len([p for p in cfg.points if 0 in p.on]) == 4
     cfg2 = SurfaceConfig.build([3], [3], hyperplane=False, allow_single_component=True)
     assert not cfg2.padded
     assert len(cfg2.points) == 9
@@ -325,8 +325,6 @@ def test_built_points_match_the_eager_reference():
         )
         assert built.points == points
         assert built.padded == padded
-        for i in range(-1, built.r + 1):
-            assert built.points_on(i) == [p for p in points if i in p.on]
         assert built.to_json_dict() == eager.to_json_dict()
         assert built.to_json() == eager.to_json()
         assert built == eager and eager == built

@@ -144,4 +144,4 @@ def test_constructors_match_point_definitions(cfg, data):
     for i, comp in enumerate(cfg.components):
         di = expand(cfg, strict_transform(cfg, i))
         assert di == (comp.degree, {p.ident: int(i in p.on) for p in cfg.points})
-        assert all(dp[1][p.ident] == weights[i] for p in cfg.points_on(i))
+        assert all(dp[1][p.ident] == weights[i] for p in cfg.points if i in p.on)
