@@ -497,36 +497,30 @@ def counting_functions(
 # -- linear algebra over Q -------------------------------------------------------
 
 
+def _insert(echelon: list[tuple[int, list[int]]], vec: Sequence[int]) -> bool:
+    """Reduce vec against echelon's (pivot column, row) pairs without fractions;
+    append a nonzero remainder (vec is independent of the rows) and return True."""
+    v = list(vec)
+    for col, row in echelon:
+        if v[col]:
+            lead, factor = row[col], v[col]
+            v = [lead * a - factor * b for a, b in zip(v, row)]
+    pivot = next((col for col, a in enumerate(v) if a), None)
+    if pivot is None:
+        return False
+    echelon.append((pivot, v))
+    return True
+
+
 def gaussian_rank(rows: Iterable[Sequence[Fraction | int]]) -> int:
-    mat = [list(row) for row in rows]
-    if not all(isinstance(c, int) for row in mat for c in row):
-        # scale each row to integers; the rank is unchanged
-        scaled = []
-        for row in mat:
-            fracs = [Fraction(c) for c in row]
-            den = 1
-            for f in fracs:
-                den = math.lcm(den, f.denominator)
-            scaled.append([int(f * den) for f in fracs])
-        mat = scaled
-    # fraction-free elimination: replace row_r by lead*row_r - factor*row_rank
-    rank = 0
-    col = 0
-    width = len(mat[0]) if mat else 0
-    while rank < len(mat) and col < width:
-        pivot = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
-        if pivot is None:
-            col += 1
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        lead = mat[rank][col]
-        for r in range(rank + 1, len(mat)):
-            if mat[r][col]:
-                factor = mat[r][col]
-                mat[r] = [lead * a - factor * b for a, b in zip(mat[r], mat[rank])]
-        rank += 1
-        col += 1
-    return rank
+    echelon: list[tuple[int, list[int]]] = []
+    for row in rows:
+        if not all(isinstance(c, int) for c in row):
+            # scale the row to integers; its span is unchanged
+            den = math.lcm(*(Fraction(c).denominator for c in row))
+            row = [int(Fraction(c) * den) for c in row]
+        _insert(echelon, row)
+    return len(echelon)
 
 
 def coordinates_nondegenerate(x: RatMap) -> bool:
@@ -553,6 +547,12 @@ def subspace_inequality(
     """Sum over S of the best independent-subfamily proximity, against
     (m+1) h(x) + (m(m+1)/2) (#S - 2).
 
+    At each place the best subfamily is a basis of the family, taken
+    greedily: hyperplanes by falling local value, each kept when it is
+    independent of those kept before.  The independent subfamilies form a
+    matroid, so the greedy basis has the largest sum (Edmonds, "Matroids
+    and the greedy algorithm", Math. Programming 1 (1971)).
+
     Requires coordinates linearly independent over the constants; the
     point then lies on none of the hyperplanes.
     """
@@ -568,24 +568,6 @@ def subspace_inequality(
 
     vectors = [hp.linear_vector() for hp in hyperplanes]
     family_rank = gaussian_rank(vectors)
-    bases = [
-        combo
-        for combo in itertools.combinations(range(len(hyperplanes)), family_rank)
-        if gaussian_rank([vectors[j] for j in combo]) == family_rank
-    ]
-    if not bases:
-        raise InternalError("a nonempty hyperplane family has no basis")
-    return _subspace_report(x, hyperplanes, places, bases)
-
-
-def _subspace_report(
-    x: RatMap,
-    hyperplanes: Sequence[HForm],
-    places: Sequence[Place],
-    bases: Sequence[tuple[int, ...]],
-) -> SubspaceReport:
-    """The report of subspace_inequality, given the bases of the family: the
-    index tuples of its maximal independent subfamilies."""
     values = [hp.evaluate(x) for hp in hyperplanes]
     for fx in values:
         if polys.is_zero(fx):
@@ -595,12 +577,19 @@ def _subspace_report(
     for place in places:
         base = _coord_min(x, place)
         lams = [place.valuation(fx) - base for fx in values]
-        lhs += place.degree * max(sum(lams[j] for j in combo) for combo in bases)
-    m = x.m
+        echelon: list[tuple[int, list[int]]] = []
+        best = 0
+        # sorted is stable, so equal values keep the family's order
+        for j in sorted(range(len(vectors)), key=lambda j: -lams[j]):
+            if len(echelon) == family_rank:
+                break
+            if _insert(echelon, vectors[j]):
+                best += lams[j]
+        if len(echelon) < family_rank:
+            raise InternalError("greedy basis misses the family rank")
+        lhs += place.degree * best
     rhs = (m + 1) * Fraction(x.height) + Fraction(m * (m + 1), 2) * (len(places) - 2)
-    return SubspaceReport(
-        lhs=lhs, rhs=rhs, holds=lhs <= rhs, family_rank=len(bases[0])
-    )
+    return SubspaceReport(lhs=lhs, rhs=rhs, holds=lhs <= rhs, family_rank=family_rank)
 
 
 # -- plane realizations and the hyperbolicity probe -------------------------------
@@ -868,11 +857,8 @@ def _subspace_sample(
     q = rng.randint(m + 1, m + 3)
     hyperplanes = random_hyperplanes(rng, m, q, 9)
     places = random_places(rng)
-    # random_map proved x nondegenerate and random_hyperplanes proved every
-    # (m+1)-subfamily a basis, so subspace_inequality's checks would repeat
-    bases = list(itertools.combinations(range(q), m + 1))
     try:
-        report = _subspace_report(x, hyperplanes, places, bases)
+        report = subspace_inequality(x, hyperplanes, places)
     except DegenerateError:
         return ("degenerate",)
     out = ("samples",) if report.holds else ("samples", "violations")

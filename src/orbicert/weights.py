@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
 
 from .certifier import build_report, checklist_holds
 from .lattice import ConfigError, InternalError, SurfaceConfig
@@ -87,17 +88,6 @@ def _search_chunk(args) -> list[SearchHit]:
     return hits
 
 
-def _better(a: SearchHit, b: SearchHit, objective: str) -> bool:
-    """True when a beats b; ties break toward smaller sum then lex order."""
-    if objective == "max-slack":
-        c = compare_cross(a.slack, b.slack)
-        if c != 0:
-            return c > 0
-    if a.weight_sum != b.weight_sum:
-        return a.weight_sum < b.weight_sum
-    return a.weights < b.weights
-
-
 def search_weights(
     cfg: SurfaceConfig,
     bound: int,
@@ -120,11 +110,14 @@ def search_weights(
     tasks = [(cfg, bound, first) for first in range(1, bound + 1)]
     with ordered_map(_search_chunk, tasks, processes, 1) as chunks:
         hits: list[SearchHit] = [h for chunk in chunks for h in chunk]
-    best: SearchHit | None = None
-    for hit in hits:
-        if best is None or _better(hit, best, objective):
-            best = hit
+    # ties break toward the smaller sum, then the lex smaller vector
     ordered = sorted(hits, key=lambda h: (h.weight_sum, h.weights))
+    if objective == "max-slack":
+        # max returns the first of equal slacks, the first in the order above
+        by_slack = cmp_to_key(lambda a, b: compare_cross(a.slack, b.slack))
+        best = max(ordered, key=by_slack, default=None)
+    else:
+        best = ordered[0] if ordered else None
     if limit is not None:
         ordered = ordered[:limit]
     return SearchResult(

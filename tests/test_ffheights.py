@@ -30,7 +30,6 @@ from orbicert.ffheights import (
     _certify_irreducible,
     _coord_min,
     _parse,
-    _subspace_report,
     _sweep,
     coordinates_nondegenerate,
     counting_functions,
@@ -824,28 +823,84 @@ def test_random_hyperplanes_general_position():
         q = rng.randint(m + 1, m + 3)
         forms = random_hyperplanes(rng, m, q, 9)
         assert len(forms) == q
-        import itertools
-
         vectors = [f.linear_vector() for f in forms]
         k = min(q, m + 1)
         for combo in itertools.combinations(range(q), k):
             assert gaussian_rank([vectors[j] for j in combo]) == k
 
 
-def test_subspace_sample_bases_match_subspace_inequality():
-    # the sweep passes every (m+1)-subfamily as a basis instead of deriving
-    # the bases again; on its draws that is what subspace_inequality derives
-    rng = random.Random(1523)
-    for _ in range(150):
-        m = rng.randint(1, 3)
-        x = random_map(rng, m, 6, 20, nondegenerate=True)
-        q = rng.randint(m + 1, m + 3)
-        hyperplanes = random_hyperplanes(rng, m, q, 9)
-        places = random_places(rng)
-        bases = list(itertools.combinations(range(q), m + 1))
-        assert _subspace_report(x, hyperplanes, places, bases) == subspace_inequality(
-            x, hyperplanes, places
-        )
+def enumerated_subspace(x, hyperplanes, places):
+    """(lhs, family rank) by listing every basis of the family."""
+    vectors = [hp.linear_vector() for hp in hyperplanes]
+    rank = gaussian_rank(vectors)
+    bases = [
+        combo
+        for combo in itertools.combinations(range(len(vectors)), rank)
+        if gaussian_rank([vectors[j] for j in combo]) == rank
+    ]
+    lhs = 0
+    for place in places:
+        base = _coord_min(x, place)
+        lams = [place.valuation(hp.evaluate(x)) - base for hp in hyperplanes]
+        lhs += place.degree * max(sum(lams[j] for j in combo) for combo in bases)
+    return lhs, rank
+
+
+def linear_forms(vectors):
+    n = len(vectors[0])
+    unit = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+    return [HForm.make(n, dict(zip(unit, vec))) for vec in vectors]
+
+
+@st.composite
+def dependent_families(draw):
+    """Small maps and 1-7 hyperplanes with repeats and multiples, so that
+    values at the places tie and subfamilies of the family's rank depend."""
+    m = draw(st.integers(1, 3))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    x = random_map(rng, m, m + 2, 1, nondegenerate=True)
+    vectors = []
+    for _ in range(draw(st.integers(1, 7))):
+        if vectors and draw(st.booleans()):
+            earlier = draw(st.sampled_from(vectors))
+            k = draw(st.sampled_from([1, -1, 2, -3]))
+            vectors.append(tuple(k * c for c in earlier))
+        else:
+            small = st.lists(st.integers(-1, 1), min_size=m + 1, max_size=m + 1)
+            vectors.append(tuple(draw(small.filter(any))))
+    return x, linear_forms(vectors), random_places(rng)
+
+
+@st.composite
+def sampler_families(draw):
+    """The draws of the subspace sweep."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    m = rng.randint(1, 3)
+    x = random_map(rng, m, 6, 20, nondegenerate=True)
+    hyperplanes = random_hyperplanes(rng, m, rng.randint(m + 1, m + 3), 9)
+    return x, hyperplanes, random_places(rng)
+
+
+@settings(max_examples=400, deadline=None, database=None, derandomize=True)
+@given(st.one_of(dependent_families(), sampler_families()))
+def test_greedy_basis_matches_enumeration(family):
+    x, hyperplanes, places = family
+    report = subspace_inequality(x, hyperplanes, places)
+    assert (report.lhs, report.family_rank) == enumerated_subspace(*family)
+
+
+@pytest.mark.parametrize("m, q", [(3, 40), (4, 30)])
+def test_subspace_inequality_scales_with_the_family(m, q):
+    # listing every subfamily of rank m + 1 takes seconds on these families
+    rng = random.Random(1531 + m)
+    x = random_map(rng, m, 6, 20, nondegenerate=True)
+    hyperplanes = linear_forms(
+        [[rng.randint(1, 9)] + [rng.randint(-9, 9) for _ in range(m)] for _ in range(q)]
+    )
+    places = [Place.infinite(), Place.finite([0, 1]), Place.finite([-1, 1])]
+    with time_limit(1):
+        report = subspace_inequality(x, hyperplanes, places)
+    assert report.family_rank == m + 1
 
 
 def test_random_forms_reject_a_bound_below_one():
