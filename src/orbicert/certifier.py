@@ -636,8 +636,8 @@ def _conclusion_sections(
             cfg, wb, report, report.slack_lower, cap=constants_cap
         )
         constants_doc = chain.to_json_dict()
-        finite = [m for m in multiplicities if not _is_inf(m)]
-        threshold_met = all(m >= chain.m0 for m in finite)
+        # inf >= m0, so an infinite multiplicity always meets it
+        threshold_met = all(m >= chain.m0 for m in multiplicities)
         mult_doc = {
             "multiplicity_threshold": chain.m0,
             "given_multiplicities_meet_threshold": threshold_met,

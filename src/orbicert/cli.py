@@ -39,12 +39,12 @@ EXIT_INTERNAL = 4
 
 
 def _load_config(args) -> SurfaceConfig:
-    if getattr(args, "config", None):
+    if args.config:
         with open(args.config, "r", encoding="utf-8") as handle:
             cfg = SurfaceConfig.from_json(handle.read())
     else:
-        cfg = load_builtin(getattr(args, "builtin", None) or "four-lines")
-    if getattr(args, "allow_single_component", False):
+        cfg = load_builtin(args.builtin or "four-lines")
+    if args.allow_single_component:
         cfg = dataclasses.replace(cfg, allow_single_component=True)
     return cfg
 
@@ -57,18 +57,17 @@ def _entries(raw: str, flag: str) -> list[str]:
 
 
 def _resolve_weights(args, cfg: SurfaceConfig) -> WeightedBoundary:
-    raw = getattr(args, "weights", None)
-    if raw is not None:
-        return WeightedBoundary.make(_entries(raw, "--weights"))
+    if args.weights is not None:
+        return WeightedBoundary.make(_entries(args.weights, "--weights"))
     if cfg.default_weights is not None:
         return WeightedBoundary.make(cfg.default_weights)
     return proportional_weights(cfg)
 
 
 def _resolve_multiplicities(args, cfg: SurfaceConfig):
-    raw = getattr(args, "multiplicities", None)
-    if raw is not None:
-        return tuple(decode_multiplicity(m) for m in _entries(raw, "--multiplicities"))
+    if args.multiplicities is not None:
+        raw = _entries(args.multiplicities, "--multiplicities")
+        return tuple(decode_multiplicity(m) for m in raw)
     if cfg.default_multiplicities is not None:
         return tuple(decode_multiplicity(m) for m in cfg.default_multiplicities)
     return None
@@ -357,9 +356,6 @@ def main(argv=None) -> int:
         return EXIT_PASS if exc.code == 0 else EXIT_INPUT
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except (OSError, ValueError, ZeroDivisionError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -13,21 +13,22 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .lattice import ConfigError, SurfaceConfig, strict_transform
-from .lattice import _typed, load_json, malformed
+from .lattice import ConfigError, InternalError, SurfaceConfig, strict_transform
+from .lattice import DivisorClass, _typed, load_json, malformed
 from .positivity import (
     INF,
     Multiplicity,
     WeightedBoundary,
-    _is_inf,
     ample_class_sufficient,
     boundary_class,
     check_multiplicity,
+    orbifold_coefficient,
 )
 
 
 def _ceil_div(m: Multiplicity, t: int) -> Multiplicity:
-    if _is_inf(m):
+    # inf // t is nan, not inf
+    if m == INF:
         return INF
     return -(-int(m) // t)
 
@@ -47,7 +48,7 @@ class OrbifoldDivisor:
                 raise ConfigError(f"negative component index {j}")
             if j in seen:
                 raise ConfigError(f"component {j} listed twice")
-            if _is_inf(m) or m > 1:
+            if m > 1:
                 seen[j] = m
         return OrbifoldDivisor(items=tuple(sorted(seen.items())))
 
@@ -150,16 +151,10 @@ def induced_multiplicities(
 ) -> tuple[Multiplicity, ...]:
     """Per-point multiplicities max over met components of ceil(m_j / t_total)."""
     _check_target(profile, target)
-    out = []
-    for p in profile.points:
-        t = p.t_total
-        best: Multiplicity = 1
-        for j, _ in p.contacts:
-            cand = _ceil_div(target[j], t)
-            if _is_inf(cand) or (not _is_inf(best) and cand > best):
-                best = cand
-        out.append(best)
-    return tuple(out)
+    return tuple(
+        max(_ceil_div(target[j], p.t_total) for j, _ in p.contacts)
+        for p in profile.points
+    )
 
 
 def is_orbifold_morphism(
@@ -175,16 +170,12 @@ def is_orbifold_morphism(
         )
     for n in source:
         check_multiplicity(n)
-    for p, n in zip(profile.points, source):
-        t = p.t_total
-        for j, _ in p.contacts:
-            m = target[j]
-            if _is_inf(m):
-                if not _is_inf(n):
-                    return False
-            elif not _is_inf(n) and n * t < m:
-                return False
-    return True
+    # inf * t is inf, so an infinite m_j needs an infinite n_i
+    return all(
+        n * p.t_total >= target[j]
+        for p, n in zip(profile.points, source)
+        for j, _ in p.contacts
+    )
 
 
 def support_bound(
@@ -199,16 +190,11 @@ def support_bound(
     _check_target(profile, target)
     induced = induced_multiplicities(profile, target)
     lhs = Fraction(len(profile.points))
-    rhs = Fraction(0)
-    for m in induced:
-        rhs += 1 if _is_inf(m) else 1 - Fraction(1, int(m))
-    for j in range(profile.n_components):
-        m = target[j]
-        if _is_inf(m):
-            continue
+    rhs = sum((orbifold_coefficient(m) for m in induced), Fraction(0))
+    for j, m in enumerate(target):
         deg = profile.pullback_degree(j)
-        if deg:
-            rhs += Fraction(deg, int(m))
+        if deg and m != INF:
+            rhs += Fraction(deg, m)
     return lhs, rhs
 
 
@@ -221,7 +207,10 @@ def _check_target(profile: PullbackProfile, target: Sequence[Multiplicity]) -> N
         check_multiplicity(m)
 
 
-_MAX_TWIST_M = 4096
+def _linear_checks(cfg: SurfaceConfig, d: DivisorClass) -> list:
+    """c_i on every paired component, then the residue h - sum d_i * c_i."""
+    paired = [(c, comp.degree) for c, comp, k in zip(d.c, cfg.components, d.n) if k]
+    return [c for c, _ in paired] + [d.h - sum(deg * c for c, deg in paired)]
 
 
 def ample_twist_threshold(
@@ -230,11 +219,15 @@ def ample_twist_threshold(
     alpha: Fraction | int,
     delta: OrbifoldDivisor,
 ) -> int:
-    """Least m >= 1 keeping D_p - (alpha/m) * sum of support components ample.
+    """Least m >= 1 keeping D_p - (alpha/m) * T ample, T the support's sum.
 
-    The threshold is checked by direct scan; the sufficient ampleness test
-    is not monotone in m a priori, so the least passing m is the answer by
-    definition.
+    The sufficient test certifies a class exactly when its linear checks
+    all pass: c_i > 0 on every paired component and a positive residue
+    (see ``ample_class_sufficient``).  Each check reads
+    l(D_p) - (alpha/m) * l(T) > 0 with l(D_p) > 0, that is
+    m > alpha * l(T) / l(D_p), so the least m is one more than the largest
+    floor of these bounds, or 1.  The lattice test must pass at m and fail
+    at m - 1; otherwise the lemma or the arithmetic is broken.
     """
     alpha = Fraction(alpha)
     if alpha < 0:
@@ -245,14 +238,13 @@ def ample_twist_threshold(
     dp = boundary_class(cfg, wb)
     if not ample_class_sufficient(cfg, dp).certified:
         raise ValueError("weighted boundary is not certified ample")
-    twist = None
-    for j in delta.support:
-        term = strict_transform(cfg, j)
-        twist = term if twist is None else twist + term
-    if twist is None or alpha == 0:
-        return 1
-    for m in range(1, _MAX_TWIST_M + 1):
-        candidate = dp - (alpha / m) * twist
-        if ample_class_sufficient(cfg, candidate).certified:
-            return m
-    raise ValueError(f"no admissible twist denominator at or below {_MAX_TWIST_M}")
+    twist = sum((strict_transform(cfg, j) for j in delta.support), 0 * dp)
+    bounds = zip(_linear_checks(cfg, dp), _linear_checks(cfg, twist))
+    m = 1 + max(0, *(alpha * t // p for p, t in bounds))
+
+    def certified(k: int) -> bool:
+        return ample_class_sufficient(cfg, dp - (alpha / k) * twist).certified
+
+    if not certified(m) or (m > 1 and certified(m - 1)):
+        raise InternalError(f"twist threshold {m} disagrees with the lattice test")
+    return m

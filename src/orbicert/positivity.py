@@ -87,6 +87,12 @@ def ample_class_sufficient(cfg: SurfaceConfig, d: DivisorClass) -> Verdict:
     A plane curve of degree e meets a degree d_i component in at most
     e*d_i points counted with multiplicity, so the worst loss per unit of
     plane degree against the points on that component is d_i * c_i.
+
+    The square check follows from the other two: if every paired c_i > 0
+    and h > sum d_i * c_i, then h > 0 and
+    h^2 > (sum d_i * c_i)^2 >= sum d_i^2 * c_i^2.  So the test passes
+    exactly when its two linear checks do.  The square check still runs
+    first because its name is the reason a failing certificate prints.
     """
     if d.n != cfg.point_counts:
         raise ConfigError(f"class with point counts {d.n} is not on this config")

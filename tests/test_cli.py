@@ -53,6 +53,23 @@ def test_certify_with_constants(capsys, tmp_path):
     assert cert.orbifold["given_multiplicities_meet_threshold"] is True
 
 
+def test_certify_twist_threshold_above_4096(capsys):
+    code, out, err = run(
+        capsys,
+        "certify",
+        "--builtin",
+        "four-lines",
+        "--multiplicities",
+        "2000000,2000000,2000000,2000000",
+        "--twist-alpha",
+        "100000",
+    )
+    assert code == 0 and err == ""
+    line = next(l for l in out.splitlines() if l.startswith("orbifold: "))
+    # the residue 3 - 100000/m first turns positive at m = 33334
+    assert json.loads(line[len("orbifold: "):])["ample_twist_threshold"] == 33334
+
+
 def test_certify_skip_constants(capsys):
     code, out, _ = run(
         capsys, "certify", "--multiplicities", "7,7,7,7", "--skip-constants"

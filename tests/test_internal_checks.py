@@ -18,10 +18,10 @@ from pathlib import Path
 import pytest
 
 import orbicert
-from orbicert import constants, ffheights, lattice, polys
+from orbicert import constants, ffheights, lattice, orbifold, polys
 from orbicert.catalog import load_builtin
 from orbicert.lattice import DivisorClass, InternalError, SurfaceConfig
-from orbicert.positivity import WeightedBoundary
+from orbicert.positivity import Verdict, WeightedBoundary
 
 
 LIMIT_S = 10
@@ -94,12 +94,21 @@ def force_gcd_cofactor():
         ffheights.RatMap.make([[1, 1], [2, 2]])
 
 
+def force_twist_threshold():
+    cfg, wb = load_builtin("four-lines"), WeightedBoundary.make([4, 4, 4, 3])
+    full = orbifold.OrbifoldDivisor.make([(j, orbifold.INF) for j in range(4)])
+    # the bounds still give m = 34, but m = 33 now passes as well
+    with patched(orbifold, "ample_class_sufficient", lambda cfg, d: Verdict(True)):
+        orbifold.ample_twist_threshold(cfg, wb, 100, full)
+
+
 FORCED = {
     "gcd-cofactor": force_gcd_cofactor,
     "chi-parity": force_chi_parity,
     "sections-sign": force_sections_sign,
     "sum-parity": force_sum_parity,
     "subspace-basis": force_subspace_basis,
+    "twist-threshold": force_twist_threshold,
 }
 
 

@@ -4,9 +4,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbicert.catalog import load_builtin
-from orbicert.lattice import ConfigError
+from orbicert.lattice import ConfigError, DivisorClass, SurfaceConfig, strict_transform
 from orbicert.orbifold import (
     INF,
     OrbifoldDivisor,
@@ -17,7 +19,14 @@ from orbicert.orbifold import (
     is_orbifold_morphism,
     support_bound,
 )
-from orbicert.positivity import WeightedBoundary
+from orbicert.positivity import (
+    WeightedBoundary,
+    ample_class_sufficient,
+    ample_sufficient,
+    boundary_class,
+)
+from orbicert.sampling import random_config, random_passing_candidate
+from test_internal_checks import time_limit
 
 FOUR_LINES = load_builtin("four-lines")
 WEIGHTS = WeightedBoundary.make([4, 4, 4, 3])
@@ -157,10 +166,75 @@ def test_twist_threshold_errors():
         ample_twist_threshold(
             FOUR_LINES, WEIGHTS, 1, OrbifoldDivisor.make([(9, 2)])
         )
-    from orbicert.lattice import SurfaceConfig
-
     bad = SurfaceConfig.build([2], [2], hyperplane=False, allow_single_component=True)
     with pytest.raises(ValueError):
         ample_twist_threshold(
             bad, WeightedBoundary.make([1]), 1, OrbifoldDivisor.make([(0, 2)])
         )
+
+
+def test_twist_threshold_answers_in_the_size_of_alpha():
+    full = OrbifoldDivisor.make([(j, INF) for j in range(4)])
+    with time_limit(1):
+        m = ample_twist_threshold(FOUR_LINES, WEIGHTS, 10**30, full)
+    assert m == 10**30 // 3 + 1
+
+
+def scan_twist_threshold(cfg, wb, alpha, delta, cap=4096):
+    """Least m <= cap at which the lattice test certifies the twist, or None."""
+    dp = boundary_class(cfg, wb)
+    twist = sum((strict_transform(cfg, j) for j in delta.support), 0 * dp)
+    for m in range(1, cap + 1):
+        if ample_class_sufficient(cfg, dp - (Fraction(alpha) / m) * twist).certified:
+            return m
+    return None
+
+
+def exact_numbers(low, high):
+    return st.one_of(
+        st.integers(low, high),
+        st.fractions(min_value=low, max_value=high, max_denominator=12),
+    )
+
+
+@st.composite
+def twist_cases(draw):
+    rng = draw(st.randoms(use_true_random=False))
+    if draw(st.booleans()):
+        cfg, wb = random_passing_candidate(rng, max_degree=5, bound=200)
+    else:
+        cfg = random_config(rng, max_degree=5)
+        weights = draw(st.lists(exact_numbers(1, 200), min_size=cfg.r, max_size=cfg.r))
+        wb = WeightedBoundary.make(weights)
+    support = draw(st.lists(st.integers(0, cfg.r - 1), unique=True))
+    mults = st.sampled_from([2, 5, 1000, INF])
+    delta = OrbifoldDivisor.make([(j, draw(mults)) for j in support])
+    return cfg, wb, draw(exact_numbers(0, 3000)), delta
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(twist_cases())
+def test_twist_threshold_matches_the_scan(case):
+    cfg, wb, alpha, delta = case
+    if not ample_sufficient(cfg, wb).certified:
+        with pytest.raises(ValueError):
+            ample_twist_threshold(cfg, wb, alpha, delta)
+        return
+    expected = scan_twist_threshold(cfg, wb, alpha, delta)
+    m = ample_twist_threshold(cfg, wb, alpha, delta)
+    assert m == expected if expected is not None else m > 4096
+
+
+@st.composite
+def random_classes(draw):
+    cfg = random_config(draw(st.randoms(use_true_random=False)), max_degree=5)
+    c = draw(st.lists(exact_numbers(-3, 40), min_size=cfg.r, max_size=cfg.r))
+    return cfg, DivisorClass.make(cfg, draw(exact_numbers(-5, 400)), c)
+
+
+@settings(max_examples=500, deadline=None, database=None, derandomize=True)
+@given(random_classes())
+def test_linear_checks_imply_the_square_check(case):
+    checks = dict(ample_class_sufficient(*case).checks)
+    if checks["exceptional_pairings_positive"] and checks["bezout_residue_positive"]:
+        assert checks["self_intersection_positive"]
