@@ -36,16 +36,16 @@ from .lattice import Coeff, ConfigError, InternalError, SurfaceConfig
 from .lattice import _typed, load_json, malformed
 from .lattice import intersect  # noqa: F401  importable from here; bench/test_bench.py relies on it
 from .positivity import (
+    INF,
     Multiplicity,
     Verdict,
     WeightedBoundary,
-    _is_inf,
     ample_sufficient,
     check_multiplicity,
     orbifold_canonical_big,
 )
 from . import quadext
-from .quadext import NoPositiveRootError, QuadExt, compare_cross, rational_below
+from .quadext import NoPositiveRootError, QuadExt, rational_below
 
 CERTIFICATE_FORMAT_VERSION = 1
 
@@ -225,8 +225,9 @@ def _component_holds(
 
 def _ample(cfg: SurfaceConfig, bp: BoundaryPairings) -> bool:
     # the sufficient test on D_p: every exceptional pairing is a positive
-    # weight, and the Bezout residue is the degree on unpaired components
-    return bp.dp2 > 0 and not all(c.paired for c in cfg.components)
+    # weight, and the Bezout residue is the degree on unpaired components.
+    # D_p^2 > 0 then follows (the lemma in ample_class_sufficient)
+    return not all(c.paired for c in cfg.components)
 
 
 def checklist_holds(cfg: SurfaceConfig, wb: WeightedBoundary) -> bool:
@@ -252,13 +253,7 @@ def weight_slack(report: BoundaryReport) -> tuple[QuadExt, Fraction]:
     """
     if not report.components:
         raise ConfigError("empty component list")
-    slack: QuadExt | None = None
-    for check in report.components:
-        rel = (check.volume_ratio - check.weight) / check.weight
-        if slack is None or compare_cross(rel, slack) < 0:
-            slack = rel
-    if slack is None:
-        raise InternalError("no slack from a nonempty component list")
+    slack = min((c.volume_ratio - c.weight) / c.weight for c in report.components)
     if slack.is_rational:
         return slack, slack.as_fraction()
     # a report with a failing component has a negative slack.  The gap is
@@ -284,7 +279,7 @@ def build_report(cfg: SurfaceConfig, wb: WeightedBoundary) -> BoundaryReport:
             weight = Fraction(wb.weights[i])
             holds = _component_holds(cfg, bp, wb.weights, i)
             ratio = bp.volume_ratio(i)
-            exceeds = compare_cross(ratio, weight) > 0
+            exceeds = ratio > weight
             # the square-root-free inequality and the QuadExt ratio bound
             # are the same statement, decided independently
             if holds != exceeds:
@@ -351,7 +346,7 @@ def decode_number(doc: Mapping):
 
 
 def encode_multiplicity(m: Multiplicity):
-    return "inf" if _is_inf(m) else int(m)
+    return "inf" if m == INF else int(m)
 
 
 @malformed("multiplicity")
@@ -596,7 +591,7 @@ def certify(
 
     constants_doc: dict | None = None
     orbifold_doc: dict | None = None
-    finite = any(not _is_inf(m) for m in multiplicities)
+    finite = any(m != INF for m in multiplicities)
     if include_constants and finite and overall == PASS:
         constants_doc, orbifold_doc = _conclusion_sections(
             cfg, wb, report, multiplicities, Fraction(twist_alpha), constants_cap

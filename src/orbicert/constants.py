@@ -39,7 +39,7 @@ from .lattice import (
     intersect,
 )
 from .positivity import WeightedBoundary, ample_class_sufficient, boundary_class
-from .quadext import QuadExt, compare_cross, rational_above
+from .quadext import QuadExt, rational_above
 
 
 class InfeasibleError(Exception):
@@ -190,21 +190,11 @@ def _ratios_at(
     return m_sections, tuple(sums), ratios
 
 
-def _argmax(values: tuple[QuadExt, ...], sign: int = 1) -> int:
-    """Index of the first largest value, or of the first least for sign -1."""
-    best = 0
-    for i in range(1, len(values)):
-        if sign * compare_cross(values[i], values[best]) > 0:
-            best = i
-    return best
-
-
 def _q_exact(
     m_sections: int, n: int, eps_half: Fraction, betas: tuple[QuadExt, ...]
 ) -> QuadExt:
     """Q = (M - 1) / (2N) * (1 + eps/2) over the least volume ratio."""
-    beta_min = betas[_argmax(betas, -1)]
-    return QuadExt(Fraction(m_sections - 1, 2 * n) * (1 + eps_half)) / beta_min
+    return Fraction(m_sections - 1, 2 * n) * (1 + eps_half) / min(betas)
 
 
 def feasible_chain(
@@ -229,7 +219,7 @@ def feasible_chain(
     if not report.ample.certified or report.slack is None:
         raise InfeasibleError("hypothesis checklist does not pass")
     eps_half = eps_target / 2
-    target = QuadExt(1 + eps_half)
+    target = 1 + eps_half
     inv = _invariants(cfg, wb)
     betas = tuple(c.volume_ratio for c in report.components)
 
@@ -239,8 +229,9 @@ def feasible_chain(
         if got is None:
             continue
         m_sections, sums, ratios = got
-        worst = _argmax(ratios)
-        if compare_cross(ratios[worst], target) < 0:
+        # max keeps the first of equal ratios
+        worst = max(range(len(ratios)), key=ratios.__getitem__)
+        if ratios[worst] < target:
             found = (n, m_sections, sums, ratios, worst)
             break
     if found is None:
@@ -309,21 +300,21 @@ def verify_chain(
             raise ChainMismatchError(f"{field} differs from its rebuilt value")
 
     # b satisfies the inequality and b - 1 does not
-    target = QuadExt(1 + chain.eps_half)
-    factor = QuadExt(Fraction(chain.b + 2, chain.b))
-    if not compare_cross(factor * chain.ratio_max, target) < 0:
+    target = 1 + chain.eps_half
+    factor = Fraction(chain.b + 2, chain.b)
+    if not factor * chain.ratio_max < target:
         raise ChainMismatchError("recorded b does not satisfy the inequality")
     if chain.b > 1:
-        prev = QuadExt(Fraction(chain.b + 1, chain.b - 1))
-        if compare_cross(prev * chain.ratio_max, target) < 0:
+        prev = Fraction(chain.b + 1, chain.b - 1)
+        if prev * chain.ratio_max < target:
             raise ChainMismatchError("b is not minimal")
 
     betas = tuple(c.volume_ratio for c in report.components)
     q_exact = _q_exact(chain.m_sections, chain.n, chain.eps_half, betas)
-    if not compare_cross(QuadExt(chain.q_const), q_exact) >= 0:
+    if not chain.q_const >= q_exact:
         raise ChainMismatchError("Q is not an upper bound")
     if len(chain.beta_upper) != len(betas) or any(
-        compare_cross(QuadExt(u), beta) < 0 for u, beta in zip(chain.beta_upper, betas)
+        u < beta for u, beta in zip(chain.beta_upper, betas)
     ):
         raise ChainMismatchError("a volume ratio upper bound fails")
 

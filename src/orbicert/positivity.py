@@ -121,12 +121,8 @@ def ample_sufficient(cfg: SurfaceConfig, wb: WeightedBoundary) -> Verdict:
     return ample_class_sufficient(cfg, boundary_class(cfg, wb))
 
 
-def _is_inf(m: Multiplicity) -> bool:
-    return isinstance(m, float) and m == INF
-
-
 def check_multiplicity(m: Multiplicity) -> None:
-    if _is_inf(m):
+    if isinstance(m, float) and m == INF:
         return
     if isinstance(m, bool) or not isinstance(m, int) or m < 1:
         raise ConfigError(f"multiplicity {m!r} must be a positive integer or inf")
@@ -135,7 +131,7 @@ def check_multiplicity(m: Multiplicity) -> None:
 def orbifold_coefficient(m: Multiplicity) -> Fraction:
     """1 - 1/m, with the logarithmic value 1 at m = inf."""
     check_multiplicity(m)
-    if _is_inf(m):
+    if m == INF:
         return Fraction(1)
     return 1 - Fraction(1, m)
 

@@ -17,12 +17,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
 
 from .certifier import build_report, checklist_holds
 from .lattice import ConfigError, InternalError, SurfaceConfig
 from .positivity import WeightedBoundary
-from .quadext import QuadExt, compare_cross
+from .quadext import QuadExt
 from .sampling import ordered_map
 
 
@@ -114,8 +113,7 @@ def search_weights(
     ordered = sorted(hits, key=lambda h: (h.weight_sum, h.weights))
     if objective == "max-slack":
         # max returns the first of equal slacks, the first in the order above
-        by_slack = cmp_to_key(lambda a, b: compare_cross(a.slack, b.slack))
-        best = max(ordered, key=by_slack, default=None)
+        best = max(ordered, key=lambda h: h.slack, default=None)
     else:
         best = ordered[0] if ordered else None
     if limit is not None:

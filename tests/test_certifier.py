@@ -28,7 +28,7 @@ from orbicert.certifier import (
 )
 from orbicert.cli import main
 from orbicert.lattice import ConfigError, InternalError, SurfaceConfig
-from orbicert.positivity import WeightedBoundary
+from orbicert.positivity import WeightedBoundary, ample_sufficient
 from orbicert.quadext import NoPositiveRootError, QuadExt, compare_cross, rational_below
 from test_quadext import min_root_quadratic
 
@@ -379,6 +379,24 @@ def test_closed_forms_on_edge_cases(cfg, weights):
     assert s * s * f == bp.paired_square
     if bp.paired_square == 0:
         assert (s, f) == (0, 1)
+
+
+@pytest.mark.parametrize("rational", [False, True], ids=["integer", "rational"])
+@pytest.mark.parametrize(
+    "cfg, want",
+    [
+        (components_config((1, True), (1, True), (2, True)), False),
+        (load_builtin("plane-one-line"), True),
+        (components_config((1, True), (1, True), (1, False), (1, False)), True),
+    ],
+    ids=["all-paired", "plane-one-line", "two-paired-two-unpaired"],
+)
+def test_closed_form_ampleness_matches_the_lattice_test(cfg, want, rational):
+    # D_p^2 > 0 is not tested: an unpaired component implies it
+    weights = [Fraction(2 * i + 3, 2 if rational else 1) for i in range(cfg.r)]
+    wb = WeightedBoundary.make(weights)
+    closed_form = certifier._ample(cfg, boundary_pairings(cfg, wb.weights))
+    assert closed_form == ample_sufficient(cfg, wb).certified == want
 
 
 def test_nonpositive_boundary_square_has_no_root():

@@ -6,6 +6,8 @@ from fractions import Fraction
 from math import comb, floor
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbicert.catalog import load_builtin
 from orbicert.certifier import build_report
@@ -18,9 +20,9 @@ from orbicert.constants import (
     sections_power_exact,
     verify_chain,
 )
-from orbicert.lattice import DivisorClass, SurfaceConfig
+from orbicert.lattice import Component, DivisorClass, SurfaceConfig
 from orbicert.positivity import WeightedBoundary
-from orbicert.quadext import QuadExt
+from orbicert.quadext import QuadExt, compare_cross
 
 FOUR_LINES = load_builtin("four-lines")
 WEIGHTS = WeightedBoundary.make([4, 4, 4, 3])
@@ -225,3 +227,54 @@ def test_chain_on_random_passing_weights():
             continue
         assert verify_chain(cfg, wb, chain)
         checked += 1
+
+
+def _argmax(values, sign: int = 1) -> int:
+    """Index of the first largest value, or of the first least for sign -1."""
+    best = 0
+    for i in range(1, len(values)):
+        if sign * compare_cross(values[i], values[best]) > 0:
+            best = i
+    return best
+
+
+# rationals beside elements of Q(sqrt 2) and Q(sqrt 3), some of them close
+# (99/70 against sqrt 2) and some equal in two spellings (3/2 and QuadExt(3/2))
+ORDER_POOL = (
+    0, 1, Fraction(3, 2), Fraction(99, 70), Fraction(-1, 3), QuadExt(Fraction(3, 2)),
+    QuadExt(0, 1, 2), QuadExt(Fraction(1, 2), Fraction(1, 2), 2), QuadExt(2, -1, 2),
+    QuadExt(0, 1, 3), QuadExt(Fraction(1, 2), Fraction(1, 2), 3), QuadExt(2, -1, 3),
+)
+
+
+@settings(max_examples=400, deadline=None, database=None, derandomize=True)
+@given(st.lists(st.sampled_from(ORDER_POOL), min_size=1, max_size=6))
+def test_max_and_min_pick_the_first_extreme(values):
+    n = len(values)
+    assert max(range(n), key=values.__getitem__) == _argmax(values)
+    assert min(range(n), key=values.__getitem__) == _argmax(values, -1)
+
+
+def _lines(paired: int, unpaired: int) -> SurfaceConfig:
+    comps = [Component(degree=1, paired=True)] * paired + [Component(degree=1)] * unpaired
+    return SurfaceConfig(components=tuple(comps), points=None)
+
+
+@pytest.mark.parametrize(
+    "cfg, weights, first, second",
+    [
+        (_lines(3, 2), [1, 1, 1, 2, 2], 3, 4),
+        (_lines(2, 2), [1, 1, 1, 1], 2, 3),
+    ],
+    ids=["three-paired", "two-paired"],
+)
+def test_chain_argmax_is_the_first_tied_component(cfg, weights, first, second):
+    wb = WeightedBoundary.make(weights)
+    report = build_report(cfg, wb)
+    chain = feasible_chain(cfg, wb, report, report.slack_lower)
+    assert chain.n == 4
+    assert not chain.ratios[first].is_rational
+    assert chain.ratios[first] == chain.ratios[second] == chain.ratio_max
+    assert chain.argmax == first == _argmax(chain.ratios)
+    assert chain.to_json_dict()["ratio_argmax"] == first
+    assert verify_chain(cfg, wb, chain)

@@ -2,6 +2,7 @@
 
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -141,7 +142,7 @@ def test_check_multiplicity_rejects_junk():
     check_multiplicity(1)
     check_multiplicity(10**9)
     check_multiplicity(math.inf)
-    for bad in (0, -1, 2.5, True, "3", float("nan")):
+    for bad in (0, -1, 2.5, True, "3", float("nan"), float("-inf"), Decimal("Infinity")):
         with pytest.raises(ConfigError):
             check_multiplicity(bad)
 
