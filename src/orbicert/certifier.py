@@ -41,6 +41,7 @@ from .positivity import (
     Verdict,
     WeightedBoundary,
     ample_sufficient,
+    check_multiplicities,
     check_multiplicity,
     orbifold_canonical_big,
 )
@@ -445,13 +446,16 @@ class Certificate:
                 volume_ratio=QuadExt.of(decode_number(c["volume_ratio_lower"])),
                 exceeds_weight=_typed(c["exceeds_weight"], bool, "exceeds_weight"),
             )
-            for c in doc["components"]
+            for c in _typed(doc["components"], list, "components")
         )
         return Certificate(
             config_echo=_typed(doc["config"], dict, "config"),
-            weights=tuple(Fraction(decode_number(w)) for w in doc["weights"]),
+            weights=tuple(
+                Fraction(decode_number(w)) for w in _typed(doc["weights"], list, "weights")
+            ),
             multiplicities=tuple(
-                decode_multiplicity(m) for m in doc["multiplicities"]
+                decode_multiplicity(m)
+                for m in _typed(doc["multiplicities"], list, "multiplicities")
             ),
             dp_square=Fraction(decode_number(doc["boundary_square"])),
             hypotheses=tuple(
@@ -460,7 +464,7 @@ class Certificate:
                     _typed(h["status"], str, "hypothesis status"),
                     _typed(h.get("detail", ""), str, "hypothesis detail"),
                 )
-                for h in doc["hypotheses"]
+                for h in _typed(doc["hypotheses"], list, "hypotheses")
             ),
             components=components,
             slack=(
@@ -477,8 +481,15 @@ class Certificate:
             first_failure=_typed(doc.get("first_failure"), str, "first_failure", null=True),
             constants=_typed(doc.get("constants"), dict, "constants", null=True),
             orbifold=_typed(doc.get("orbifold"), dict, "orbifold", null=True),
-            formulas=tuple((k, v) for k, v in doc.get("formulas", [])),
+            formulas=tuple(
+                _formula(f) for f in _typed(doc.get("formulas", []), list, "formulas")
+            ),
         )
+
+
+def _formula(raw) -> tuple[str, str]:
+    name, text = _typed(raw, list, "formula")
+    return _typed(name, str, "formula name"), _typed(text, str, "formula text")
 
 
 _FORMULAS: tuple[tuple[str, str], ...] = (
@@ -506,18 +517,17 @@ def certify(
     inconclusive, and first_failure names the earliest definite failure.
     When finite multiplicities are supplied and the checklist passes, the
     certificate additionally carries the feasibility constants chain and
-    the orbifold thresholds, unless include_constants is False.
+    the orbifold thresholds, unless include_constants is False.  A negative
+    twist_alpha is refused up front, whatever the multiplicities.
     """
     wb.check_against(cfg)
     if multiplicities is None:
         multiplicities = tuple(float("inf") for _ in cfg.components)
     multiplicities = tuple(multiplicities)
-    if len(multiplicities) != len(cfg.components):
-        raise ConfigError(
-            f"{len(multiplicities)} multiplicities for {len(cfg.components)} components"
-        )
-    for m in multiplicities:
-        check_multiplicity(m)
+    check_multiplicities(multiplicities, cfg.r)
+    twist_alpha = Fraction(twist_alpha)
+    if twist_alpha < 0:
+        raise ConfigError(f"twist alpha {twist_alpha} must be nonnegative")
 
     hypotheses: list[Hypothesis] = []
     if cfg.r >= 2:
@@ -594,7 +604,7 @@ def certify(
     finite = any(m != INF for m in multiplicities)
     if include_constants and finite and overall == PASS:
         constants_doc, orbifold_doc = _conclusion_sections(
-            cfg, wb, report, multiplicities, Fraction(twist_alpha), constants_cap
+            cfg, wb, report, multiplicities, twist_alpha, constants_cap
         )
 
     return Certificate(
@@ -624,7 +634,7 @@ def _conclusion_sections(
 ):
     # local imports keep module dependencies acyclic
     from .constants import InfeasibleError, feasible_chain
-    from .orbifold import OrbifoldDivisor, ample_twist_threshold
+    from .orbifold import ample_twist_threshold
 
     try:
         chain = feasible_chain(
@@ -641,10 +651,7 @@ def _conclusion_sections(
         constants_doc = {"status": "infeasible-within-cap", "detail": str(exc)}
         mult_doc = {}
 
-    delta = OrbifoldDivisor.make(
-        [(i, m) for i, m in enumerate(multiplicities)]
-    )
-    twist = ample_twist_threshold(cfg, wb, twist_alpha, delta)
+    twist = ample_twist_threshold(cfg, wb, twist_alpha, multiplicities)
     big = orbifold_canonical_big(cfg, multiplicities)
     orbifold_doc = {
         **mult_doc,

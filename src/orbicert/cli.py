@@ -300,7 +300,9 @@ def build_parser() -> argparse.ArgumentParser:
     add_config_args(p_cert)
     p_cert.add_argument("--multiplicities", help="comma separated, integers or inf")
     p_cert.add_argument("--out", help="write the certificate JSON here")
-    p_cert.add_argument("--twist-alpha", default="1", help="numerator of the twist")
+    p_cert.add_argument(
+        "--twist-alpha", default="1", help="nonnegative rational alpha in D_p - (alpha/m) T"
+    )
     p_cert.add_argument("--cap", type=int, default=200, help="level cap for constants")
     p_cert.add_argument(
         "--skip-constants", action="store_true", help="omit the constants chain"

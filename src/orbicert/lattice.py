@@ -328,7 +328,7 @@ class SurfaceConfig:
         if version != CONFIG_FORMAT_VERSION:
             raise ConfigError(f"unsupported config version {version}")
         comps = []
-        for raw in doc.get("components", []):
+        for raw in _typed(doc.get("components", []), list, "components"):
             paired = _typed(raw.get("paired", False), bool, "paired")
             comps.append(
                 Component(
@@ -348,12 +348,13 @@ class SurfaceConfig:
         points = None
         if "points" in doc:
             points = tuple(
-                BlownPoint.make(raw["id"], raw["on"]) for raw in doc["points"]
+                BlownPoint.make(raw["id"], _typed(raw["on"], list, "point on"))
+                for raw in _typed(doc["points"], list, "points")
             )
         else:
             padded = padded or _pads(comps)
-        weights = doc.get("weights")
-        mults = doc.get("multiplicities")
+        weights = _typed(doc.get("weights"), list, "weights", null=True)
+        mults = _typed(doc.get("multiplicities"), list, "multiplicities", null=True)
         return SurfaceConfig(
             components=tuple(comps),
             points=points,

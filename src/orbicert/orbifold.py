@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .lattice import ConfigError, InternalError, SurfaceConfig, strict_transform
 from .lattice import DivisorClass, _typed, load_json, malformed
@@ -21,6 +21,7 @@ from .positivity import (
     WeightedBoundary,
     ample_class_sufficient,
     boundary_class,
+    check_multiplicities,
     check_multiplicity,
     orbifold_coefficient,
 )
@@ -31,36 +32,6 @@ def _ceil_div(m: Multiplicity, t: int) -> Multiplicity:
     if m == INF:
         return INF
     return -(-int(m) // t)
-
-
-@dataclass(frozen=True)
-class OrbifoldDivisor:
-    """Component indices with multiplicities above 1."""
-
-    items: tuple[tuple[int, Multiplicity], ...]
-
-    @staticmethod
-    def make(pairs: Iterable[tuple[int, Multiplicity]]) -> "OrbifoldDivisor":
-        seen = {}
-        for j, m in pairs:
-            check_multiplicity(m)
-            if j < 0:
-                raise ConfigError(f"negative component index {j}")
-            if j in seen:
-                raise ConfigError(f"component {j} listed twice")
-            if m > 1:
-                seen[j] = m
-        return OrbifoldDivisor(items=tuple(sorted(seen.items())))
-
-    @property
-    def support(self) -> tuple[int, ...]:
-        return tuple(j for j, _ in self.items)
-
-    def multiplicity(self, j: int) -> Multiplicity:
-        for jj, m in self.items:
-            if jj == j:
-                return m
-        return 1
 
 
 @dataclass(frozen=True)
@@ -132,8 +103,11 @@ class PullbackProfile:
     def from_json_dict(doc: Mapping) -> "PullbackProfile":
         return PullbackProfile.make(
             [
-                (_typed(p["ident"], str, "point ident"), [(j, t) for j, t in p["contacts"]])
-                for p in doc["points"]
+                (
+                    _typed(p["ident"], str, "point ident"),
+                    [(j, t) for j, t in _typed(p["contacts"], list, "contacts")],
+                )
+                for p in _typed(doc["points"], list, "points")
             ],
             _typed(doc["components"], int, "components"),
         )
@@ -150,7 +124,7 @@ def induced_multiplicities(
     profile: PullbackProfile, target: Sequence[Multiplicity]
 ) -> tuple[Multiplicity, ...]:
     """Per-point multiplicities max over met components of ceil(m_j / t_total)."""
-    _check_target(profile, target)
+    check_multiplicities(target, profile.n_components)
     return tuple(
         max(_ceil_div(target[j], p.t_total) for j, _ in p.contacts)
         for p in profile.points
@@ -163,7 +137,7 @@ def is_orbifold_morphism(
     target: Sequence[Multiplicity],
 ) -> bool:
     """n_i * t_total(i) >= m_j for every point i and met component j."""
-    _check_target(profile, target)
+    check_multiplicities(target, profile.n_components)
     if len(source) != len(profile.points):
         raise ConfigError(
             f"{len(source)} source multiplicities for {len(profile.points)} points"
@@ -187,7 +161,6 @@ def support_bound(
     The per-point inequality 1/induced_i <= sum_j t_ij / m_j makes the
     bound hold for every profile.
     """
-    _check_target(profile, target)
     induced = induced_multiplicities(profile, target)
     lhs = Fraction(len(profile.points))
     rhs = sum((orbifold_coefficient(m) for m in induced), Fraction(0))
@@ -196,15 +169,6 @@ def support_bound(
         if deg and m != INF:
             rhs += Fraction(deg, m)
     return lhs, rhs
-
-
-def _check_target(profile: PullbackProfile, target: Sequence[Multiplicity]) -> None:
-    if len(target) != profile.n_components:
-        raise ConfigError(
-            f"{len(target)} multiplicities for {profile.n_components} components"
-        )
-    for m in target:
-        check_multiplicity(m)
 
 
 def _linear_checks(cfg: SurfaceConfig, d: DivisorClass) -> list:
@@ -217,9 +181,9 @@ def ample_twist_threshold(
     cfg: SurfaceConfig,
     wb: WeightedBoundary,
     alpha: Fraction | int,
-    delta: OrbifoldDivisor,
+    multiplicities: Sequence[Multiplicity],
 ) -> int:
-    """Least m >= 1 keeping D_p - (alpha/m) * T ample, T the support's sum.
+    """Least m >= 1 keeping D_p - (alpha/m) * T ample, T = sum of D_j with m_j > 1.
 
     The sufficient test certifies a class exactly when its linear checks
     all pass: c_i > 0 on every paired component and a positive residue
@@ -232,13 +196,12 @@ def ample_twist_threshold(
     alpha = Fraction(alpha)
     if alpha < 0:
         raise ConfigError("alpha must be nonnegative")
-    for j in delta.support:
-        if j >= len(cfg.components):
-            raise ConfigError(f"support index {j} out of range")
+    check_multiplicities(multiplicities, cfg.r)
     dp = boundary_class(cfg, wb)
     if not ample_class_sufficient(cfg, dp).certified:
         raise ValueError("weighted boundary is not certified ample")
-    twist = sum((strict_transform(cfg, j) for j in delta.support), 0 * dp)
+    support = (j for j, m_j in enumerate(multiplicities) if m_j > 1)
+    twist = sum((strict_transform(cfg, j) for j in support), 0 * dp)
     bounds = zip(_linear_checks(cfg, dp), _linear_checks(cfg, twist))
     m = 1 + max(0, *(alpha * t // p for p, t in bounds))
 

@@ -128,6 +128,14 @@ def check_multiplicity(m: Multiplicity) -> None:
         raise ConfigError(f"multiplicity {m!r} must be a positive integer or inf")
 
 
+def check_multiplicities(multiplicities: Sequence[Multiplicity], r: int) -> None:
+    """One valid multiplicity per boundary component."""
+    if len(multiplicities) != r:
+        raise ConfigError(f"{len(multiplicities)} multiplicities for {r} components")
+    for m in multiplicities:
+        check_multiplicity(m)
+
+
 def orbifold_coefficient(m: Multiplicity) -> Fraction:
     """1 - 1/m, with the logarithmic value 1 at m = inf."""
     check_multiplicity(m)
@@ -145,10 +153,7 @@ def orbifold_canonical_big(
     -3 + sum((1 - 1/m_i) * d_i); a positive total degree certifies bigness
     on the plane model, anything else is inconclusive.
     """
-    if len(multiplicities) != len(cfg.components):
-        raise ConfigError(
-            f"{len(multiplicities)} multiplicities for {len(cfg.components)} components"
-        )
+    check_multiplicities(multiplicities, cfg.r)
     total = Fraction(-3)
     for comp, m in zip(cfg.components, multiplicities):
         total += orbifold_coefficient(m) * comp.degree

@@ -70,6 +70,19 @@ def test_certify_twist_threshold_above_4096(capsys):
     assert json.loads(line[len("orbifold: "):])["ample_twist_threshold"] == 33334
 
 
+def test_certify_negative_twist_alpha_exits_3(capsys):
+    for argv in [
+        # a passing checklist with infinite multiplicities computes no twist
+        ["--builtin", "four-lines"],
+        # a failing checklist computes no twist either
+        ["--weights", "1,1,1,9", "--multiplicities", "2,2,2,2"],
+        ["--multiplicities", "7,7,7,7"],
+    ]:
+        code, out, err = run(capsys, "certify", *argv, "--twist-alpha=-1")
+        assert code == 3, argv
+        assert out == "" and "twist alpha -1 must be nonnegative" in err
+
+
 def test_certify_skip_constants(capsys):
     code, out, _ = run(
         capsys, "certify", "--multiplicities", "7,7,7,7", "--skip-constants"

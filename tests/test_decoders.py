@@ -70,12 +70,42 @@ def _with(doc: dict, path: tuple, value) -> dict:
         (("weights", 0, "value"), "four",
          "malformed certificate: Invalid literal for Fraction: 'four'"),
         (("weights", 0, "value"), "1/0", "malformed certificate: Fraction(1, 0)"),
+        # iterating a string or an object used to read its characters or keys
+        (("multiplicities",), "1111", "multiplicities must be list, not '1111'"),
+        (("multiplicities",), {"1": 0, "2": 0, "3": 0, "4": 0},
+         "multiplicities must be list, not {'1': 0, '2': 0, '3': 0, '4': 0}"),
+        (("formulas", 0), "ab", "formula must be list, not 'ab'"),
+        (("formulas", 0, 1), 7, "formula text must be str, not 7"),
+        (("formulas",), {}, "formulas must be list, not {}"),
+        (("components",), {}, "components must be list, not {}"),
+        (("hypotheses",), {}, "hypotheses must be list, not {}"),
+        (("weights",), {}, "weights must be list, not {}"),
     ],
 )
 def test_certificate_misreads_are_config_errors(path, value, message):
     doc = _with(_certificate_doc(), path, value)
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
         Certificate.from_json_dict(doc)
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        # "4443" used to certify the weights (4, 4, 4, 3)
+        (("weights",), "4443", "weights must be list or null, not '4443'"),
+        (("multiplicities",), "inf", "multiplicities must be list or null, not 'inf'"),
+        (("components",), {}, "components must be list, not {}"),
+        (("points",), {}, "points must be list, not {}"),
+        (("points", 0, "on"), "0", "point on must be list, not '0'"),
+        # "XYZ" used to read as the three lines X, Y and Z
+        (("metadata", "realization", "forms"), "XYZ", "forms must be list, not 'XYZ'"),
+    ],
+)
+def test_config_misreads_are_config_errors(path, value, message):
+    doc = _with(FOUR_LINES.to_json_dict(), path, value)
+    decode = _DOCUMENTS["config"][1]
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        decode(doc)
 
 
 def test_multiplicity_misreads_are_config_errors():
@@ -120,6 +150,10 @@ def test_profile_misreads_are_config_errors():
         PullbackProfile.from_json_dict(_with(doc, ("points", 1, "contacts", 0, 0), "0"))
     with pytest.raises(ConfigError, match="^components must be int, not 4.0$"):
         PullbackProfile.from_json_dict(_with(doc, ("components",), 4.0))
+    with pytest.raises(ConfigError, match="^points must be list, not {}$"):
+        PullbackProfile.from_json_dict(_with(doc, ("points",), {}))
+    with pytest.raises(ConfigError, match="^contacts must be list, not {}$"):
+        PullbackProfile.from_json_dict(_with(doc, ("points", 0, "contacts"), {}))
     with pytest.raises(ConfigError, match="^profile is missing key 'components'$"):
         PullbackProfile.from_json_dict({"points": doc["points"]})
     with pytest.raises(ConfigError, match="^malformed profile JSON"):

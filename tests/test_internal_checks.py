@@ -96,10 +96,9 @@ def force_gcd_cofactor():
 
 def force_twist_threshold():
     cfg, wb = load_builtin("four-lines"), WeightedBoundary.make([4, 4, 4, 3])
-    full = orbifold.OrbifoldDivisor.make([(j, orbifold.INF) for j in range(4)])
     # the bounds still give m = 34, but m = 33 now passes as well
     with patched(orbifold, "ample_class_sufficient", lambda cfg, d: Verdict(True)):
-        orbifold.ample_twist_threshold(cfg, wb, 100, full)
+        orbifold.ample_twist_threshold(cfg, wb, 100, (orbifold.INF,) * 4)
 
 
 FORCED = {

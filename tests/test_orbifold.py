@@ -11,7 +11,6 @@ from orbicert.catalog import load_builtin
 from orbicert.lattice import ConfigError, DivisorClass, SurfaceConfig, strict_transform
 from orbicert.orbifold import (
     INF,
-    OrbifoldDivisor,
     ProfilePoint,
     PullbackProfile,
     ample_twist_threshold,
@@ -32,19 +31,16 @@ FOUR_LINES = load_builtin("four-lines")
 WEIGHTS = WeightedBoundary.make([4, 4, 4, 3])
 
 
-def test_orbifold_divisor_make():
-    delta = OrbifoldDivisor.make([(2, 5), (0, INF), (1, 1)])
-    assert delta.items == ((0, INF), (2, 5))
-    assert delta.support == (0, 2)
-    assert delta.multiplicity(0) == INF
-    assert delta.multiplicity(1) == 1
-    assert delta.multiplicity(2) == 5
-    with pytest.raises(ConfigError):
-        OrbifoldDivisor.make([(0, 2), (0, 3)])
-    with pytest.raises(ConfigError):
-        OrbifoldDivisor.make([(-1, 2)])
-    with pytest.raises(ConfigError):
-        OrbifoldDivisor.make([(0, 0)])
+def test_twist_multiplicity_vector():
+    for bad in ([INF] * 3, [INF] * 5, [INF, INF, 0, INF], [INF, True, INF, INF]):
+        with pytest.raises(ConfigError):
+            ample_twist_threshold(FOUR_LINES, WEIGHTS, 100, bad)
+    # an entry of 1 stays out of T: twisting by the three lines leaves 4 - 100/m
+    # on each line and the residue 3; adding the hyperplane drops the residue
+    # to 3 - 100/m
+    assert ample_twist_threshold(FOUR_LINES, WEIGHTS, 100, [1, 1, 1, 1]) == 1
+    assert ample_twist_threshold(FOUR_LINES, WEIGHTS, 100, [2, 2, 2, 1]) == 26
+    assert ample_twist_threshold(FOUR_LINES, WEIGHTS, 100, [2, 2, 2, INF]) == 34
 
 
 def test_profile_point_make():
@@ -148,42 +144,34 @@ def test_support_bound_equality_all_infinite():
 
 
 def test_twist_threshold_four_lines():
-    full = OrbifoldDivisor.make([(j, INF) for j in range(4)])
+    full = (INF,) * 4
     assert ample_twist_threshold(FOUR_LINES, WEIGHTS, 1, full) == 1
     assert ample_twist_threshold(FOUR_LINES, WEIGHTS, 0, full) == 1
-    empty = OrbifoldDivisor.make([])
-    assert ample_twist_threshold(FOUR_LINES, WEIGHTS, 7, empty) == 1
+    assert ample_twist_threshold(FOUR_LINES, WEIGHTS, 7, (1,) * 4) == 1
     # residue 3 - 100/m first turns positive at m = 34
     assert ample_twist_threshold(FOUR_LINES, WEIGHTS, 100, full) == 34
     assert ample_twist_threshold(FOUR_LINES, WEIGHTS, Fraction(7, 2), full) == 2
 
 
 def test_twist_threshold_errors():
-    full = OrbifoldDivisor.make([(j, INF) for j in range(4)])
     with pytest.raises(ConfigError):
-        ample_twist_threshold(FOUR_LINES, WEIGHTS, -1, full)
-    with pytest.raises(ConfigError):
-        ample_twist_threshold(
-            FOUR_LINES, WEIGHTS, 1, OrbifoldDivisor.make([(9, 2)])
-        )
+        ample_twist_threshold(FOUR_LINES, WEIGHTS, -1, (INF,) * 4)
     bad = SurfaceConfig.build([2], [2], hyperplane=False, allow_single_component=True)
     with pytest.raises(ValueError):
-        ample_twist_threshold(
-            bad, WeightedBoundary.make([1]), 1, OrbifoldDivisor.make([(0, 2)])
-        )
+        ample_twist_threshold(bad, WeightedBoundary.make([1]), 1, (2,))
 
 
 def test_twist_threshold_answers_in_the_size_of_alpha():
-    full = OrbifoldDivisor.make([(j, INF) for j in range(4)])
     with time_limit(1):
-        m = ample_twist_threshold(FOUR_LINES, WEIGHTS, 10**30, full)
+        m = ample_twist_threshold(FOUR_LINES, WEIGHTS, 10**30, (INF,) * 4)
     assert m == 10**30 // 3 + 1
 
 
-def scan_twist_threshold(cfg, wb, alpha, delta, cap=4096):
+def scan_twist_threshold(cfg, wb, alpha, multiplicities, cap=4096):
     """Least m <= cap at which the lattice test certifies the twist, or None."""
     dp = boundary_class(cfg, wb)
-    twist = sum((strict_transform(cfg, j) for j in delta.support), 0 * dp)
+    support = [j for j, m in enumerate(multiplicities) if m > 1]
+    twist = sum((strict_transform(cfg, j) for j in support), 0 * dp)
     for m in range(1, cap + 1):
         if ample_class_sufficient(cfg, dp - (Fraction(alpha) / m) * twist).certified:
             return m
@@ -208,20 +196,22 @@ def twist_cases(draw):
         wb = WeightedBoundary.make(weights)
     support = draw(st.lists(st.integers(0, cfg.r - 1), unique=True))
     mults = st.sampled_from([2, 5, 1000, INF])
-    delta = OrbifoldDivisor.make([(j, draw(mults)) for j in support])
-    return cfg, wb, draw(exact_numbers(0, 3000)), delta
+    multiplicities = [1] * cfg.r
+    for j in support:
+        multiplicities[j] = draw(mults)
+    return cfg, wb, draw(exact_numbers(0, 3000)), multiplicities
 
 
 @settings(max_examples=300, deadline=None, database=None, derandomize=True)
 @given(twist_cases())
 def test_twist_threshold_matches_the_scan(case):
-    cfg, wb, alpha, delta = case
+    cfg, wb, alpha, multiplicities = case
     if not ample_sufficient(cfg, wb).certified:
         with pytest.raises(ValueError):
-            ample_twist_threshold(cfg, wb, alpha, delta)
+            ample_twist_threshold(cfg, wb, alpha, multiplicities)
         return
-    expected = scan_twist_threshold(cfg, wb, alpha, delta)
-    m = ample_twist_threshold(cfg, wb, alpha, delta)
+    expected = scan_twist_threshold(cfg, wb, alpha, multiplicities)
+    m = ample_twist_threshold(cfg, wb, alpha, multiplicities)
     assert m == expected if expected is not None else m > 4096
 
 
