@@ -35,6 +35,7 @@ from . import __version__ as _tool_version
 from .lattice import Coeff, ConfigError, InternalError, SurfaceConfig
 from .lattice import _typed, load_json, malformed
 from .lattice import intersect  # noqa: F401  importable from here; bench/test_bench.py relies on it
+from .orbifold import ample_twist_threshold
 from .positivity import (
     INF,
     Multiplicity,
@@ -317,7 +318,6 @@ TAG_RATIONAL = "exact-rational"
 TAG_QUADRATIC = "exact-quadratic"
 TAG_LOWER = "lower-bound"
 TAG_UPPER = "upper-bound"
-TAG_EMPIRICAL = "empirical"
 
 
 def encode_number(value, tag: str | None = None) -> dict:
@@ -632,9 +632,8 @@ def _conclusion_sections(
     twist_alpha: Fraction,
     constants_cap: int,
 ):
-    # local imports keep module dependencies acyclic
+    # constants imports this module, so its import waits for the first call
     from .constants import InfeasibleError, feasible_chain
-    from .orbifold import ample_twist_threshold
 
     try:
         chain = feasible_chain(

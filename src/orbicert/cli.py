@@ -183,6 +183,7 @@ def cmd_constants(args) -> int:
 
 
 def cmd_beta(args) -> int:
+    _require_positive(args, "level")
     if args.plane:
         cfg = load_builtin("plane-one-line")
         wb = WeightedBoundary.make([args.plane])
@@ -218,14 +219,10 @@ def cmd_beta(args) -> int:
 
 
 def cmd_stress(args) -> int:
-    if args.samples < 0:
-        raise ConfigError(f"samples {args.samples} must not be negative")
     _require_positive(args, "threads")
     # sample i of every suite draws from (suite, seed, i) alone, so --threads
     # never changes the record
     if args.suite == "boundary":
-        # weights are drawn from [1, coeff-bound] and degrees from [1, max-degree]
-        _require_positive(args, "coeff_bound", "max_degree")
         record = sampling.boundary_sweep(
             args.samples,
             seed=args.seed,

@@ -20,7 +20,7 @@ import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Mapping, Sequence
 
 from . import polys
@@ -203,6 +203,13 @@ class RatMap:
     def height(self) -> int:
         return max(polys.degree(c) for c in self.coords)
 
+    @cached_property
+    def nondegenerate(self) -> bool:
+        """Coordinates linearly independent over the constants, proved once."""
+        width = self.height + 1
+        rows = [list(c) + [0] * (width - len(c)) for c in self.coords]
+        return gaussian_rank(rows) == len(self.coords)
+
     def __str__(self) -> str:
         return "[" + " : ".join(polys.to_string(c) for c in self.coords) + "]"
 
@@ -338,11 +345,12 @@ def _var_names(nvars: int) -> tuple[str, ...]:
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z]\d*)|([-+*^()])|(\S))")
 
 
-def _parse(text: str, names: Sequence[str]) -> dict[tuple[int, ...], int]:
+def _parse(text: str, names: Sequence[str], degree: float = math.inf) -> dict:
     """Read an integer polynomial in names into {exponents: coefficient}.
 
     Recursive descent: runs of + and - before a term, then *, then ^ with
-    a decimal exponent, then parentheses.
+    a decimal exponent, then parentheses.  An exponent or a product above
+    degree is refused before anything is multiplied.
     """
     tokens = []
     for match in _TOKEN.finditer(text):
@@ -368,7 +376,7 @@ def _parse(text: str, names: Sequence[str]) -> dict[tuple[int, ...], int]:
         total = factor()
         while tokens and tokens[-1] == "*":
             tokens.pop()
-            total = _poly_mul(total, factor())
+            total = _poly_mul(total, factor(), degree)
         return total
 
     def factor() -> dict:
@@ -389,12 +397,14 @@ def _parse(text: str, names: Sequence[str]) -> dict[tuple[int, ...], int]:
         tok = tokens.pop()
         if not tok.isdigit():
             raise ConfigError(f"bad exponent {tok!r}")
+        if int(tok) > degree:
+            raise ConfigError(f"exponent {tok} exceeds the form's degree {degree}")
         # by squaring: X^99999999 costs 27 squarings, not 10^8 products
         out = {one: 1}
         for bit in bin(int(tok))[2:]:
-            out = _poly_mul(out, out)
+            out = _poly_mul(out, out, degree)
             if bit == "1":
-                out = _poly_mul(out, base)
+                out = _poly_mul(out, base, degree)
         return out
 
     try:
@@ -408,7 +418,9 @@ def _parse(text: str, names: Sequence[str]) -> dict[tuple[int, ...], int]:
     return out
 
 
-def _poly_mul(a: dict, b: dict) -> dict:
+def _poly_mul(a: dict, b: dict, degree: float) -> dict:
+    if max(map(sum, a), default=0) + max(map(sum, b), default=0) > degree:
+        raise ConfigError(f"a product in the form exceeds degree {degree}")
     out: dict = {}
     for ea, ca in a.items():
         for eb, cb in b.items():
@@ -417,9 +429,10 @@ def _poly_mul(a: dict, b: dict) -> dict:
     return {e: c for e, c in out.items() if c}
 
 
-def parse_form(text: str, nvars: int = 3) -> HForm:
-    """Parse a homogeneous integer form in X, Y, Z, W (or X0, X1, ...)."""
-    return HForm.make(nvars, _parse(text, _var_names(nvars)))
+def parse_form(text: str, nvars: int = 3, degree: float = math.inf) -> HForm:
+    """Parse a homogeneous integer form in X, Y, Z, W (or X0, X1, ...) of
+    at most the given degree."""
+    return HForm.make(nvars, _parse(text, _var_names(nvars), degree))
 
 
 # -- heights and counting --------------------------------------------------------
@@ -523,13 +536,6 @@ def gaussian_rank(rows: Iterable[Sequence[Fraction | int]]) -> int:
     return len(echelon)
 
 
-def coordinates_nondegenerate(x: RatMap) -> bool:
-    """Coordinates linearly independent over the constants."""
-    width = max(polys.degree(c) for c in x.coords) + 1
-    rows = [list(c) + [0] * (width - len(c)) for c in x.coords]
-    return gaussian_rank(rows) == len(x.coords)
-
-
 # -- the subspace-type inequality -------------------------------------------------
 
 
@@ -550,8 +556,9 @@ def subspace_inequality(
     At each place the best subfamily is a basis of the family, taken
     greedily: hyperplanes by falling local value, each kept when it is
     independent of those kept before.  The independent subfamilies form a
-    matroid, so the greedy basis has the largest sum (Edmonds, "Matroids
-    and the greedy algorithm", Math. Programming 1 (1971)).
+    matroid, so the greedy basis has the largest sum and the family's rank
+    (Edmonds, "Matroids and the greedy algorithm", Math. Programming 1
+    (1971)); below two places, the family's own order is a second basis.
 
     Requires coordinates linearly independent over the constants; the
     point then lies on none of the hyperplanes.
@@ -563,14 +570,14 @@ def subspace_inequality(
     for hp in hyperplanes:
         if hp.degree != 1 or hp.nvars != m + 1:
             raise ConfigError("hyperplanes must be linear forms in the same space")
-    if not coordinates_nondegenerate(x):
+    if not x.nondegenerate:
         raise DegenerateError("coordinates satisfy a constant linear relation")
 
     vectors = [hp.linear_vector() for hp in hyperplanes]
-    family_rank = gaussian_rank(vectors)
     values = [hp.evaluate(x) for hp in hyperplanes]
 
     lhs = 0
+    ranks = set() if len(places) > 1 else {gaussian_rank(vectors)}
     for place in places:
         base = _coord_min(x, place)
         lams = [place.valuation(fx) - base for fx in values]
@@ -578,15 +585,16 @@ def subspace_inequality(
         best = 0
         # sorted is stable, so equal values keep the family's order
         for j in sorted(range(len(vectors)), key=lambda j: -lams[j]):
-            if len(echelon) == family_rank:
+            if len(echelon) == m + 1:
                 break
             if _insert(echelon, vectors[j]):
                 best += lams[j]
-        if len(echelon) < family_rank:
-            raise InternalError("greedy basis misses the family rank")
+        ranks.add(len(echelon))
         lhs += place.degree * best
+    if len(ranks) != 1:
+        raise InternalError(f"greedy bases of one family have sizes {sorted(ranks)}")
     rhs = (m + 1) * Fraction(x.height) + Fraction(m * (m + 1), 2) * (len(places) - 2)
-    return SubspaceReport(lhs=lhs, rhs=rhs, holds=lhs <= rhs, family_rank=family_rank)
+    return SubspaceReport(lhs=lhs, rhs=rhs, holds=lhs <= rhs, family_rank=ranks.pop())
 
 
 # -- plane realizations and the hyperbolicity probe -------------------------------
@@ -660,15 +668,21 @@ def realization_from_config(cfg: SurfaceConfig) -> PlaneRealization:
     doc = cfg.metadata.get("realization")
     if not doc:
         raise ConfigError("configuration carries no plane realization")
-    r = len(cfg.components)
+    comps = cfg.components
     forms = _typed(doc["forms"], list, "forms")
-    boundary = [parse_form(_typed(text, str, "form")) for text in forms]
-    pairing: list[HForm | None] = [None] * r
-    slots = {str(i): i for i in range(r)}
+    if len(forms) != len(comps):  # before reading a form at its degree
+        raise ConfigError("one form per boundary component is required")
+    boundary = [
+        parse_form(_typed(text, str, "form"), degree=comp.degree)
+        for text, comp in zip(forms, comps)
+    ]
+    pairing: list[HForm | None] = [None] * len(comps)
+    slots = {str(i): i for i, comp in enumerate(comps) if comp.paired}
     for key, text in doc.get("pairings", {}).items():
         if key not in slots:
-            raise ConfigError(f"pairing key {key!r} is not a component index")
-        pairing[slots[key]] = parse_form(_typed(text, str, "form"))
+            raise ConfigError(f"pairing key {key!r} is not a paired component's index")
+        degree = comps[slots[key]].pairing_degree
+        pairing[slots[key]] = parse_form(_typed(text, str, "form"), degree=degree)
     coords = doc.get("points", {}).items()
     points = {k: tuple(_typed(c, int, "point coordinate") for c in v) for k, v in coords}
     real = PlaneRealization.make(boundary, pairing, points)
@@ -768,16 +782,16 @@ _MAP_TRIES = 10_000
 def random_map(
     rng: random.Random, m: int, max_deg: int, bound: int, *, nondegenerate: bool = False
 ) -> RatMap:
-    """A random map to P^m; nondegenerate asks for independent coordinates
-    and positive height.  ConfigError after _MAP_TRIES rejected draws."""
+    """A random map to P^m; nondegenerate asks for independent coordinates,
+    never all constant for m >= 1.  ConfigError after _MAP_TRIES draws."""
+    if nondegenerate and m < 1:
+        raise ConfigError(f"no nondegenerate map to P^{m} has positive height")
     for _ in range(_MAP_TRIES):
         raw = [_random_poly(rng, max_deg, bound) for _ in range(m + 1)]
         if all(polys.is_zero(p) for p in raw):
             continue
         x = RatMap._from_ints(raw)
-        if nondegenerate and not coordinates_nondegenerate(x):
-            continue
-        if nondegenerate and x.height == 0:
+        if nondegenerate and not x.nondegenerate:
             continue
         return x
     raise ConfigError(

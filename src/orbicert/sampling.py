@@ -24,7 +24,7 @@ from math import lcm
 from multiprocessing import Pool
 
 from .certifier import build_report
-from .lattice import InternalError, SurfaceConfig
+from .lattice import ConfigError, InternalError, SurfaceConfig
 from .positivity import WeightedBoundary
 
 _MAX_PAIRED = 3
@@ -95,7 +95,7 @@ def _sweep(
     """[_sample_at(sample, suite, seed, params, i) for i in range(samples)],
     in contiguous chunks of ceil(samples / processes) indices."""
     if samples < 0:
-        raise ValueError("negative sample count")
+        raise ConfigError(f"samples {samples} must not be negative")
     at = partial(_sample_at, sample, suite, seed, params)
     chunk = -(-samples // max(1, processes))
     with ordered_map(at, range(samples), processes, chunk) as outcomes:
@@ -135,6 +135,11 @@ def boundary_sweep(
     to 50 * passes samples.  The stream is read in index order, so the draws
     end there at any process count; what a pool computed past it is dropped.
     """
+    if passes < 0:
+        raise ConfigError(f"passes {passes} must not be negative")
+    for name, value in (("max degree", max_degree), ("coefficient bound", bound)):
+        if value < 1:
+            raise ConfigError(f"{name} {value} must be at least 1")
     at = partial(_sample_at, _boundary_sample, "boundary", seed, (max_degree, bound))
     chunk = -(-passes // max(1, processes))
     outcomes, passed = [], 0

@@ -153,12 +153,14 @@ def test_certify_input_errors(capsys):
         ["certify", "--weights", ""],
         ["certify", "--multiplicities", "7,7, ,7,7", "--skip-constants"],
         ["stress", "--suite", "probe", "--samples", "4", "--weights", ",4,4,4,3"],
+        # --plane used to print the closed form before it read --level
+        ["beta", "--plane", "3", "--level", "0"],
     ],
     ids=["missing-value", "unknown-option", "bad-int", "bad-choice",
          "search-threads", "boundary-threads", "product-threads",
          "boundary-batches", "subspace-batches", "constants-cap", "certify-cap",
          "weights-inner-empty", "weights-trailing-comma", "weights-empty",
-         "multiplicities-blank", "probe-weights-leading-comma"],
+         "multiplicities-blank", "probe-weights-leading-comma", "beta-level"],
 )
 def test_malformed_command_line_exits_3(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -424,10 +426,15 @@ def _realization_doc(**changes) -> dict:
         _realization_doc(forms=["X^99999999", "Y", "Z", "X + Y + Z"]),
         # int("00") used to read component 0
         _realization_doc(pairings={"00": "Y - Z", "1": "X - Z", "2": "X - Y"}),
+        # each form is read at its degree, before any product is expanded
+        _realization_doc(forms=["(X+Y+Z)^200", "Y", "Z", "X + Y + Z"]),
+        _realization_doc(pairings={"0": "(X-Y)^2000", "1": "X - Z", "2": "X - Y"}),
+        _realization_doc(forms=["9^9999999*X", "Y", "Z", "X + Y + Z"]),
     ],
     ids=[
         "deep-parentheses", "pairing-key-7", "missing-forms", "points-as-list",
-        "float-coordinate", "huge-exponent", "pairing-key-00",
+        "float-coordinate", "huge-exponent", "pairing-key-00", "form-power-200",
+        "pairing-power-2000", "constant-power",
     ],
 )
 def test_stress_probe_malformed_realization_exits_3(capsys, tmp_path, doc):
@@ -539,8 +546,8 @@ def test_parser_is_built_once_and_reused(capsys):
         (["--suite", "subspace", "--coeff-bound", "0"], "coefficient bound 0"),
         (["--suite", "probe", "--coeff-bound", "0"], "coefficient bound 0"),
         (["--suite", "probe", "--max-degree", "-1"], "max degree -1 must not be"),
-        (["--suite", "boundary", "--coeff-bound", "0"], "--coeff-bound 0 must be"),
-        (["--suite", "boundary", "--max-degree", "0"], "--max-degree 0 must be"),
+        (["--suite", "boundary", "--coeff-bound", "0"], "coefficient bound 0 must be"),
+        (["--suite", "boundary", "--max-degree", "0"], "max degree 0 must be"),
     ],
     ids=["subspace-degree", "subspace-bound", "probe-bound", "probe-degree",
          "boundary-bound", "boundary-degree"],

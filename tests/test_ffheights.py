@@ -31,7 +31,6 @@ from orbicert.ffheights import (
     _coord_min,
     _parse,
     _sweep,
-    coordinates_nondegenerate,
     counting_functions,
     gaussian_rank,
     height_bound_probe,
@@ -45,7 +44,7 @@ from orbicert.ffheights import (
     subspace_inequality,
     subspace_sweep,
 )
-from orbicert.lattice import ConfigError
+from orbicert.lattice import ConfigError, SurfaceConfig
 from orbicert.positivity import WeightedBoundary
 from test_internal_checks import time_limit
 
@@ -355,10 +354,45 @@ def test_ratmap_str():
     assert str(x) == "[1 : t : t^2]"
 
 
-def test_coordinates_nondegenerate():
-    assert coordinates_nondegenerate(RatMap.make([[1], [0, 1], [0, 0, 1]]))
-    assert not coordinates_nondegenerate(RatMap.make([[1], [0, 1], [1, 1]]))
-    assert not coordinates_nondegenerate(RatMap.make([[2], [3]]))
+def rank_rule(x: RatMap) -> bool:
+    """Independent coordinates by the rank of their coefficient rows: the
+    free function that RatMap.nondegenerate replaced."""
+    width = max(polys.degree(c) for c in x.coords) + 1
+    rows = [list(c) + [0] * (width - len(c)) for c in x.coords]
+    return gaussian_rank(rows) == len(x.coords)
+
+
+def test_ratmap_nondegenerate():
+    assert RatMap.make([[1], [0, 1], [0, 0, 1]]).nondegenerate
+    assert not RatMap.make([[1], [0, 1], [1, 1]]).nondegenerate
+    assert not RatMap.make([[2], [3]]).nondegenerate
+
+
+@st.composite
+def coordinate_lists(draw):
+    """1-4 small coordinates; the last is sometimes a combination of the
+    others, so that the coordinates depend."""
+    small = st.lists(st.integers(-2, 2), min_size=1, max_size=4)
+    coords = draw(st.lists(small, min_size=1, max_size=4))
+    if len(coords) > 1 and draw(st.booleans()):
+        ks = draw(st.lists(st.integers(-2, 2), min_size=len(coords) - 1,
+                           max_size=len(coords) - 1))
+        width = max(map(len, coords))
+        coords[-1] = [
+            sum(k * (c[i] if i < len(c) else 0) for k, c in zip(ks, coords))
+            for i in range(width)
+        ]
+    assume(any(any(c) for c in coords))
+    return coords
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(coordinate_lists())
+def test_nondegenerate_matches_the_rank_rule(coords):
+    x = RatMap.make(coords)
+    assert x.nondegenerate == rank_rule(x)
+    # the proof is kept on the map: a second read runs no rank pass
+    assert x.__dict__["nondegenerate"] == rank_rule(x)
 
 
 # -- forms ----------------------------------------------------------------------
@@ -443,6 +477,11 @@ def test_parse_form():
         parse_form("X + (Y")
     with pytest.raises(ConfigError):
         parse_form("X @ Y")
+    # given a degree, a larger power or product is refused before it is formed
+    assert parse_form("(X - Y)^2", degree=2) == parse_form("X^2 - 2*X*Y + Y^2")
+    for text in ("X*Y*Z", "(X*Y)^2", "Z*(X - Y)^2"):
+        with pytest.raises(ConfigError, match="exceeds"):
+            parse_form(text, degree=2)
 
 
 def test_form_str_round_trip():
@@ -754,7 +793,7 @@ def test_split(request):
     for processes in (1, 2, 4, 8):
         assert _sweep(_draw, "t", 10, 3, processes, ("p",)) == want
     assert _sweep(_draw, "t", 0, 3, 2, ()) == []
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="^samples -1 must not be negative$"):
         _sweep(_draw, "t", -1, 0, 2, ())
     # one contiguous chunk per process asked for, in index order, on a pool
     # of at most one process per sample and per CPU
@@ -882,11 +921,32 @@ def sampler_families(draw):
 
 
 @settings(max_examples=400, deadline=None, database=None, derandomize=True)
-@given(st.one_of(dependent_families(), sampler_families()))
-def test_greedy_basis_matches_enumeration(family):
+@given(st.one_of(dependent_families(), sampler_families()), st.sampled_from([0, 1, 4]))
+def test_greedy_basis_matches_enumeration(family, at_most):
+    # S with no place and with one place as well as the sweep's 2 to 4
     x, hyperplanes, places = family
+    places = places[:at_most]
     report = subspace_inequality(x, hyperplanes, places)
-    assert (report.lhs, report.family_rank) == enumerated_subspace(*family)
+    assert (report.lhs, report.family_rank) == enumerated_subspace(x, hyperplanes, places)
+
+
+def test_subspace_inequality_reuses_the_proofs_of_a_drawn_map(monkeypatch):
+    rng = random.Random(1543)
+    for _ in range(60):
+        m = rng.randint(1, 3)
+        x = random_map(rng, m, 6, 20, nondegenerate=True)
+        hyperplanes = random_hyperplanes(rng, m, rng.randint(m + 1, m + 3), 9)
+        places = random_places(rng)
+        calls = []
+        monkeypatch.setattr(
+            orbicert.ffheights, "gaussian_rank", lambda rows: calls.append(rows) or 0
+        )
+        subspace_inequality(x, hyperplanes, places)
+        # the greedy bases give the family rank when S has two places or more
+        assert calls == []
+        monkeypatch.undo()
+        # below two places, one pass in the family's own order is the second
+        assert subspace_inequality(x, hyperplanes, places[:1]).family_rank == m + 1
 
 
 @pytest.mark.parametrize("m, q", [(3, 40), (4, 30)])
@@ -924,7 +984,7 @@ def test_random_map_canonical():
     rng = random.Random(1601)
     for _ in range(150):
         x = random_map(rng, rng.randint(1, 3), 6, 9, nondegenerate=True)
-        assert coordinates_nondegenerate(x)
+        assert rank_rule(x)
         assert x.height >= 1
         lead = next(p for p in x.coords if not polys.is_zero(p))
         assert lead[-1] > 0
@@ -949,6 +1009,11 @@ def test_random_map_gives_up_after_a_bounded_number_of_draws(monkeypatch):
     with pytest.raises(ConfigError, match="in 50 draws"):
         random_map(rng, 2, 4, 0)
     assert random_map(rng, 3, 3, 1, nondegenerate=True).height >= 1
+    # the one coordinate of a point of P^0 is constant: refused before a draw
+    state = rng.getstate()
+    with pytest.raises(ConfigError, match="no nondegenerate map to P\\^0"):
+        random_map(rng, 0, 3, 5, nondegenerate=True)
+    assert rng.getstate() == state
 
 
 def test_sweeps_reject_unsatisfiable_parameters():
@@ -960,6 +1025,15 @@ def test_sweeps_reject_unsatisfiable_parameters():
     with pytest.raises(ConfigError, match="coefficient bound"):
         probe_sweep(FOUR_LINES, WEIGHTS, realization, 0, bound=0)
     assert subspace_sweep(4, seed=2, max_m=3, max_deg=3, bound=1)["samples"] >= 0
+    # boundary_sweep(-3) used to return an all-zero record, and max_degree=0
+    # to raise randrange's bare ValueError
+    for kwargs, message in [
+        ({"passes": -3}, "passes -3 must not be negative"),
+        ({"passes": 2, "max_degree": 0}, "max degree 0 must be at least 1"),
+        ({"passes": 2, "bound": 0}, "coefficient bound 0 must be at least 1"),
+    ]:
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            sampling.boundary_sweep(**kwargs)
 
 
 def test_subspace_sweep_small():
@@ -1028,6 +1102,40 @@ def test_realization_tampering_raises():
     bare = SurfaceConfig.build([1, 1, 1], [1, 1, 1], hyperplane=True)
     with pytest.raises(ConfigError):
         realization_from_config(bare)
+
+
+@pytest.mark.parametrize(
+    "where, text, message",
+    [
+        ("forms", "(X+Y+Z)^200", "exponent 200 exceeds the form's degree 1"),
+        ("forms", "9^9999999*X", "exponent 9999999 exceeds the form's degree 1"),
+        ("forms", "X*(X+Y)", "a product in the form exceeds degree 1"),
+        ("pairings", "(X-Y)^200", "exponent 200 exceeds the form's degree 1"),
+    ],
+)
+def test_realization_forms_are_read_at_their_degree(where, text, message):
+    doc = load_builtin("four-lines").to_json_dict()
+    realization = doc["metadata"]["realization"]
+    if where == "forms":
+        realization["forms"][0] = text
+    else:
+        realization["pairings"]["0"] = text
+    cfg = SurfaceConfig.from_json_dict(doc)
+    with time_limit(1), pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        realization_from_config(cfg)
+
+
+def test_realization_counts_are_checked_before_any_form():
+    doc = load_builtin("four-lines").to_json_dict()
+    realization = doc["metadata"]["realization"]
+    realization["forms"].append("(X+Y+Z)^200")
+    with time_limit(1), pytest.raises(ConfigError, match="one form per boundary"):
+        realization_from_config(SurfaceConfig.from_json_dict(doc))
+    # component 3 is unpaired, so no degree would bound its pairing form
+    realization["forms"].pop()
+    realization["pairings"]["3"] = "(X+Y+Z)^200"
+    with time_limit(1), pytest.raises(ConfigError, match="'3' is not a paired"):
+        realization_from_config(SurfaceConfig.from_json_dict(doc))
 
 
 def test_probe_known_curve():

@@ -13,6 +13,7 @@ import sys
 from contextlib import contextmanager
 from dataclasses import replace
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -77,13 +78,24 @@ def force_sum_parity():
     constants._sum_lower_fast((replace(bp, dpk=bp.dpk - 1), roots), 0, 1)
 
 
-def force_subspace_basis():
+def force_subspace_basis(count=2):
+    # the second basis, which is the one at the last place, loses the first
+    # vector it is given; with one place the first basis is the pass in the
+    # family's own order
+    places = [ffheights.Place.finite([0, 1]), ffheights.Place.infinite()][:count]
     x = ffheights.RatMap.make([[1], [0, 1], [0, 0, 1]])
+    x.nondegenerate  # proved and kept before the patch, so it builds no basis
     hyperplanes = [ffheights.parse_form(f) for f in ("X", "Y", "Z")]
-    places = [ffheights.Place.finite([0, 1]), ffheights.Place.infinite()]
-    with patched(ffheights, "coordinates_nondegenerate", lambda x: True), patched(
-        ffheights, "gaussian_rank", lambda vectors: len(vectors) + 1
-    ):
+    insert, bases = ffheights._insert, []
+
+    def drop_first_of_second_basis(echelon, vec):
+        if not any(echelon is seen for seen in bases):
+            bases.append(echelon)
+            if len(bases) == 2:
+                return False
+        return insert(echelon, vec)
+
+    with patched(ffheights, "_insert", drop_first_of_second_basis):
         ffheights.subspace_inequality(x, hyperplanes, places)
 
 
@@ -107,6 +119,7 @@ FORCED = {
     "sections-sign": force_sections_sign,
     "sum-parity": force_sum_parity,
     "subspace-basis": force_subspace_basis,
+    "subspace-basis-one-place": partial(force_subspace_basis, 1),
     "twist-threshold": force_twist_threshold,
 }
 
