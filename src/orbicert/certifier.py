@@ -24,7 +24,6 @@ round-trips byte for byte.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from functools import cached_property
 from fractions import Fraction
@@ -33,7 +32,7 @@ from typing import Mapping, Sequence
 
 from . import __version__ as _tool_version
 from .lattice import Coeff, ConfigError, InternalError, SurfaceConfig
-from .lattice import _typed, load_json, malformed
+from .lattice import _typed, dump_json, load_json, malformed
 from .lattice import intersect  # noqa: F401  importable from here; bench/test_bench.py relies on it
 from .orbifold import ample_twist_threshold
 from .positivity import (
@@ -421,7 +420,7 @@ class Certificate:
         return doc
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
+        return dump_json(self.to_json_dict()) + "\n"
 
     @staticmethod
     def from_json(text: str) -> "Certificate":

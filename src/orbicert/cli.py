@@ -27,7 +27,7 @@ from .certifier import (
 )
 from .constants import InfeasibleError, feasible_chain, verify_chain
 from .constants import filtration_sections_lower, sections_power_exact
-from .lattice import ConfigError, InternalError, SurfaceConfig
+from .lattice import ConfigError, InternalError, SurfaceConfig, dump_json
 from .positivity import WeightedBoundary
 from .weights import proportional_weights, search_weights
 
@@ -172,10 +172,11 @@ def cmd_constants(args) -> int:
     verify_chain(cfg, wb, chain)
     doc = chain.to_json_dict()
     doc["verified"] = True
-    print(json.dumps(doc, indent=2, sort_keys=True))
+    text = dump_json(doc)
+    print(text)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+            handle.write(text + "\n")
     return EXIT_PASS
 
 

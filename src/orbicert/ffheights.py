@@ -341,6 +341,11 @@ def _var_names(nvars: int) -> tuple[str, ...]:
 # -- form parser -----------------------------------------------------------------
 
 
+# Products whose coefficients could pass this many bits are refused: a nested
+# power of a constant, ((9)^2)^2..., stays within any degree, yet each level
+# doubles the digits, so the text's length alone would not bound the work.
+_COEFF_BITS_MAX = 1 << 16
+
 # a number, a name, an operator, or (last group) a bad character
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z]\d*)|([-+*^()])|(\S))")
 
@@ -421,6 +426,16 @@ def _parse(text: str, names: Sequence[str], degree: float = math.inf) -> dict:
 def _poly_mul(a: dict, b: dict, degree: float) -> dict:
     if max(map(sum, a), default=0) + max(map(sum, b), default=0) > degree:
         raise ConfigError(f"a product in the form exceeds degree {degree}")
+    # each coefficient of the product sums at most min(len(a), len(b)) products
+    bits = (
+        max(map(int.bit_length, a.values()), default=0)
+        + max(map(int.bit_length, b.values()), default=0)
+        + min(len(a), len(b)).bit_length()
+    )
+    if bits > _COEFF_BITS_MAX:
+        raise ConfigError(
+            f"a product in the form could have coefficients above {_COEFF_BITS_MAX} bits"
+        )
     out: dict = {}
     for ea, ca in a.items():
         for eb, cb in b.items():

@@ -17,10 +17,12 @@ on H and the exceptional curves gives E_i . E_j = -n_i [i == j].
 
 from __future__ import annotations
 
+import copy
 import json
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 Coeff = Union[int, Fraction]
@@ -67,6 +69,59 @@ def load_json(text: str, what: str) -> dict:
     if not isinstance(doc, dict):
         raise ConfigError(f"{what} JSON must be an object")
     return doc
+
+
+def dump_json(doc) -> str:
+    """Write a document as json.dumps would with an indent of 2 and sorted keys.
+
+    The output matches json.dumps on every document whose keys are strings,
+    which all of orbicert's documents are.  json.dumps leaves its C encoder
+    for a pure-Python one whenever indent is set; this writer quotes strings
+    with the C function json itself uses and builds the text in one list.
+    """
+    out: list[str] = []
+    _dump(doc, out, "\n")
+    return "".join(out)
+
+
+def _dump(value, out: list, newline: str) -> None:
+    # module-level, not a closure: a closure that calls itself forms a
+    # reference cycle that keeps every chunk list alive until cyclic GC runs
+    kind = type(value)
+    if kind is str:
+        out.append(_quote(value))
+    elif kind is int:
+        out.append(int.__repr__(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif kind is dict or isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(value):
+            out.append(f"{sep}{_quote(key)}: ")
+            _dump(value[key], out, inner)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif kind is list or kind is tuple or isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _dump(item, out, inner)
+            sep = "," + inner
+        out.append(newline + "]")
+    else:  # floats, int and str subclasses; TypeError as json.dumps raises it
+        out.append(json.dumps(value))
 
 
 @dataclass(frozen=True)
@@ -318,7 +373,7 @@ class SurfaceConfig:
         if self.default_multiplicities is not None:
             doc["multiplicities"] = list(self.default_multiplicities)
         if self.metadata:
-            doc["metadata"] = self.metadata
+            doc["metadata"] = copy.deepcopy(self.metadata)
         return doc
 
     @staticmethod
@@ -378,7 +433,7 @@ class SurfaceConfig:
         return SurfaceConfig.from_json_dict(load_json(text, "config"))
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
+        return dump_json(self.to_json_dict())
 
 
 def canonical_class(cfg: SurfaceConfig) -> DivisorClass:

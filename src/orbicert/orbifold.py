@@ -8,13 +8,12 @@ multiplicity: 1 - 1/inf = 1, ceil(inf / t) = inf, and t / inf = 0.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .lattice import ConfigError, InternalError, SurfaceConfig, strict_transform
-from .lattice import DivisorClass, _typed, load_json, malformed
+from .lattice import DivisorClass, _typed, dump_json, load_json, malformed
 from .positivity import (
     INF,
     Multiplicity,
@@ -113,7 +112,7 @@ class PullbackProfile:
         )
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
+        return dump_json(self.to_json_dict()) + "\n"
 
     @staticmethod
     def from_json(text: str) -> "PullbackProfile":

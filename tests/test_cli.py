@@ -205,6 +205,7 @@ def test_constants_command(capsys, tmp_path):
     assert doc["b"] == 37950
     assert doc["multiplicity_threshold"] == 1458913
     assert json.loads(target.read_text()) == doc
+    assert target.read_text() == out
 
     code, out, _ = run(capsys, "constants", "--eps", "1/176", "--cap", "10")
     assert code == 2
@@ -413,6 +414,13 @@ def _realization_doc(**changes) -> dict:
     return doc
 
 
+def _nested_power_doc() -> dict:
+    # the hyperplane made a conic, so each (...)^2 stays within its degree
+    doc = _realization_doc(forms=["X", "Y", "Z", "(" * 22 + "9" + ")^2" * 22 + "*X*Y"])
+    doc["components"][3]["degree"] = 2
+    return doc
+
+
 @pytest.mark.parametrize(
     "doc",
     [
@@ -430,11 +438,13 @@ def _realization_doc(**changes) -> dict:
         _realization_doc(forms=["(X+Y+Z)^200", "Y", "Z", "X + Y + Z"]),
         _realization_doc(pairings={"0": "(X-Y)^2000", "1": "X - Z", "2": "X - Y"}),
         _realization_doc(forms=["9^9999999*X", "Y", "Z", "X + Y + Z"]),
+        # each nested square doubles the digits of the constant
+        _nested_power_doc(),
     ],
     ids=[
         "deep-parentheses", "pairing-key-7", "missing-forms", "points-as-list",
         "float-coordinate", "huge-exponent", "pairing-key-00", "form-power-200",
-        "pairing-power-2000", "constant-power",
+        "pairing-power-2000", "constant-power", "nested-constant-powers",
     ],
 )
 def test_stress_probe_malformed_realization_exits_3(capsys, tmp_path, doc):

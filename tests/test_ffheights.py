@@ -699,6 +699,20 @@ def test_powers_by_squaring():
     assert parse_form("(X+Y+Z)^40") == _old_parse_form("(X+Y+Z)^40")
 
 
+def test_nested_constant_powers_are_refused():
+    def nested(k):
+        return "(" * k + "9" + ")^2" * k + "*X"
+
+    with time_limit(1):
+        with pytest.raises(ConfigError, match="coefficients above 65536 bits"):
+            parse_form(nested(22), degree=2)
+    # 9^(2^14) has 51937 bits; 9^(2^15) would need 103873
+    assert parse_form(nested(14), degree=2).terms == (((1, 0, 0), 9 ** 2**14),)
+    with pytest.raises(ConfigError, match="coefficients above 65536 bits"):
+        parse_form(nested(15), degree=2)
+    assert parse_form("(X+Y+Z)^3") == _old_parse_form("(X+Y+Z)^3")
+
+
 # -- heights and counting ---------------------------------------------------------
 
 

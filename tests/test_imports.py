@@ -1,10 +1,12 @@
-"""Every module imports on its own in a fresh interpreter.
+"""Every module imports on its own in a fresh interpreter, and the source
+keeps one JSON writer.
 
 An import cycle shows only when the first import enters it at the wrong
 module, so each module is imported first in its own process, with the
 caller's environment (PYTHONDONTWRITEBYTECODE included).
 """
 
+import ast
 import os
 import pkgutil
 import subprocess
@@ -35,3 +37,19 @@ def test_module_imports_in_a_fresh_interpreter(module):
         timeout=60,
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_indented_json_has_one_writer():
+    # json.dumps with indent runs the pure-Python encoder; lattice.dump_json
+    # writes the same bytes, and compact json.dumps keeps the C encoder
+    found = []
+    for path in sorted(Path(orbicert.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "dumps"
+                and any(kw.arg == "indent" for kw in node.keywords)
+            ):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []

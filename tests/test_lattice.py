@@ -1,15 +1,21 @@
 """Intersection lattice, Euler characteristics and config serialization."""
 
+import gc
 import itertools
+import json
+import math
 import random
 import re
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbicert.catalog import builtin_names, load_builtin
 from orbicert.certifier import build_report, certify
+from orbicert.ffheights import realization_from_config
 from orbicert.lattice import (
     BlownPoint,
     Component,
@@ -18,6 +24,7 @@ from orbicert.lattice import (
     SurfaceConfig,
     canonical_class,
     chi,
+    dump_json,
     intersect,
     strict_transform,
 )
@@ -207,6 +214,70 @@ def test_json_round_trip():
     assert back.name == "sample"
     assert back.default_weights == ("8", "4", "6")
     assert back.metadata == {"note": "round trip"}
+
+
+def test_documents_do_not_share_the_config_metadata():
+    cfg = load_builtin("four-lines")
+    cfg.to_json_dict()["metadata"]["realization"]["forms"][0] = "X^2"
+    cert = certify(cfg, WeightedBoundary.make([4, 4, 4, 3]))
+    cert.config_echo["metadata"]["realization"]["pairings"]["0"] = "Y"
+    assert cfg == load_builtin("four-lines")
+    assert realization_from_config(cfg) == realization_from_config(load_builtin("four-lines"))
+
+
+class _Dict(dict):
+    pass
+
+
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=2**64, max_value=2**200).flatmap(
+        lambda n: st.sampled_from([n, -n])
+    ),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0]),
+    st.text(),
+    st.sampled_from(["", "\x00\x1f\x7f\n\t\"\\", "déjà vu", "\u2028", "\U0001f600 emoji"]),
+)
+_TREES = st.recursive(
+    _SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=4), inner, max_size=4),
+        st.dictionaries(st.text(max_size=4), inner, max_size=4).map(_Dict),
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=1000, deadline=None, database=None, derandomize=True)
+@given(_TREES)
+def test_dump_json_matches_json_dumps(doc):
+    assert dump_json(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+def test_dump_json_pins():
+    for doc in [{}, [], (), {"a": [[], {}, ()]}, [{"": _Dict()}], "\x00é\U0001f600", 2**70]:
+        assert dump_json(doc) == json.dumps(doc, indent=2, sort_keys=True)
+    with pytest.raises(TypeError, match="^Object of type Fraction is not JSON serializable$"):
+        dump_json({"x": [Fraction(1, 2)]})
+
+
+def test_dump_json_leaves_no_reference_cycle():
+    cfg = load_builtin("four-lines")
+    doc = certify(cfg, WeightedBoundary.make([4, 4, 4, 3]), [7, 7, 7, 7]).to_json_dict()
+    gc.collect()
+    gc.disable()
+    try:
+        dump_json(doc)
+        # a writer that is a closure calling itself leaves its cell and
+        # chunk list for the cyclic collector
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_from_json_generates_points():
