@@ -24,7 +24,7 @@ round-trips byte for byte.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from math import floor
@@ -84,11 +84,35 @@ class ComponentCheck:
 
 @dataclass(frozen=True)
 class BoundaryReport:
+    """Ampleness and the per-component checks of one weighted boundary.
+
+    The slack and its rational lower bound are computed on first read, as
+    weight_slack(self) when ampleness is certified and every filtration
+    inequality holds, and are both None otherwise.  Callers that read only
+    the verdicts, as stress --suite boundary does, never compute them.
+    """
+
     dp_square: Fraction
     ample: Verdict
     components: tuple[ComponentCheck, ...]
-    slack: QuadExt | None
-    slack_lower: Fraction | None
+
+    @cached_property
+    def _slack_pair(self) -> tuple[QuadExt | None, Fraction | None]:
+        if (
+            self.ample.certified
+            and self.components
+            and all(c.inequality_holds for c in self.components)
+        ):
+            return weight_slack(self)
+        return None, None
+
+    @property
+    def slack(self) -> QuadExt | None:
+        return self._slack_pair[0]
+
+    @property
+    def slack_lower(self) -> Fraction | None:
+        return self._slack_pair[1]
 
 
 @dataclass(frozen=True)
@@ -301,14 +325,9 @@ def build_report(cfg: SurfaceConfig, wb: WeightedBoundary) -> BoundaryReport:
                     exceeds_weight=exceeds,
                 )
             )
-    report = BoundaryReport(
-        dp_square=Fraction(bp.dp2), ample=ample, components=tuple(components),
-        slack=None, slack_lower=None,
+    return BoundaryReport(
+        dp_square=Fraction(bp.dp2), ample=ample, components=tuple(components)
     )
-    if ample.certified and components and all(c.inequality_holds for c in components):
-        slack, lower = weight_slack(report)
-        report = replace(report, slack=slack, slack_lower=lower)
-    return report
 
 
 # -- number encoding ----------------------------------------------------------

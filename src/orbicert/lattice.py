@@ -425,7 +425,8 @@ class SurfaceConfig:
             default_multiplicities=(
                 tuple(str(m) for m in mults) if mults is not None else None
             ),
-            metadata=_typed(doc.get("metadata", {}), dict, "metadata"),
+            # a copy, so editing the caller's document leaves the config alone
+            metadata=copy.deepcopy(_typed(doc.get("metadata", {}), dict, "metadata")),
         )
 
     @staticmethod

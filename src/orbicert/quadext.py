@@ -64,19 +64,19 @@ def _sgn(x: Fraction | int) -> int:
     return (x > 0) - (x < 0)
 
 
-def _sign(a: Fraction, b: Fraction, d: int) -> int:
-    # sign of a + b*sqrt(d), d >= 0
-    if b == 0:
-        return _sgn(a)
-    if a == 0:
-        return _sgn(b)
-    if a > 0 and b > 0:
-        return 1
-    if a < 0 and b < 0:
-        return -1
-    # opposite signs: compare a^2 with b^2 * d
-    s = _sgn(a * a - b * b * d)
-    return s if a > 0 else -s
+def _sign(a: Rational, b: Rational, d: int) -> int:
+    # sign of a + b*sqrt(d), d >= 0, decided on numerators and denominators
+    an, bn = a.numerator, b.numerator
+    if bn == 0:
+        return _sgn(an)
+    if an == 0:
+        return _sgn(bn)
+    if (an > 0) == (bn > 0):
+        return _sgn(an)
+    # opposite signs: a^2 - b^2 d has the sign of an^2 bd^2 - bn^2 d ad^2
+    ad, bd = a.denominator, b.denominator
+    s = _sgn(an * an * bd * bd - bn * bn * d * ad * ad)
+    return s if an > 0 else -s
 
 
 @dataclass(frozen=True)
@@ -263,8 +263,14 @@ def compare_cross(x: QuadExt | Rational, y: QuadExt | Rational) -> int:
     Same-field differences reduce to a single sign test.  Otherwise write
     x - y = P + Q with P in one field and Q a pure multiple of the other
     square root; opposite signs are resolved by comparing P^2 with the
-    rational Q^2.  One squaring always suffices.
+    rational Q^2.  One squaring always suffices.  A rational operand on
+    either side is subtracted from the other's rational part directly.
     """
+    if isinstance(x, QuadExt):
+        if isinstance(y, (int, Fraction)):
+            return _sign(x.a - y, x.b, x.delta)
+    elif isinstance(y, QuadExt) and isinstance(x, (int, Fraction)):
+        return -_sign(y.a - x, y.b, y.delta)
     xq, yq = QuadExt.of(x), QuadExt.of(y)
     if xq.b == 0 or yq.b == 0 or xq.delta == yq.delta:
         d = xq.delta if xq.b != 0 else yq.delta

@@ -116,7 +116,8 @@ def _boundary_sample(rng: random.Random, max_degree: int, bound: int) -> tuple[s
         wb = random_weights(rng, cfg, bound=bound)
     # build_report cross-checks the square-root-free inequalities against
     # the exact volume ratios, and the closed-form ampleness against the
-    # lattice test; a disagreement is an InternalError
+    # lattice test; a disagreement is an InternalError.  Only the verdicts
+    # are read, so the report never computes its slack
     try:
         report = build_report(cfg, wb)
     except InternalError:

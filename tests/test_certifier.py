@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbicert import certifier, quadext
+from orbicert import certifier, quadext, sampling
 from orbicert.catalog import builtin_names, load_builtin
 from orbicert.certifier import (
     Certificate,
@@ -279,6 +279,55 @@ def test_report_invariants_random_weights():
             )
         else:
             assert report.slack is None
+
+
+def assert_slack_follows_the_rule(report) -> None:
+    """slack and slack_lower are weight_slack(report) exactly when ampleness
+    is certified and every component holds, and both None otherwise."""
+    passing = (
+        report.ample.certified
+        and bool(report.components)
+        and all(c.inequality_holds for c in report.components)
+    )
+    if not passing:
+        assert report.slack is None and report.slack_lower is None
+        return
+    slack, lower = weight_slack(report)
+    assert repr(report.slack) == repr(slack)
+    assert report.slack_lower == lower and type(report.slack_lower) is Fraction
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(st.integers(0, 2**32), st.booleans())
+def test_slack_is_computed_on_first_read_by_the_rule(seed, candidate):
+    rng = random.Random(seed)
+    if candidate:
+        cfg, wb = sampling.random_passing_candidate(rng, max_degree=4, bound=50)
+    else:
+        cfg = sampling.random_config(rng, max_degree=4)
+        wb = sampling.random_weights(rng, cfg, bound=50)
+    report = build_report(cfg, wb)
+    assert_slack_follows_the_rule(report)
+    if not report.components:
+        return
+    # a replaced report computes its own pair, whatever the source has cached
+    first = replace(report, components=report.components[:1])
+    assert_slack_follows_the_rule(first)
+    last = report.components[-1]
+    flipped = report.components[:-1] + (replace(last, inequality_holds=False),)
+    assert replace(report, components=flipped).slack is None
+    assert_slack_follows_the_rule(replace(report, components=()))
+
+
+def test_build_report_never_computes_the_slack(monkeypatch):
+    def refuse(report):
+        raise AssertionError("weight_slack called")
+
+    monkeypatch.setattr(certifier, "weight_slack", refuse)
+    report = build_report(FOUR_LINES, WEIGHTS)
+    assert all(c.inequality_holds for c in report.components)
+    with pytest.raises(AssertionError, match="weight_slack called"):
+        report.slack
 
 
 def components_config(*components) -> SurfaceConfig:

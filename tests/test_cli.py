@@ -247,7 +247,7 @@ def test_stress_boundary(capsys):
 BOUNDARY_PINNED = ["--samples", "200", "--max-degree", "6", "--coeff-bound", "300"]
 
 
-@pytest.mark.parametrize(
+BOUNDARY_DIGESTS = pytest.mark.parametrize(
     "seed, digest",
     [
         (11, "58719181e53716631b84a97757ab4826fcd13b0f6f5a6d5d00e73da4ad1ca3ec"),
@@ -256,12 +256,35 @@ BOUNDARY_PINNED = ["--samples", "200", "--max-degree", "6", "--coeff-bound", "30
     ],
     ids=["seed-11", "seed-2024", "seed-77"],
 )
+
+
+@BOUNDARY_DIGESTS
 def test_stress_boundary_stdout_is_pinned(capsys, seed, digest):
     code, out, err = run(
         capsys, "stress", "--suite", "boundary", *BOUNDARY_PINNED, "--seed", str(seed)
     )
     assert code == 0 and err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def refuse_weight_slack(report):
+    raise AssertionError("the boundary suite computed a slack")
+
+
+@BOUNDARY_DIGESTS
+def test_stress_boundary_never_computes_a_slack(capsys, monkeypatch, seed, digest):
+    monkeypatch.setattr(certifier, "weight_slack", refuse_weight_slack)
+    code, out, err = run(
+        capsys, "stress", "--suite", "boundary", *BOUNDARY_PINNED, "--seed", str(seed)
+    )
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_boundary_sweep_never_computes_a_slack(monkeypatch):
+    monkeypatch.setattr(certifier, "weight_slack", refuse_weight_slack)
+    tally = sampling.boundary_sweep(40, seed=3, max_degree=6, bound=300)
+    assert tally["passes"] == 40 and tally["violations"] == 0
 
 
 @pytest.mark.parametrize("seed", [11, 2024, 77])

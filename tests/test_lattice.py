@@ -225,6 +225,17 @@ def test_documents_do_not_share_the_config_metadata():
     assert realization_from_config(cfg) == realization_from_config(load_builtin("four-lines"))
 
 
+def test_config_does_not_share_the_source_document_metadata():
+    doc = load_builtin("four-lines").to_json_dict()
+    cfg = SurfaceConfig.from_json_dict(doc)
+    before = json.dumps(cfg.metadata, sort_keys=True)
+    realization = realization_from_config(cfg)
+    doc["metadata"]["realization"]["forms"][0] = "X^2"
+    assert json.dumps(cfg.metadata, sort_keys=True) == before
+    assert cfg == load_builtin("four-lines")
+    assert realization_from_config(cfg) == realization
+
+
 class _Dict(dict):
     pass
 

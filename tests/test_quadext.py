@@ -450,3 +450,58 @@ def test_square_split_of_a_large_semiprime_is_fast():
     start = time.perf_counter()
     assert quadext._square_split(n) == (1, n)
     assert time.perf_counter() - start < 1.0
+
+
+# -- the integer sign kernel --------------------------------------------------------
+
+
+def sign_reference(a: Fraction, b: Fraction, d: int) -> int:
+    """The Fraction sign test _sign replaced: square a and b as Fractions."""
+    if b == 0:
+        return quadext._sgn(a)
+    if a == 0:
+        return quadext._sgn(b)
+    if a > 0 and b > 0:
+        return 1
+    if a < 0 and b < 0:
+        return -1
+    s = quadext._sgn(a * a - b * b * d)
+    return s if a > 0 else -s
+
+
+big_fractions = st.builds(
+    Fraction, st.integers(-10**30, 10**30), st.integers(1, 10**30)
+)
+
+
+@PROPERTY
+@given(big_fractions, big_fractions, st.integers(0, 10**12))
+def test_sign_matches_the_fraction_reference(a, b, d):
+    assert quadext._sign(a, b, d) == sign_reference(a, b, d)
+    assert quadext._sign(-a, -b, d) == -sign_reference(a, b, d)
+
+
+@PROPERTY
+@given(big_fractions, st.sampled_from((0, 1, 4)), st.integers(-2, 2))
+def test_sign_at_the_square_tie(b, d, nudge):
+    # a = -b sqrt(d) gives a^2 = b^2 d; the nudge steps a to either side
+    a = -b * math.isqrt(d) + Fraction(nudge, b.denominator + 7)
+    for x, y in ((a, b), (-a, -b), (a, Fraction(0)), (Fraction(0), b)):
+        assert quadext._sign(x, y, d) == sign_reference(x, y, d)
+    if nudge == 0 and d:
+        assert quadext._sign(a, b, d) == 0
+
+
+rationals = st.one_of(
+    st.integers(-10**20, 10**20), big_fractions, st.booleans()
+)
+
+
+@PROPERTY
+@given(big_fractions, big_fractions, radicands, rationals)
+def test_compare_cross_with_a_rational_matches_the_coerced_route(a, b, delta, r):
+    for x in (QuadExt(a, b, delta), QuadExt(a)):
+        coerced = compare_cross(x, QuadExt.of(r))
+        assert compare_cross(x, r) == coerced
+        assert compare_cross(r, x) == -coerced == compare_cross(QuadExt.of(r), x)
+        assert (x < r, x == r, r < x) == (coerced < 0, coerced == 0, coerced > 0)
