@@ -149,12 +149,7 @@ class BoundaryPairings:
     @cached_property
     def sqrt_split(self) -> tuple[Coeff, int]:
         """(s, f) with sqrt(S) = s sqrt(f), f squarefree; f == 1 for a square S."""
-        num, den = self.paired_square.numerator, self.paired_square.denominator
-        if num == 0:
-            return 0, 1
-        # sqrt(p/q) = sqrt(p q) / q
-        s, f = quadext._square_split(num * den)
-        return (s if den == 1 else Fraction(s, den)), f
+        return quadext.sqrt_parts(self.paired_square)
 
     def _surd(self, a: Coeff, b: Coeff, den: Coeff) -> QuadExt:
         # (a + b sqrt(S)) / den in canonical form; b == 0 needs no split

@@ -39,7 +39,7 @@ EXIT_INTERNAL = 4
 
 
 def _load_config(args) -> SurfaceConfig:
-    if args.config:
+    if args.config is not None:
         with open(args.config, "r", encoding="utf-8") as handle:
             cfg = SurfaceConfig.from_json(handle.read())
     else:
@@ -163,7 +163,7 @@ def cmd_constants(args) -> int:
     if report.slack_lower is None or report.slack_lower <= 0:
         print("hypothesis checklist does not pass; no constants to derive")
         return EXIT_FAIL
-    eps = Fraction(args.eps) if args.eps else report.slack_lower
+    eps = Fraction(args.eps) if args.eps is not None else report.slack_lower
     try:
         chain = feasible_chain(cfg, wb, report, eps, cap=args.cap)
     except InfeasibleError as exc:
@@ -185,7 +185,7 @@ def cmd_constants(args) -> int:
 
 def cmd_beta(args) -> int:
     _require_positive(args, "level")
-    if args.plane:
+    if args.plane is not None:
         cfg = load_builtin("plane-one-line")
         wb = WeightedBoundary.make([args.plane])
     else:
@@ -200,7 +200,7 @@ def cmd_beta(args) -> int:
             f"component {check.index}: root {check.truncation_root}, "
             f"volume ratio {check.volume_ratio}"
         )
-    if args.plane:
+    if args.plane is not None:
         n = args.level
         s = filtration_sections_lower(cfg, wb, 0, n)
         m = sections_power_exact(cfg, wb, n)

@@ -296,17 +296,6 @@ class HForm:
             total = polys.add(total, term)
         return total
 
-    def evaluate_point(self, point: Sequence[int]) -> int:
-        if len(point) != self.nvars:
-            raise ConfigError(f"{len(point)} coordinates for {self.nvars} variables")
-        total = 0
-        for exps, coeff in self.terms:
-            term = coeff
-            for v, e in zip(point, exps):
-                term *= v**e
-            total += term
-        return total
-
     def linear_vector(self) -> tuple[int, ...]:
         if self.degree != 1:
             raise ConfigError("not a linear form")
@@ -651,31 +640,21 @@ class PlaneRealization:
             coords = points.get(point.ident)
             if coords is None:
                 raise ConfigError(f"no coordinates for blown point {point.ident}")
-            norm = _normalize_point(coords)
-            if norm in seen:
+            # a constant map: equal points are equal RatMaps
+            x = RatMap.make([[c] for c in coords])
+            if x in seen:
                 raise ConfigError(f"blown points collide at {coords}")
-            seen.add(norm)
+            seen.add(x)
             (home,) = point.on
             for i, form in enumerate(self.boundary_forms):
-                value = form.evaluate_point(coords)
-                if i == home and value != 0:
+                on = polys.is_zero(form.evaluate(x))
+                if i == home and not on:
                     raise ConfigError(f"{point.ident} is not on its component")
-                if i != home and value == 0:
+                if i != home and on:
                     raise ConfigError(f"{point.ident} lies on a foreign component")
             pairing = self.pairing_forms[home]
-            if pairing is not None and pairing.evaluate_point(coords) != 0:
+            if pairing is not None and not polys.is_zero(pairing.evaluate(x)):
                 raise ConfigError(f"{point.ident} misses its pairing curve")
-
-
-def _normalize_point(coords: Sequence[int]) -> tuple[int, ...]:
-    g = 0
-    for c in coords:
-        g = math.gcd(g, c)
-    if g == 0:
-        raise ConfigError("zero projective point")
-    out = tuple(c // g for c in coords)
-    lead = next(c for c in out if c)
-    return tuple(-c for c in out) if lead < 0 else out
 
 
 @malformed("realization")
@@ -724,6 +703,7 @@ def height_bound_probe(
     Curves through a blown point, inside a component or constant are out
     of scope and raise ProbeExcluded.
     """
+    wb.check_against(cfg)
     if len(x.coords) != 3:
         raise ConfigError("the probe needs points of the projective plane")
     h = x.height
@@ -982,6 +962,7 @@ def probe_sweep(
     bound: int = 20,
 ) -> dict:
     _require_drawable(max_deg, bound)
+    wb.check_against(cfg)
     params = (cfg, wb, realization, max_deg, bound)
     records = _sweep(_probe_sample, "probe", samples, seed, processes, params)
     # the least index with the largest ratio names the worst case

@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .lattice import ConfigError, InternalError, SurfaceConfig, strict_transform
-from .lattice import DivisorClass, _typed, dump_json, load_json, malformed
+from .lattice import _typed, dump_json, load_json, malformed
 from .positivity import (
     INF,
     Multiplicity,
@@ -22,6 +22,7 @@ from .positivity import (
     boundary_class,
     check_multiplicities,
     check_multiplicity,
+    linear_checks,
     orbifold_coefficient,
 )
 
@@ -170,12 +171,6 @@ def support_bound(
     return lhs, rhs
 
 
-def _linear_checks(cfg: SurfaceConfig, d: DivisorClass) -> list:
-    """c_i on every paired component, then the residue h - sum d_i * c_i."""
-    paired = [(c, comp.degree) for c, comp, k in zip(d.c, cfg.components, d.n) if k]
-    return [c for c, _ in paired] + [d.h - sum(deg * c for c, deg in paired)]
-
-
 def ample_twist_threshold(
     cfg: SurfaceConfig,
     wb: WeightedBoundary,
@@ -184,13 +179,14 @@ def ample_twist_threshold(
 ) -> int:
     """Least m >= 1 keeping D_p - (alpha/m) * T ample, T = sum of D_j with m_j > 1.
 
-    The sufficient test certifies a class exactly when its linear checks
-    all pass: c_i > 0 on every paired component and a positive residue
-    (see ``ample_class_sufficient``).  Each check reads
-    l(D_p) - (alpha/m) * l(T) > 0 with l(D_p) > 0, that is
-    m > alpha * l(T) / l(D_p), so the least m is one more than the largest
-    floor of these bounds, or 1.  The lattice test must pass at m and fail
-    at m - 1; otherwise the lemma or the arithmetic is broken.
+    The sufficient test certifies a class exactly when every entry of
+    ``positivity.linear_checks`` is positive: c_i on each paired component,
+    then the residue h - sum d_i * max(0, c_i).  Where every c_i > 0 the
+    max is c_i, so each entry l is linear, and D_p and T have no c_i < 0.
+    Each check then reads l(D_p) - (alpha/m) * l(T) > 0 with l(D_p) > 0,
+    that is m > alpha * l(T) / l(D_p), so the least m is one more than the
+    largest floor of these bounds, or 1.  The lattice test must pass at m
+    and fail at m - 1; otherwise the lemma or the arithmetic is broken.
     """
     alpha = Fraction(alpha)
     if alpha < 0:
@@ -201,7 +197,7 @@ def ample_twist_threshold(
         raise ValueError("weighted boundary is not certified ample")
     support = (j for j, m_j in enumerate(multiplicities) if m_j > 1)
     twist = sum((strict_transform(cfg, j) for j in support), 0 * dp)
-    bounds = zip(_linear_checks(cfg, dp), _linear_checks(cfg, twist))
+    bounds = zip(linear_checks(cfg, dp), linear_checks(cfg, twist))
     m = 1 + max(0, *(alpha * t // p for p, t in bounds))
 
     def certified(k: int) -> bool:

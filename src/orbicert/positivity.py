@@ -81,6 +81,12 @@ def boundary_class(cfg: SurfaceConfig, wb: WeightedBoundary) -> DivisorClass:
     return DivisorClass.make(cfg, h, wb.weights)
 
 
+def linear_checks(cfg: SurfaceConfig, d: DivisorClass) -> list[Coeff]:
+    """c_i on each paired component, then the residue h - sum d_i * max(0, c_i)."""
+    paired = [(c, comp.degree) for c, comp in zip(d.c, cfg.components) if comp.paired]
+    return [c for c, _ in paired] + [d.h - sum(deg * max(0, c) for c, deg in paired)]
+
+
 def ample_class_sufficient(cfg: SurfaceConfig, d: DivisorClass) -> Verdict:
     """Three-part sufficient ampleness test for an arbitrary class.
 
@@ -91,29 +97,22 @@ def ample_class_sufficient(cfg: SurfaceConfig, d: DivisorClass) -> Verdict:
     The square check follows from the other two: if every paired c_i > 0
     and h > sum d_i * c_i, then h > 0 and
     h^2 > (sum d_i * c_i)^2 >= sum d_i^2 * c_i^2.  So the test passes
-    exactly when its two linear checks do.  The square check still runs
-    first because its name is the reason a failing certificate prints.
+    exactly when every entry of ``linear_checks`` is positive.  The square
+    check still runs first because its name is the reason a failing
+    certificate prints.
     """
     if d.n != cfg.point_counts:
         raise ConfigError(f"class with point counts {d.n} is not on this config")
-    checks: list[tuple[str, bool]] = []
-
-    ok_square = intersect(d, d) > 0
-    checks.append(("self_intersection_positive", ok_square))
-
-    ok_exceptional = all(c > 0 for c, k in zip(d.c, d.n) if k)
-    checks.append(("exceptional_pairings_positive", ok_exceptional))
-
-    loss = sum(
-        comp.degree * max(0, c) for c, comp in zip(d.c, cfg.components) if comp.paired
+    *exceptional, residue = linear_checks(cfg, d)
+    checks = (
+        ("self_intersection_positive", intersect(d, d) > 0),
+        ("exceptional_pairings_positive", all(c > 0 for c in exceptional)),
+        ("bezout_residue_positive", residue > 0),
     )
-    ok_residue = d.h - loss > 0
-    checks.append(("bezout_residue_positive", ok_residue))
-
     for name, ok in checks:
         if not ok:
-            return Verdict(False, name, tuple(checks))
-    return Verdict(True, "", tuple(checks))
+            return Verdict(False, name, checks)
+    return Verdict(True, "", checks)
 
 
 def ample_sufficient(cfg: SurfaceConfig, wb: WeightedBoundary) -> Verdict:

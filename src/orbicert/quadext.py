@@ -7,10 +7,11 @@ comparisons are decided by sign case analysis and integer squaring; floating
 point never participates in a verdict.
 
 Construction normalizes: ``QuadExt(a, b, delta)`` splits the square part out
-of an arbitrary rational radicand, once.  Arithmetic carries the operands'
-radicand, which is already squarefree, so ``+ - * /``, comparisons and the
-continued fractions behind ``rational_below``/``rational_above`` never split
-a radicand again.  Splitting trial-divides only up to the cube root.
+of an arbitrary rational radicand, once, with ``sqrt_parts``.  Arithmetic
+carries the operands' radicand, which is already squarefree, so ``+ - * /``,
+comparisons and the continued fractions behind ``rational_below`` and
+``rational_above`` never split a radicand again.  Splitting trial-divides
+only up to the cube root.
 """
 
 from __future__ import annotations
@@ -60,6 +61,18 @@ def _square_split(n: int) -> tuple[int, int]:
     return s, f * m
 
 
+def sqrt_parts(r: Rational) -> tuple[Rational, int]:
+    """(s, f) with sqrt(r) = s*sqrt(f) and f squarefree; (0, 1) at r = 0.
+
+    sqrt(p/q) = sqrt(p*q)/q, so s is an int whenever r is.
+    """
+    p, q = r.numerator, r.denominator
+    if p == 0:
+        return 0, 1
+    s, f = _square_split(p * q)
+    return (s if q == 1 else Fraction(s, q)), f
+
+
 def _sgn(x: Fraction | int) -> int:
     return (x > 0) - (x < 0)
 
@@ -88,24 +101,17 @@ class QuadExt:
     delta: int = 0
 
     def __post_init__(self) -> None:
-        a = Fraction(self.a)
-        b = Fraction(self.b)
-        delta = Fraction(self.delta)
+        a, b, delta = Fraction(self.a), Fraction(self.b), Fraction(self.delta)
         if delta < 0:
             raise NoRealRootError("negative radicand")
-        if b == 0 or delta == 0:
-            b, delta = Fraction(0), Fraction(0)
-        else:
-            # sqrt(p/q) = sqrt(p*q)/q, then pull the square part out
-            s, f = _square_split(delta.numerator * delta.denominator)
-            b = b * Fraction(s, delta.denominator)
-            if f == 1:
-                a, b, delta = a + b, Fraction(0), Fraction(0)
-            else:
-                delta = Fraction(f)
+        s, f = sqrt_parts(delta) if b else (0, 1)
+        b *= s
+        if f == 1:
+            # no radicand, or a square one: the value is rational
+            a, b, f = a + b, Fraction(0), 0
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
-        object.__setattr__(self, "delta", int(delta))
+        object.__setattr__(self, "delta", f)
 
     # -- coercion ---------------------------------------------------------
 

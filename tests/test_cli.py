@@ -153,6 +153,12 @@ def test_certify_input_errors(capsys):
         ["certify", "--weights", ""],
         ["certify", "--multiplicities", "7,7, ,7,7", "--skip-constants"],
         ["stress", "--suite", "probe", "--samples", "4", "--weights", ",4,4,4,3"],
+        # the probe used to zip three weights with four forms, or drop a fifth
+        ["stress", "--suite", "probe", "--builtin", "four-lines", "--weights", "1,1,1",
+         "--samples", "50"],
+        ["stress", "--suite", "probe", "--builtin", "four-lines", "--weights", "1,1,1,1,7",
+         "--samples", "50"],
+        ["stress", "--suite", "probe", "--weights", "1,1,1", "--samples", "0"],
         # --plane used to print the closed form before it read --level
         ["beta", "--plane", "3", "--level", "0"],
     ],
@@ -160,12 +166,29 @@ def test_certify_input_errors(capsys):
          "search-threads", "boundary-threads", "product-threads",
          "boundary-batches", "subspace-batches", "constants-cap", "certify-cap",
          "weights-inner-empty", "weights-trailing-comma", "weights-empty",
-         "multiplicities-blank", "probe-weights-leading-comma", "beta-level"],
+         "multiplicities-blank", "probe-weights-leading-comma", "probe-three-weights",
+         "probe-five-weights", "probe-no-samples", "beta-level"],
 )
 def test_malformed_command_line_exits_3(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 3
     assert out == "" and "error:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["certify", "--config="], "No such file or directory: ''"),
+        (["constants", "--builtin", "four-lines", "--eps="], "Invalid literal for Fraction: ''"),
+        (["beta", "--plane", "0", "--level", "3"], "weight 0 must be positive"),
+    ],
+    ids=["config-empty", "eps-empty", "plane-zero"],
+)
+def test_empty_or_zero_option_is_read_and_exits_3(capsys, argv, message):
+    # each used to be taken for an absent option: four-lines, the slack, four-lines
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == "" and message in err and "Traceback" not in err
 
 
 def test_help_exits_0(capsys):

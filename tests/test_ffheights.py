@@ -434,8 +434,19 @@ def test_evaluate_matches_point_substitution():
         x = RatMap.make(coords)
         t0 = rng.randint(-4, 4)
         lhs = polys.eval_int(form.evaluate(x), t0)
-        rhs = form.evaluate_point([polys.eval_int(c, t0) for c in x.coords])
+        rhs = evaluate_point_reference(form, [polys.eval_int(c, t0) for c in x.coords])
         assert lhs == rhs
+
+
+def evaluate_point_reference(form: HForm, point: list[int]) -> int:
+    """F at an integer point, term by term."""
+    total = 0
+    for exps, coeff in form.terms:
+        term = coeff
+        for v, e in zip(point, exps):
+            term *= v**e
+        total += term
+    return total
 
 
 def product_loop_evaluate(form: HForm, x: RatMap) -> tuple:
@@ -468,7 +479,7 @@ def test_parse_form():
     assert form.degree == 1 and form.linear_vector() == (1, 1, 1)
     quad = parse_form("(X - Y)^2 - 3*Z^2")
     assert quad.degree == 2
-    assert quad.evaluate_point([2, 1, 1]) == -2
+    assert quad.evaluate(RatMap.make([[2], [1], [1]])) == (-2,)
     with pytest.raises(ConfigError):
         parse_form("X + 1")
     with pytest.raises(ConfigError):
@@ -1092,6 +1103,14 @@ def test_realization_tampering_raises():
             real.boundary_forms, real.pairing_forms, collide
         ).validate_against(FOUR_LINES)
 
+    for bad in [(0, 0, 0), (0, 1)]:  # no projective point, a point of P^1
+        odd = dict(points)
+        odd["P1.1"] = bad
+        with pytest.raises(ConfigError):
+            PlaneRealization.make(
+                real.boundary_forms, real.pairing_forms, odd
+            ).validate_against(FOUR_LINES)
+
     missing = dict(points)
     del missing["P3.1"]
     with pytest.raises(ConfigError):
@@ -1116,6 +1135,25 @@ def test_realization_tampering_raises():
     bare = SurfaceConfig.build([1, 1, 1], [1, 1, 1], hyperplane=True)
     with pytest.raises(ConfigError):
         realization_from_config(bare)
+
+
+@pytest.mark.parametrize("twin", [(-1, -1, -1), (3, 3, 3)], ids=["sign", "content"])
+def test_realization_points_collide_projectively(twin):
+    # four points on one conic, so a twin of P1.1 passes every incidence check
+    realization = {
+        "forms": ["X*Y - Z^2", "Z + 10*X"],
+        "pairings": {"0": "(Y - X)*(Y - 4*X)"},
+        "points": {"P1.1": [1, 1, 1], "P1.2": [1, 1, -1], "P1.3": [1, 4, 2], "P1.4": [1, 4, -2]},
+    }
+    doc = {
+        "components": [{"degree": 2, "paired": True}, {"degree": 1, "paired": False}],
+        "points": [{"id": f"P1.{k}", "on": [0]} for k in range(1, 5)],
+        "metadata": {"realization": realization},
+    }
+    assert len(realization_from_config(SurfaceConfig.from_json_dict(doc)).blown_points) == 4
+    realization["points"]["P1.2"] = list(twin)
+    with pytest.raises(ConfigError, match="blown points collide"):
+        realization_from_config(SurfaceConfig.from_json_dict(doc))
 
 
 @pytest.mark.parametrize(

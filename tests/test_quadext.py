@@ -16,6 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orbicert import quadext
+from orbicert.catalog import load_builtin
+from orbicert.certifier import boundary_pairings
 from orbicert.lattice import InternalError
 from orbicert.quadext import (
     CrossFieldError,
@@ -443,6 +445,62 @@ def test_square_split_large_cofactors(p, q, k, shape):
         s, f = square_split_reference(k)
         n, expected = p * p * k, (p * s, f)
     assert quadext._square_split(n) == expected
+
+
+def sqrt_parts_reference(r: Fraction) -> tuple:
+    # numerator and denominator are coprime, so sqrt(n*d) splits each apart
+    n, d = r.numerator, r.denominator
+    if n == 0:
+        return 0, 1
+    (sn, fn), (sd, fd) = square_split_reference(n), square_split_reference(d)
+    s = Fraction(sn * sd, d)
+    return (s.numerator if d == 1 else s), fn * fd
+
+
+@PROPERTY
+@given(st.integers(0, 10**12), st.integers(1, 10**12), fractions, fractions)
+def test_sqrt_parts_matches_reference(p, q, a, b):
+    r = Fraction(p, q)
+    s, f = sqrt_parts_reference(r)
+    got = quadext.sqrt_parts(r)
+    assert got == (s, f) and type(got[0]) is type(s)
+    x = QuadExt(a, b, r)
+    want = (a + b * s, 0, 0) if f == 1 or b == 0 else (a, b * s, f)
+    assert (x.a, x.b, x.delta) == want
+
+
+@pytest.mark.parametrize(
+    "r, want",
+    [
+        (0, (0, 1)),
+        (Fraction(0), (0, 1)),
+        (49, (7, 1)),
+        (10**24, (10**12, 1)),
+        (Fraction(9, 4), (Fraction(3, 2), 1)),
+        (Fraction(1, 10**24), (Fraction(1, 10**12), 1)),
+        (Fraction(8, 3), (Fraction(2, 3), 6)),
+        (12, (2, 3)),
+    ],
+)
+def test_sqrt_parts_at_zero_and_squares(r, want):
+    got = quadext.sqrt_parts(r)
+    assert got == want and type(got[0]) is type(want[0])
+
+
+@PROPERTY
+@given(
+    st.lists(
+        st.one_of(
+            st.integers(1, 10**6),
+            st.builds(Fraction, st.integers(1, 1000), st.integers(1, 12)),
+        ),
+        min_size=4,
+        max_size=4,
+    )
+)
+def test_boundary_sqrt_split_matches_reference(weights):
+    bp = boundary_pairings(load_builtin("four-lines"), weights)
+    assert bp.sqrt_split == sqrt_parts_reference(Fraction(bp.paired_square))
 
 
 def test_square_split_of_a_large_semiprime_is_fast():
