@@ -97,6 +97,10 @@ def cmd_certify(args) -> int:
         constants_cap=args.cap,
         include_constants=not args.skip_constants,
     )
+    # the file first: a path that cannot be opened prints nothing
+    if args.out is not None:
+        with open(args.out, "w", encoding="utf-8") as handle:
+            handle.write(cert.to_json())
     for h in cert.hypotheses:
         line = f"{h.name:<28} {h.status:<13}"
         print(line + (h.detail if h.detail else ""))
@@ -115,9 +119,6 @@ def cmd_certify(args) -> int:
     print(f"overall: {cert.overall}")
     if cert.first_failure:
         print(f"first failure: {cert.first_failure}")
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(cert.to_json())
     return {PASS: EXIT_PASS, FAIL: EXIT_FAIL, INCONCLUSIVE: EXIT_INCONCLUSIVE}[
         cert.overall
     ]
@@ -173,10 +174,10 @@ def cmd_constants(args) -> int:
     doc = chain.to_json_dict()
     doc["verified"] = True
     text = dump_json(doc)
-    print(text)
-    if args.out:
+    if args.out is not None:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text + "\n")
+    print(text)
     return EXIT_PASS
 
 
@@ -221,6 +222,11 @@ def cmd_beta(args) -> int:
 
 def cmd_stress(args) -> int:
     _require_positive(args, "threads")
+    if args.suite != "probe":  # the only suite that reads a configuration
+        for option in ("config", "builtin", "weights", "allow_single_component"):
+            if getattr(args, option) not in (None, False):
+                flag = "--" + option.replace("_", "-")
+                raise ConfigError(f"{flag} is read only by --suite probe")
     # sample i of every suite draws from (suite, seed, i) alone, so --threads
     # never changes the record
     if args.suite == "boundary":

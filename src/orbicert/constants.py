@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import takewhile
 from math import floor
 
 from .certifier import (
@@ -75,21 +76,16 @@ def sections_certified(
     return lower, None
 
 
-# pairing numbers and truncation roots that make each sum term O(1)
-_Invariants = tuple[BoundaryPairings, tuple[QuadExt, ...]]
-
-
-def _invariants(cfg: SurfaceConfig, wb: WeightedBoundary) -> _Invariants:
+def _pairings(cfg: SurfaceConfig, wb: WeightedBoundary) -> BoundaryPairings:
     # Fraction pairings on purpose: integer ones run the section sums about
     # 4x faster, which waits on a benchmark fix (ROADMAP items 1 and 2)
-    bp = boundary_pairings(cfg, [Fraction(w) for w in wb.weights])
-    return bp, tuple(bp.truncation_root(i) for i in range(cfg.r))
+    return boundary_pairings(cfg, [Fraction(w) for w in wb.weights])
 
 
-def _sum_lower_fast(inv: _Invariants, i: int, n: int) -> int:
-    """Sum over m of the certified lower bounds for h^0(n D_p - m D_i)."""
-    bp, roots = inv
-    cap = floor(roots[i] * n)
+def _sum_lower_fast(bp: BoundaryPairings, root: QuadExt, i: int, n: int) -> int:
+    """Sum over m of the certified lower bounds for h^0(n D_p - m D_i),
+    m = 1..floor(root * n) for the truncation root of component i."""
+    cap = floor(root * n)
     total = 0
     for m in range(1, cap + 1):
         # h^2 guard: (K - d) . D_p < 0 for d = n D_p - m D_i
@@ -120,7 +116,8 @@ def filtration_sections_lower(
     dp = boundary_class(cfg, wb)
     if not ample_class_sufficient(cfg, dp).certified:
         raise ValueError("weighted boundary is not certified ample")
-    return _sum_lower_fast(_invariants(cfg, wb), i, n)
+    bp = _pairings(cfg, wb)
+    return _sum_lower_fast(bp, bp.truncation_root(i), i, n)
 
 
 def sections_power_exact(cfg: SurfaceConfig, wb: WeightedBoundary, n: int) -> int | None:
@@ -167,34 +164,16 @@ class ConstantsChain:
 _CF_GAP = Fraction(1, 2**48)
 
 
-def _ratios_at(
-    cfg: SurfaceConfig,
-    wb: WeightedBoundary,
-    inv: _Invariants,
-    betas: tuple[QuadExt, ...],
-    n: int,
-) -> tuple[int, tuple[int, ...], tuple[QuadExt, ...]] | None:
-    """(M, sums, ratios) at level n, or None when not certifiable."""
-    m_sections = sections_power_exact(cfg, wb, n)
-    if m_sections is None or m_sections <= 0:
-        return None
-    sums = []
-    for i in range(len(cfg.components)):
-        s = _sum_lower_fast(inv, i, n)
-        if s <= 0:
-            return None
-        sums.append(s)
-    ratios = tuple(
-        beta * Fraction(n * m_sections, s) for beta, s in zip(betas, sums)
-    )
-    return m_sections, tuple(sums), ratios
-
-
 def _q_exact(
     m_sections: int, n: int, eps_half: Fraction, betas: tuple[QuadExt, ...]
 ) -> QuadExt:
     """Q = (M - 1) / (2N) * (1 + eps/2) over the least volume ratio."""
     return Fraction(m_sections - 1, 2 * n) * (1 + eps_half) / min(betas)
+
+
+def _upper(q: QuadExt) -> Fraction:
+    """q itself when rational, else a rational above q by at most _CF_GAP."""
+    return q.as_fraction() if q.is_rational else rational_above(q, _CF_GAP)
 
 
 def feasible_chain(
@@ -220,23 +199,29 @@ def feasible_chain(
         raise InfeasibleError("hypothesis checklist does not pass")
     eps_half = eps_target / 2
     target = 1 + eps_half
-    inv = _invariants(cfg, wb)
+    bp = _pairings(cfg, wb)
+    roots = tuple(c.truncation_root for c in report.components)
     betas = tuple(c.volume_ratio for c in report.components)
 
-    found = None
     for n in range(1, cap + 1):
-        got = _ratios_at(cfg, wb, inv, betas, n)
-        if got is None:
+        m_sections = sections_power_exact(cfg, wb, n)
+        if m_sections is None or m_sections <= 0:
             continue
-        m_sections, sums, ratios = got
+        # the first sum at or below 0 rules out level n; later ones are skipped
+        sums = tuple(takewhile(
+            lambda s: s > 0, (_sum_lower_fast(bp, x, i, n) for i, x in enumerate(roots))
+        ))
+        if len(sums) < len(roots):
+            continue
+        ratios = tuple(
+            beta * Fraction(n * m_sections, s) for beta, s in zip(betas, sums)
+        )
         # max keeps the first of equal ratios
         worst = max(range(len(ratios)), key=ratios.__getitem__)
         if ratios[worst] < target:
-            found = (n, m_sections, sums, ratios, worst)
             break
-    if found is None:
+    else:
         raise InfeasibleError(f"no admissible N at or below {cap}")
-    n, m_sections, sums, ratios, worst = found
     r_max = ratios[worst]
 
     # least b with (1 + 2/b) r < 1 + eps/2, so b > 2r / (1 + eps/2 - r)
@@ -244,16 +229,8 @@ def feasible_chain(
 
     c_const = (1 + eps_half) / Fraction(m_sections * n)
 
-    q_exact = _q_exact(m_sections, n, eps_half, betas)
-    q_const = (
-        q_exact.as_fraction()
-        if q_exact.is_rational
-        else rational_above(q_exact, _CF_GAP)
-    )
-    beta_upper = tuple(
-        beta.as_fraction() if beta.is_rational else rational_above(beta, _CF_GAP)
-        for beta in betas
-    )
+    q_const = _upper(_q_exact(m_sections, n, eps_half, betas))
+    beta_upper = tuple(map(_upper, betas))
     m0 = floor(q_const * sum(beta_upper) / eps_half) + 1
 
     return ConstantsChain(

@@ -168,7 +168,7 @@ class RatMap:
     _from_ints is the only path that builds one, and it divides out the
     integer content and the polynomial gcd.  So no finite place divides
     every coordinate: min_j v(x_j) is 0 at every finite place, and -height
-    at the infinite place (see _coord_min).
+    at the infinite place (see _local_value).
     """
 
     coords: tuple[IntPoly, ...]
@@ -199,7 +199,7 @@ class RatMap:
     def m(self) -> int:
         return len(self.coords) - 1
 
-    @property
+    @cached_property
     def height(self) -> int:
         return max(polys.degree(c) for c in self.coords)
 
@@ -442,14 +442,14 @@ def parse_form(text: str, nvars: int = 3, degree: float = math.inf) -> HForm:
 # -- heights and counting --------------------------------------------------------
 
 
-def _coord_min(x: RatMap, place: Place) -> int:
-    """min_j v(x_j), read off the coprime coordinates without a valuation."""
-    return -x.height if place.is_infinite else 0
+def _local_value(place: Place, fx: IntPoly, e: int, x: RatMap) -> int:
+    """v(F(x)) - e * min_j v(x_j) at place, for fx = F(x) with F of degree e.
 
-
-def _local_lambda(e: int, v: int, x: RatMap, place: Place) -> int:
-    """v - e * min_j v(x_j), where v = v(F(x)) for a form F of degree e."""
-    return v - e * _coord_min(x, place)
+    x's coordinates are coprime, so min_j v(x_j) is 0 at a finite place and
+    -height at infinity: no valuation of a coordinate is needed.
+    """
+    v = place.valuation(fx)
+    return v + e * x.height if place.is_infinite else v
 
 
 @dataclass(frozen=True)
@@ -478,28 +478,19 @@ def counting_functions(
     fx = form.evaluate(x)
     if polys.is_zero(fx):
         raise DegenerateError("the point lies on the hypersurface")
-    e = form.degree
-    deg_fx = polys.degree(fx)
-    lam_inf = _local_lambda(e, -deg_fx, x, Place.infinite())
-
-    prox = 0
-    finite_in_s = 0
-    trunc_in_s = 0
-    inf_in_s = False
-    for place in places:
-        if place.is_infinite:
-            inf_in_s = True
-            prox += lam_inf
-            continue
-        v = place.valuation(fx)
-        prox += place.degree * _local_lambda(e, v, x, place)
-        finite_in_s += place.degree * v
-        if v > 0:
-            trunc_in_s += place.degree
-
-    counting = deg_fx - finite_in_s
-    trunc = polys.radical_degree(fx) - trunc_in_s if truncated else None
-    if not inf_in_s:
+    e, inf = form.degree, Place.infinite()
+    lam_inf = _local_value(inf, fx, e, x)
+    # at a finite place lambda is v(F(x)), so the proximity's finite part is
+    # the sum that counting subtracts
+    finite = [(p.degree, _local_value(p, fx, e, x)) for p in places if p != inf]
+    finite_in_s = sum(d * lam for d, lam in finite)
+    prox, counting = finite_in_s, polys.degree(fx) - finite_in_s
+    trunc = None
+    if truncated:
+        trunc = polys.radical_degree(fx) - sum(d for d, lam in finite if lam > 0)
+    if inf in places:
+        prox += lam_inf
+    else:
         counting += lam_inf
         if truncated and lam_inf > 0:
             trunc += 1
@@ -583,8 +574,7 @@ def subspace_inequality(
     lhs = 0
     ranks = set() if len(places) > 1 else {gaussian_rank(vectors)}
     for place in places:
-        base = _coord_min(x, place)
-        lams = [place.valuation(fx) - base for fx in values]
+        lams = [_local_value(place, fx, 1, x) for fx in values]
         echelon: list[tuple[int, list[int]]] = []
         best = 0
         # sorted is stable, so equal values keep the family's order
@@ -635,8 +625,12 @@ class PlaneRealization:
                 raise ConfigError(f"pairing form mismatch at component {i}")
             if pairing is not None and pairing.degree != comp.pairing_degree:
                 raise ConfigError(f"pairing degree mismatch at component {i}")
+        blown = cfg.points
+        foreign = sorted(points.keys() - {point.ident for point in blown})
+        if foreign:
+            raise ConfigError(f"{foreign[0]} is not a blown point of the configuration")
         seen = set()
-        for point in cfg.points:
+        for point in blown:
             coords = points.get(point.ident)
             if coords is None:
                 raise ConfigError(f"no coordinates for blown point {point.ident}")
@@ -709,6 +703,7 @@ def height_bound_probe(
     h = x.height
     if h == 0:
         raise ProbeExcluded("constant curve")
+    inf = Place.infinite()
     values = []
     for i, form in enumerate(realization.boundary_forms):
         fx = form.evaluate(x)
@@ -723,9 +718,8 @@ def height_bound_probe(
             raise ProbeExcluded(f"curve lies inside pairing curve {i}")
         if polys.degree(polys.gcd_poly(values[i], bx)) > 0:
             raise ProbeExcluded(f"curve passes through a blown point of component {i}")
-        lam_f = realization.boundary_forms[i].degree * h - polys.degree(values[i])
-        lam_b = pairing.degree * h - polys.degree(bx)
-        if lam_f > 0 and lam_b > 0:
+        lam_f = _local_value(inf, values[i], realization.boundary_forms[i].degree, x)
+        if lam_f > 0 and _local_value(inf, bx, pairing.degree, x) > 0:
             raise ProbeExcluded(
                 f"curve passes through a blown point of component {i} at infinity"
             )
@@ -734,7 +728,9 @@ def height_bound_probe(
     for fx in values:
         product = polys.mul(product, fx)
     support = polys.radical_degree(product)
-    if polys.degree(product) < sum(f.degree for f in realization.boundary_forms) * h:
+    # t = inf is in the support by the rule of counting_functions' truncated count
+    e = sum(f.degree for f in realization.boundary_forms)
+    if _local_value(inf, product, e, x) > 0:
         support += 1
     degree = h * sum(
         Fraction(w) * form.degree

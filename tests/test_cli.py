@@ -181,11 +181,17 @@ def test_malformed_command_line_exits_3(capsys, argv):
         (["certify", "--config="], "No such file or directory: ''"),
         (["constants", "--builtin", "four-lines", "--eps="], "Invalid literal for Fraction: ''"),
         (["beta", "--plane", "0", "--level", "3"], "weight 0 must be positive"),
+        (["certify", "--builtin", "four-lines", "--skip-constants", "--out="],
+         "No such file or directory: ''"),
+        (["constants", "--builtin", "four-lines", "--cap", "50", "--out="],
+         "No such file or directory: ''"),
     ],
-    ids=["config-empty", "eps-empty", "plane-zero"],
+    ids=["config-empty", "eps-empty", "plane-zero", "certify-out-empty",
+         "constants-out-empty"],
 )
 def test_empty_or_zero_option_is_read_and_exits_3(capsys, argv, message):
-    # each used to be taken for an absent option: four-lines, the slack, four-lines
+    # each used to be taken for an absent option: four-lines, the slack,
+    # four-lines, and no file for both --out
     code, out, err = run(capsys, *argv)
     assert code == 3
     assert out == "" and message in err and "Traceback" not in err
@@ -460,6 +466,13 @@ def _realization_doc(**changes) -> dict:
     return doc
 
 
+def _foreign_point_doc() -> dict:
+    # coordinates for a point that the config does not blow up
+    doc = _realization_doc()
+    doc["metadata"]["realization"]["points"]["P9.9"] = [5, 7, 11]
+    return doc
+
+
 def _nested_power_doc() -> dict:
     # the hyperplane made a conic, so each (...)^2 stays within its degree
     doc = _realization_doc(forms=["X", "Y", "Z", "(" * 22 + "9" + ")^2" * 22 + "*X*Y"])
@@ -486,11 +499,13 @@ def _nested_power_doc() -> dict:
         _realization_doc(forms=["9^9999999*X", "Y", "Z", "X + Y + Z"]),
         # each nested square doubles the digits of the constant
         _nested_power_doc(),
+        _foreign_point_doc(),
     ],
     ids=[
         "deep-parentheses", "pairing-key-7", "missing-forms", "points-as-list",
         "float-coordinate", "huge-exponent", "pairing-key-00", "form-power-200",
         "pairing-power-2000", "constant-power", "nested-constant-powers",
+        "foreign-point",
     ],
 )
 def test_stress_probe_malformed_realization_exits_3(capsys, tmp_path, doc):
@@ -505,6 +520,24 @@ def test_stress_probe_malformed_realization_exits_3(capsys, tmp_path, doc):
     assert code == 3
     assert err.startswith("input error") and "Traceback" not in err
     assert out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["--suite", "boundary", "--config", "/nonexistent.json"], "--config"),
+        (["--suite", "subspace", "--weights", "1,,2"], "--weights"),
+        (["--suite", "product", "--builtin", "four-lines"], "--builtin"),
+        (["--suite", "boundary", "--allow-single-component"], "--allow-single-component"),
+    ],
+    ids=["boundary-config", "subspace-weights", "product-builtin", "boundary-single"],
+)
+def test_stress_config_options_outside_the_probe_exit_3(capsys, argv, flag):
+    # each used to be ignored, and the sweep ran and exited 0
+    code, out, err = run(capsys, "stress", "--samples", "3", *argv)
+    assert code == 3
+    assert out == "" and f"{flag} is read only by --suite probe" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("suite", ["boundary", "subspace", "product", "probe"])

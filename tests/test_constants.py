@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orbicert.catalog import load_builtin
-from orbicert.certifier import build_report
+from orbicert.certifier import BoundaryPairings, build_report
 from orbicert.constants import (
     ChainMismatchError,
     InfeasibleError,
@@ -209,6 +209,23 @@ def test_chain_respects_precomputed_report():
     fresh = feasible_chain(FOUR_LINES, WEIGHTS, report, report.slack_lower)
     again = feasible_chain(FOUR_LINES, WEIGHTS, None, Fraction(1, 176))
     assert fresh == again
+
+
+def test_chain_reads_its_roots_from_the_report(monkeypatch):
+    report = build_report(FOUR_LINES, WEIGHTS)
+    calls = []
+    root = BoundaryPairings.truncation_root
+
+    def counted(bp, i):
+        calls.append(i)
+        return root(bp, i)
+
+    monkeypatch.setattr(BoundaryPairings, "truncation_root", counted)
+    chain = feasible_chain(FOUR_LINES, WEIGHTS, report, Fraction(1, 176))
+    assert calls == []
+    assert (chain.n, chain.m_sections, chain.b, chain.m0) == (
+        FROZEN["n"], FROZEN["m_sections"], FROZEN["b"], FROZEN["m0"]
+    )
 
 
 def test_chain_on_random_passing_weights():

@@ -28,7 +28,7 @@ from orbicert.ffheights import (
     ProbeExcluded,
     RatMap,
     _certify_irreducible,
-    _coord_min,
+    _local_value,
     _parse,
     _sweep,
     counting_functions,
@@ -235,7 +235,7 @@ for argv, code in [
     ("constants --builtin four-lines", 0),
     ("beta --plane 5", 0),
     ("beta --builtin four-lines", 0),
-    ("stress --builtin four-lines --suite boundary --samples 20", 0),
+    ("stress --suite boundary --samples 20", 0),
     ("stress --suite subspace --samples 20", 0),
     ("stress --suite product --samples 20", 0),
     ("stress --builtin four-lines --suite probe --samples 20", 0),
@@ -330,12 +330,34 @@ def points_and_places(draw):
     return RatMap.make(raw), place
 
 
+def coordinate_minimum(x: RatMap, place: Place) -> int:
+    """min_j v(x_j), by valuing every nonzero coordinate."""
+    return min(place.valuation(c) for c in x.coords if not polys.is_zero(c))
+
+
+@st.composite
+def forms_at_points(draw):
+    """A point and a place from points_and_places, and a form of degree 1 to
+    3 in the point's coordinates that does not vanish at the point."""
+    x, place = draw(points_and_places())
+    e = draw(st.integers(1, 3))
+    exps = [
+        p for p in itertools.product(range(e + 1), repeat=len(x.coords)) if sum(p) == e
+    ]
+    coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(exps), max_size=len(exps)))
+    assume(any(coeffs))
+    form = HForm.make(len(x.coords), dict(zip(exps, coeffs)))
+    assume(not polys.is_zero(form.evaluate(x)))
+    return form, x, place
+
+
 @PROPERTY
-@given(points_and_places())
-def test_coordinate_minimum_needs_no_valuation(case):
-    x, place = case
-    want = min(place.valuation(c) for c in x.coords if not polys.is_zero(c))
-    assert _coord_min(x, place) == want
+@given(forms_at_points())
+def test_local_value_matches_its_definition(case):
+    form, x, place = case
+    fx = form.evaluate(x)
+    want = place.valuation(fx) - form.degree * coordinate_minimum(x, place)
+    assert _local_value(place, fx, form.degree, x) == want
 
 
 def test_random_places_are_two_to_four_distinct_places():
@@ -904,7 +926,7 @@ def enumerated_subspace(x, hyperplanes, places):
     ]
     lhs = 0
     for place in places:
-        base = _coord_min(x, place)
+        base = coordinate_minimum(x, place)
         lams = [place.valuation(hp.evaluate(x)) - base for hp in hyperplanes]
         lhs += place.degree * max(sum(lams[j] for j in combo) for combo in bases)
     return lhs, rank
@@ -1110,6 +1132,13 @@ def test_realization_tampering_raises():
             PlaneRealization.make(
                 real.boundary_forms, real.pairing_forms, odd
             ).validate_against(FOUR_LINES)
+
+    foreign = dict(points)
+    foreign["P9.9"] = (5, 7, 11)  # an id the config does not blow up
+    with pytest.raises(ConfigError, match="P9.9 is not a blown point"):
+        PlaneRealization.make(
+            real.boundary_forms, real.pairing_forms, foreign
+        ).validate_against(FOUR_LINES)
 
     missing = dict(points)
     del missing["P3.1"]

@@ -73,9 +73,9 @@ def force_sections_sign():
 
 def force_sum_parity():
     cfg, wb = load_builtin("four-lines"), WeightedBoundary.make([4, 4, 4, 3])
-    bp, roots = constants._invariants(cfg, wb)
+    bp = constants._pairings(cfg, wb)
     # an odd shift of K . D_p breaks the parity of d.(d - K) at level 1
-    constants._sum_lower_fast((replace(bp, dpk=bp.dpk - 1), roots), 0, 1)
+    constants._sum_lower_fast(replace(bp, dpk=bp.dpk - 1), bp.truncation_root(0), 0, 1)
 
 
 def force_subspace_basis(count=2):
