@@ -112,6 +112,8 @@ def filtration_sections_lower(
     """Certified lower bound for sum_m h^0(n D_p - m D_i), m = 1..floor(x_i n)."""
     if n < 1:
         raise ValueError("n must be positive")
+    if not 0 <= i < len(cfg.components):
+        raise ValueError(f"no boundary component {i} among {len(cfg.components)}")
     _require_integer_weights(wb)
     dp = boundary_class(cfg, wb)
     if not ample_class_sufficient(cfg, dp).certified:

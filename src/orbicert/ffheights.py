@@ -149,9 +149,6 @@ class Place:
             raise ValueError("valuation of the zero polynomial")
         if self.poly is None:
             return -polys.degree(f)
-        if polys.degree(self.poly) == 1:
-            c0, c1 = self.poly[0], self.poly[1]
-            return polys.valuation_linear(-c0, c1, f)
         return polys.valuation(self.poly, f)
 
     def __str__(self) -> str:
@@ -732,11 +729,10 @@ def height_bound_probe(
     e = sum(f.degree for f in realization.boundary_forms)
     if _local_value(inf, product, e, x) > 0:
         support += 1
-    degree = h * sum(
-        Fraction(w) * form.degree
-        for w, form in zip(wb.weights, realization.boundary_forms)
+    degree = Fraction(
+        h * sum(w * form.degree for w, form in zip(wb.weights, realization.boundary_forms))
     )
-    ratio = Fraction(degree) / max(1, support - 2)
+    ratio = degree / max(1, support - 2)
     return ProbeRecord(
         height=h, pullback_degree=degree, support_count=support, ratio=ratio
     )

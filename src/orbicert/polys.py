@@ -4,13 +4,13 @@ Polynomials are tuples of coefficients, constant term first, with no
 trailing zeros; the zero polynomial is the empty tuple.  Valuations,
 degrees and radicals are invariant under nonzero rational scaling, so most
 routines work on primitive integer tuples and rational inputs are cleared
-to that form once at the boundary.  Division runs in integers only:
-``exact_quotient`` is the one kernel, and Gauss's lemma makes it decide
-divisibility by any primitive divisor.  ``gcd_poly`` evaluates: it reads a
-candidate gcd off the integer gcd of the operands' values at one point and
-returns it only once the candidate is proven to divide both operands (the
-heuristic gcd of Char, Geddes and Gonnet, J. Symbolic Comput. 7 (1989)).
-The primitive pseudo-remainder sequence it replaced is the tests' reference.
+to that form once at the boundary.  Both kernels evaluate at one point
+instead of dividing: ``valuation`` counts how often p(X) divides a(X) at a
+point X = 2^k that Hadamard's and Mignotte's bounds make exact, and
+``gcd_poly`` proves a gcd read off the integer gcd of two values (Char,
+Geddes and Gonnet, J. Symbolic Comput. 7 (1989)).  Repeated
+``exact_quotient`` division and the primitive pseudo-remainder sequence,
+which they replaced, are the tests' references.
 """
 
 from __future__ import annotations
@@ -159,43 +159,44 @@ def exact_quotient(a: IntPoly, p: IntPoly) -> IntPoly | None:
 
 
 def valuation(p: IntPoly, a: IntPoly) -> int:
-    """Multiplicity of the primitive irreducible p in a (a nonzero)."""
-    if not a:
-        raise ValueError("valuation of the zero polynomial")
-    v = 0
-    cur = exact_quotient(a, p)
-    while cur is not None:
-        v += 1
-        cur = exact_quotient(cur, p)
-    return v
+    """Multiplicity v of the primitive irreducible p, of degree d >= 1, in a.
 
-
-def valuation_linear(root_num: int, root_den: int, a: IntPoly) -> int:
-    """Multiplicity of (den*t - num) in a, by integer synthetic division.
-
-    Gauss's lemma makes exact quotients of integer polynomials by the
-    primitive (den*t - num) integral, so a failed exact division step means
-    non-divisibility.
+    Write a = p^v * b with p not dividing b, so b is in Z[t] (Gauss's lemma)
+    and the nonzero Res(p, b) lies in the ideal (p, b): gcd(p(X), b(X))
+    divides it.  Hadamard's bound and Mignotte's |b|_2 <= 2^deg b * |a|_2
+    (Math. Comp. 28 (1974)) give, for n = deg a and p2 = sum p_i^2,
+    Res(p, b)^2 <= p2^n * 4^(n d) * ((n + 1) * |a|_inf^2)^d < 2^bits.
+    X = 2^k grows until p(X)^2 >= 2^bits; then p(X) never divides b(X), and
+    v counts the divisions of the nonzero a(X) by p(X).
     """
     if not a:
         raise ValueError("valuation of the zero polynomial")
+    d, n = len(p) - 1, len(a) - 1
+    if d < 1:
+        raise ValueError("valuation at a divisor of degree below 1")
+    if n < d:
+        return 0
+    bits = n * sum(c * c for c in p).bit_length() + d * (
+        2 * n + (n + 1).bit_length() + 2 * max(map(abs, a)).bit_length()
+    )
+    k, big_p = bits // (2 * d) + 1, 0
+    while not (big_p * big_p) >> bits:
+        k += 1
+        big_p = _at_power_of_two(p, k)
     v = 0
-    cur = list(a)
-    while len(cur) > 1:
-        quo = [0] * (len(cur) - 1)
-        carry = 0
-        for i in range(len(cur) - 1, 0, -1):
-            top = cur[i] + carry
-            if top % root_den:
-                return v
-            q = top // root_den
-            quo[i - 1] = q
-            carry = q * root_num
-        if cur[0] + carry != 0:
-            return v
+    big_a, rem = divmod(_at_power_of_two(a, k), big_p)
+    while not rem:
         v += 1
-        cur = quo
+        big_a, rem = divmod(big_a, big_p)
     return v
+
+
+def _at_power_of_two(a: IntPoly, k: int) -> int:
+    """a(2^k), by Horner's rule on shifts."""
+    out = 0
+    for c in reversed(a):
+        out = (out << k) + c
+    return out
 
 
 def gcd_poly(a: IntPoly, b: IntPoly) -> IntPoly:

@@ -89,6 +89,10 @@ def test_filtration_sections_guards():
     bad = SurfaceConfig.build([2], [2], hyperplane=False, allow_single_component=True)
     with pytest.raises(ValueError):
         filtration_sections_lower(bad, WeightedBoundary.make([1]), 0, 3)
+    # a component index is never read from the end
+    for i in (-1, 4):
+        with pytest.raises(ValueError, match=f"no boundary component {i} among 4"):
+            filtration_sections_lower(FOUR_LINES, WEIGHTS, i, 5)
 
 
 def test_sum_matches_naive_enumeration():

@@ -2,9 +2,10 @@
 
 Random products with known factorizations act as the oracle for the
 valuation, gcd and radical routines.  Long division over Q, kept here as
-``rational_divmod``, is the oracle for the integer division kernel, and the
-primitive pseudo-remainder sequence, kept here as ``prs_gcd``, is the oracle
-for the gcd by evaluation.
+``rational_divmod``, is the oracle for the integer division kernel; repeated
+exact division, kept here as ``reference_valuation``, is the oracle for the
+valuation by evaluation; and the primitive pseudo-remainder sequence, kept
+here as ``prs_gcd``, is the oracle for the gcd by evaluation.
 """
 
 import random
@@ -15,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orbicert import polys
+from orbicert.ffheights import Place
 from orbicert.polys import (
     ONE,
     ZERO,
@@ -36,7 +38,6 @@ from orbicert.polys import (
     to_string,
     trim,
     valuation,
-    valuation_linear,
 )
 
 
@@ -206,20 +207,65 @@ def test_valuation_known_factorizations():
             assert valuation(p, f) == e, (p, f)
     with pytest.raises(ValueError):
         valuation((0, 1), ZERO)
+    # a constant divisor is no place: it would divide its own values forever
+    for p, a in (((1,), (1, 2)), ((2,), (4,)), (ZERO, (1, 1))):
+        with pytest.raises(ValueError, match="degree below 1"):
+            valuation(p, a)
+    # b = t + 241 and p = t^2 + 1 take the same value 257 at t = 16, so the
+    # evaluation point must outgrow the bound, not just the coefficients
+    assert eval_int((241, 1), 16) == eval_int((1, 0, 1), 16) == 257
+    assert valuation((1, 0, 1), mul((241, 1), (1, 0, 1))) == 1
+
+
+def reference_valuation(p: tuple, a: tuple) -> int:
+    """Multiplicity of the primitive p in the nonzero a, by dividing until
+    the integer cofactor fails to exist (Gauss's lemma)."""
+    v = 0
+    cur = exact_quotient(a, p)
+    while cur is not None:
+        v += 1
+        cur = exact_quotient(cur, p)
+    return v
+
+
+PLACES = [
+    (0, 1), (-1, 2), (5, 3), (1, 0, 1), (1, 0, 3), (-2, 0, 1), (1, 1, 1),
+    (1, 1, 0, 1), (5, -1, 0, 2), (-2, 0, 0, 1), (3, -4, 1, 7),
+]
+
+
+@st.composite
+def linear_places(draw):
+    num = draw(st.integers(-40, 40))
+    den = draw(st.integers(1, 40))
+    return primitive((-num, den)) if num else (0, 1)
+
+
+@PROPERTY
+@given(
+    st.one_of(st.sampled_from(PLACES), linear_places()),
+    st.integers(0, 6),
+    st.lists(st.integers(-(10**30), 10**30), min_size=1, max_size=6).filter(any),
+    st.booleans(),
+)
+def test_valuation_matches_repeated_division(p, e, cofactor, flip):
+    assert Place.finite(p).poly == p  # certified primitive and irreducible
+    a = mul(pow_(p, e), trim(cofactor))
+    place = neg(p) if flip else p
+    v = reference_valuation(p, a)
+    assert v >= e
+    assert valuation(place, a) == v
 
 
 def test_valuation_linear_matches_general():
+    # Place.valuation sends linear places through the same kernel
     rng = random.Random(131)
     for _ in range(600):
         num = rng.randint(-6, 6)
         den = rng.randint(1, 5)
-        from math import gcd
-
-        g = gcd(num, den)
-        num, den = num // (g or 1), den // (g or 1)
-        p = (-num, den)
+        place = Place.finite([-Fraction(num, den), 1])
         f = nonzero_poly(rng, 6)
-        assert valuation_linear(num, den, f) == valuation(p, f)
+        assert place.valuation(f) == reference_valuation(place.poly, f)
 
 
 def test_gcd_poly_contains_common_factor():
