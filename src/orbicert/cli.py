@@ -25,7 +25,7 @@ from .certifier import (
     certify,
     decode_multiplicity,
 )
-from .constants import InfeasibleError, feasible_chain, verify_chain
+from .constants import ChainMismatchError, InfeasibleError, feasible_chain, verify_chain
 from .constants import filtration_sections_lower, sections_power_exact
 from .lattice import ConfigError, InternalError, SurfaceConfig, dump_json
 from .positivity import WeightedBoundary
@@ -170,7 +170,10 @@ def cmd_constants(args) -> int:
     except InfeasibleError as exc:
         print(f"inconclusive: {exc}")
         return EXIT_INCONCLUSIVE
-    verify_chain(cfg, wb, chain)
+    try:
+        verify_chain(cfg, wb, chain)
+    except ChainMismatchError as exc:  # a chain just built must pass its own check
+        raise InternalError(f"the derived chain fails verification: {exc}") from exc
     doc = chain.to_json_dict()
     doc["verified"] = True
     text = dump_json(doc)

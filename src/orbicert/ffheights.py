@@ -9,7 +9,8 @@ For a homogeneous form F of degree e and a point x the local value
 lambda = v(F(x)) - e * min_j v(x_j) is nonnegative, the proximity m_S
 collects lambda over S, the counting N_S collects deg * v(F(x)) outside S,
 and m_S + N_S = e * h(x) exactly.  N1_S truncates counting to multiplicity
-one; the radical degree makes that computable without factoring.
+one; one helper reads it off the radical degree for counting and the probe.
+Hyperplanes are integer vectors; every rank runs on one echelon routine.
 """
 
 from __future__ import annotations
@@ -274,12 +275,7 @@ class HForm:
         if len(x.coords) != self.nvars:
             raise ConfigError(f"{len(x.coords)} coordinates for {self.nvars} variables")
         if self.degree == 1:
-            # sum_j c_j x_j, accumulated into one coefficient list
-            acc = [0] * max(len(c) for c in x.coords)
-            for exps, coeff in self.terms:
-                for i, c in enumerate(x.coords[exps.index(1)]):
-                    acc[i] += coeff * c
-            return polys.trim(acc)
+            return _linear_value(self._linear_terms, x)
         powers: dict[tuple[int, int], IntPoly] = {}
         total: IntPoly = ()
         for exps, coeff in self.terms:
@@ -293,13 +289,10 @@ class HForm:
             total = polys.add(total, term)
         return total
 
-    def linear_vector(self) -> tuple[int, ...]:
-        if self.degree != 1:
-            raise ConfigError("not a linear form")
-        vec = [0] * self.nvars
-        for exps, coeff in self.terms:
-            vec[exps.index(1)] = coeff
-        return tuple(vec)
+    @cached_property
+    def _linear_terms(self) -> tuple[tuple[int, int], ...]:
+        """(j, c_j) for each term c_j X_j of a linear form, found once per form."""
+        return tuple((exps.index(1), coeff) for exps, coeff in self.terms)
 
     def __str__(self) -> str:
         names = _var_names(self.nvars)
@@ -315,6 +308,16 @@ class HForm:
             parts.append(("- " if coeff < 0 else "+ ") + txt)
         out = " ".join(parts)
         return out[2:] if out.startswith("+ ") else ("-" + out[2:])
+
+
+def _linear_value(pairs: Iterable[tuple[int, int]], x: RatMap) -> IntPoly:
+    """sum_j c_j x_j over the pairs (j, c_j), accumulated into one coefficient
+    list: a hyperplane vector gives enumerate(vector), a linear form _linear_terms."""
+    acc = [0] * max(map(len, x.coords))
+    for j, coeff in pairs:
+        for i, c in enumerate(x.coords[j]):
+            acc[i] += coeff * c
+    return polys.trim(acc)
 
 
 def _var_names(nvars: int) -> tuple[str, ...]:
@@ -453,7 +456,7 @@ def _local_value(place: Place, fx: IntPoly, e: int, x: RatMap) -> int:
 class Counting:
     proximity: int
     counting: int
-    counting_truncated: int | None
+    counting_truncated: int
     total: int
 
 
@@ -462,39 +465,35 @@ def _check_places(places: Sequence[Place]) -> None:
         raise ConfigError("repeated place in S")
 
 
-def counting_functions(
-    form: HForm, x: RatMap, places: Sequence[Place], *, truncated: bool = True
-) -> Counting:
-    """Proximity, counting and truncated counting of F at x relative to S.
+def _truncated_count(fx: IntPoly, in_s: Iterable[tuple[int, int]], lam_out: int) -> int:
+    """N1_S: each zero of fx = F(x) outside S once, by degree.  The radical
+    degree counts the finite zeros without factoring; each (degree, lambda) of
+    a finite place of S in in_s with lambda > 0 is taken off, and 1 is added
+    when lam_out (lambda at infinity, 0 when infinity is in S) is positive."""
+    n1 = polys.radical_degree(fx) + (lam_out > 0)
+    for d, lam in in_s:
+        n1 -= d if lam > 0 else 0
+    return n1
 
-    proximity + counting equals deg(F) * height(x) exactly.  Pass
-    truncated=False to skip the radical computation behind the truncated
-    count; the field is then None.
-    """
+
+def counting_functions(form: HForm, x: RatMap, places: Sequence[Place]) -> Counting:
+    """Proximity, counting and truncated counting of F at x relative to S;
+    proximity + counting equals deg(F) * height(x) exactly."""
     _check_places(places)
     fx = form.evaluate(x)
     if polys.is_zero(fx):
         raise DegenerateError("the point lies on the hypersurface")
     e, inf = form.degree, Place.infinite()
     lam_inf = _local_value(inf, fx, e, x)
+    lam_out = 0 if inf in places else lam_inf
     # at a finite place lambda is v(F(x)), so the proximity's finite part is
     # the sum that counting subtracts
     finite = [(p.degree, _local_value(p, fx, e, x)) for p in places if p != inf]
     finite_in_s = sum(d * lam for d, lam in finite)
-    prox, counting = finite_in_s, polys.degree(fx) - finite_in_s
-    trunc = None
-    if truncated:
-        trunc = polys.radical_degree(fx) - sum(d for d, lam in finite if lam > 0)
-    if inf in places:
-        prox += lam_inf
-    else:
-        counting += lam_inf
-        if truncated and lam_inf > 0:
-            trunc += 1
     return Counting(
-        proximity=prox,
-        counting=counting,
-        counting_truncated=trunc,
+        proximity=finite_in_s + lam_inf - lam_out,
+        counting=polys.degree(fx) - finite_in_s + lam_out,
+        counting_truncated=_truncated_count(fx, finite, lam_out),
         total=e * x.height,
     )
 
@@ -503,8 +502,11 @@ def counting_functions(
 
 
 def _insert(echelon: list[tuple[int, list[int]]], vec: Sequence[int]) -> bool:
-    """Reduce vec against echelon's (pivot column, row) pairs without fractions;
-    append a nonzero remainder (vec is independent of the rows) and return True."""
+    """Reduce vec against echelon's (pivot column, row) pairs without division;
+    append a nonzero remainder (vec is independent of the rows) and return True.
+
+    Each step cross-multiplies two rows, which is exact over Q: a row of
+    Fractions gets its correct rank, though every caller passes ints."""
     v = list(vec)
     for col, row in echelon:
         if v[col]:
@@ -517,13 +519,9 @@ def _insert(echelon: list[tuple[int, list[int]]], vec: Sequence[int]) -> bool:
     return True
 
 
-def gaussian_rank(rows: Iterable[Sequence[Fraction | int]]) -> int:
+def gaussian_rank(rows: Iterable[Sequence[int]]) -> int:
     echelon: list[tuple[int, list[int]]] = []
     for row in rows:
-        if not all(isinstance(c, int) for c in row):
-            # scale the row to integers; its span is unchanged
-            den = math.lcm(*(Fraction(c).denominator for c in row))
-            row = [int(Fraction(c) * den) for c in row]
         _insert(echelon, row)
     return len(echelon)
 
@@ -540,7 +538,7 @@ class SubspaceReport:
 
 
 def subspace_inequality(
-    x: RatMap, hyperplanes: Sequence[HForm], places: Sequence[Place]
+    x: RatMap, hyperplanes: Sequence[Sequence[int]], places: Sequence[Place]
 ) -> SubspaceReport:
     """Sum over S of the best independent-subfamily proximity, against
     (m+1) h(x) + (m(m+1)/2) (#S - 2).
@@ -552,6 +550,7 @@ def subspace_inequality(
     (Edmonds, "Matroids and the greedy algorithm", Math. Programming 1
     (1971)); below two places, the family's own order is a second basis.
 
+    Each hyperplane is its integer coefficient vector (c_0, ..., c_m).
     Requires coordinates linearly independent over the constants; the
     point then lies on none of the hyperplanes.
     """
@@ -559,26 +558,25 @@ def subspace_inequality(
     if not hyperplanes:
         raise ConfigError("empty hyperplane family")
     m = x.m
-    for hp in hyperplanes:
-        if hp.degree != 1 or hp.nvars != m + 1:
-            raise ConfigError("hyperplanes must be linear forms in the same space")
+    for vec in hyperplanes:
+        if len(vec) != m + 1 or not any(vec) or not all(isinstance(c, int) for c in vec):
+            raise ConfigError(f"hyperplane {vec} is not a nonzero int vector in P^{m}")
     if not x.nondegenerate:
         raise DegenerateError("coordinates satisfy a constant linear relation")
 
-    vectors = [hp.linear_vector() for hp in hyperplanes]
-    values = [hp.evaluate(x) for hp in hyperplanes]
+    values = [_linear_value(enumerate(vec), x) for vec in hyperplanes]
 
     lhs = 0
-    ranks = set() if len(places) > 1 else {gaussian_rank(vectors)}
+    ranks = set() if len(places) > 1 else {gaussian_rank(hyperplanes)}
     for place in places:
         lams = [_local_value(place, fx, 1, x) for fx in values]
         echelon: list[tuple[int, list[int]]] = []
         best = 0
         # sorted is stable, so equal values keep the family's order
-        for j in sorted(range(len(vectors)), key=lambda j: -lams[j]):
+        for j in sorted(range(len(hyperplanes)), key=lambda j: -lams[j]):
             if len(echelon) == m + 1:
                 break
-            if _insert(echelon, vectors[j]):
+            if _insert(echelon, hyperplanes[j]):
                 best += lams[j]
         ranks.add(len(echelon))
         lhs += place.degree * best
@@ -724,11 +722,9 @@ def height_bound_probe(
     product: IntPoly = (1,)
     for fx in values:
         product = polys.mul(product, fx)
-    support = polys.radical_degree(product)
-    # t = inf is in the support by the rule of counting_functions' truncated count
     e = sum(f.degree for f in realization.boundary_forms)
-    if _local_value(inf, product, e, x) > 0:
-        support += 1
+    # the support is N1 of the product of the boundary forms with S empty
+    support = _truncated_count(product, (), _local_value(inf, product, e, x))
     degree = Fraction(
         h * sum(w * form.degree for w, form in zip(wb.weights, realization.boundary_forms))
     )
@@ -804,8 +800,8 @@ def random_places(rng: random.Random) -> list[Place]:
 
 def random_hyperplanes(
     rng: random.Random, m: int, q: int, bound: int
-) -> list[HForm]:
-    """q integer hyperplanes with every min(q, m+1)-subfamily independent.
+) -> list[tuple[int, ...]]:
+    """q integer hyperplane vectors with every min(q, m+1)-subfamily independent.
     ConfigError after _MAP_TRIES families that are not in general position."""
     _require_positive_bound(bound, "hyperplane")
     k = min(q, m + 1)
@@ -821,8 +817,7 @@ def random_hyperplanes(
             gaussian_rank([vectors[j] for j in combo]) == k
             for combo in itertools.combinations(range(q), k)
         ):
-            unit = [tuple(int(j == i) for j in range(m + 1)) for i in range(m + 1)]
-            return [HForm.make(m + 1, dict(zip(unit, vec))) for vec in vectors]
+            return [tuple(vec) for vec in vectors]
     raise ConfigError(
         f"no {q} hyperplanes in P^{m} in general position with coefficients "
         f"in [-{bound}, {bound}] in {_MAP_TRIES} draws"
@@ -861,10 +856,11 @@ def _subspace_sample(
     out = ("samples",) if report.holds else ("samples", "violations")
     form = _random_form(rng, m + 1, rng.randint(1, 3), 9)
     try:
-        counting = counting_functions(form, x, places, truncated=False)
+        c = counting_functions(form, x, places)
     except DegenerateError:
         return out + ("degenerate",)
-    if counting.proximity + counting.counting != counting.total:
+    # N1 <= N compares the radical degree with the valuations
+    if c.proximity + c.counting != c.total or not 0 <= c.counting_truncated <= c.counting:
         return out + ("fmt_failures",)
     return out
 

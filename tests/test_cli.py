@@ -12,10 +12,11 @@ from pathlib import Path
 import pytest
 
 import orbicert
-from orbicert import certifier, sampling
+from orbicert import certifier, cli, sampling
 from orbicert.catalog import load_builtin
 from orbicert.certifier import Certificate
 from orbicert.cli import build_parser, main
+from orbicert.constants import ChainMismatchError
 from orbicert.sampling import _boundary_sample, _sample_rng, _tally
 from test_internal_checks import time_limit
 
@@ -247,6 +248,23 @@ def test_constants_failing_config(capsys):
     )
     assert code == 1
     assert "does not pass" in out
+
+
+def test_constants_chain_failing_its_own_check_is_internal(capsys, monkeypatch, tmp_path):
+    # a chain the command has just built must verify; when it does not, the
+    # program is at fault: exit 4, not a traceback and exit 1
+    def mismatch(cfg, wb, chain):
+        raise ChainMismatchError("recomputed b differs")
+
+    monkeypatch.setattr(cli, "verify_chain", mismatch)
+    target = tmp_path / "chain.json"
+    code, out, err = run(
+        capsys, "constants", "--builtin", "four-lines", "--cap", "50", "--out", str(target)
+    )
+    assert code == 4
+    assert out == ""
+    assert "internal error" in err and "recomputed b differs" in err
+    assert not target.exists()
 
 
 def test_beta_plane(capsys):

@@ -28,8 +28,10 @@ from orbicert.ffheights import (
     ProbeExcluded,
     RatMap,
     _certify_irreducible,
+    _linear_value,
     _local_value,
     _parse,
+    _pool_places,
     _sweep,
     counting_functions,
     gaussian_rank,
@@ -431,12 +433,10 @@ def test_hform_make_validation():
         HForm.make(3, {(1, 0, 0): 0})
     form = HForm.make(3, {(1, 0, 0): 1, (0, 1, 0): -1, (0, 0, 1): 0})
     assert form.degree == 1
-    assert form.linear_vector() == (1, -1, 0)
+    assert form.terms == (((0, 1, 0), -1), ((1, 0, 0), 1))
     assert HForm.make(3, {(1, 0, 0): Fraction(4, 2), (0, 1, 0): 3}) == HForm.make(
         3, {(1, 0, 0): 2, (0, 1, 0): 3}
     )
-    with pytest.raises(ConfigError):
-        HForm.make(3, {(2, 0, 0): 1}).linear_vector()
 
 
 def test_evaluate_matches_point_substitution():
@@ -486,10 +486,12 @@ def test_linear_evaluate_matches_product_loop():
     rng = random.Random(1109)
     for _ in range(300):
         m = rng.randint(1, 4)
-        form = random_hyperplanes(rng, m, 1, rng.choice([1, 9, 1000]))[0]
-        assert all(type(c) is int for c in form.linear_vector())
+        vec = random_hyperplanes(rng, m, 1, rng.choice([1, 9, 1000]))[0]
+        assert type(vec) is tuple and all(type(c) is int for c in vec)
+        (form,) = linear_forms([vec])
         x = random_map(rng, m, rng.randint(0, 5), rng.choice([1, 9, 1000]))
         assert form.evaluate(x) == product_loop_evaluate(form, x)
+        assert _linear_value(enumerate(vec), x) == product_loop_evaluate(form, x)
     # cancellation in the low terms, and down to the zero polynomial
     form = parse_form("2*X - Y", 2)
     assert form.evaluate(RatMap.make([[1, 2], [2, 4, 1]])) == (0, 0, -1)
@@ -498,7 +500,8 @@ def test_linear_evaluate_matches_product_loop():
 
 def test_parse_form():
     form = parse_form("X + Y + Z")
-    assert form.degree == 1 and form.linear_vector() == (1, 1, 1)
+    assert form.degree == 1
+    assert form.terms == (((0, 0, 1), 1), ((0, 1, 0), 1), ((1, 0, 0), 1))
     quad = parse_form("(X - Y)^2 - 3*Z^2")
     assert quad.degree == 2
     assert quad.evaluate(RatMap.make([[2], [1], [1]])) == (-2,)
@@ -778,10 +781,6 @@ def test_counting_worked_example():
     assert c.counting == 6
     assert c.counting_truncated == 2  # t (multiplicity 3) and infinity
 
-    c = counting_functions(XYZ, X_T_T2, s, truncated=False)
-    assert c.counting_truncated is None
-    assert c.counting == 6
-
 
 def test_counting_errors():
     with pytest.raises(ConfigError):
@@ -808,6 +807,90 @@ def test_height_identity_random():
         assert 0 <= c.counting_truncated <= c.counting
         for place in places:
             assert weil(form, x, place) >= 0
+
+
+def reference_n1(fx, e, x, places):
+    """N1_S by factoring: deg q over the distinct irreducible factors q of
+    fx = F(x) that are not places of S, plus 1 when infinity is outside S
+    and lambda_inf = v_inf(F(x)) - e * min_j v_inf(x_j) is positive."""
+    import sympy
+
+    t = sympy.Symbol("t")
+    _, factors = sympy.factor_list(sum(c * t**i for i, c in enumerate(fx)), t)
+    finite_in_s = {place.poly for place in places if not place.is_infinite}
+    n1 = 0
+    for q, _ in factors:
+        coeffs = tuple(int(c) for c in reversed(sympy.Poly(q, t).all_coeffs()))
+        if coeffs[-1] < 0:
+            coeffs = polys.neg(coeffs)
+        if coeffs not in finite_in_s:
+            n1 += polys.degree(coeffs)
+    inf = Place.infinite()
+    if inf not in places and inf.valuation(fx) - e * coordinate_minimum(x, inf) > 0:
+        n1 += 1
+    return n1
+
+
+@st.composite
+def counting_cases(draw):
+    """A map to P^m (m from 1 to 3) whose coordinates carry powers of one
+    pool place p, a sparse form of degree 1 to 3 that does not vanish on it,
+    and up to four distinct places from the pool and infinity, often p."""
+    pool = list(_pool_places())
+    p = draw(st.sampled_from(pool))
+    m = draw(st.integers(1, 3))
+    coords = []
+    for _ in range(m + 1):
+        small = polys.trim(draw(st.lists(st.integers(-3, 3), min_size=1, max_size=3)))
+        coords.append(polys.mul(small, polys.pow_(p.poly, draw(st.integers(0, 2)))))
+    assume(any(coords))
+    x = RatMap.make(coords)
+    e = draw(st.integers(1, 3))
+    exps = [ex for ex in itertools.product(range(e + 1), repeat=m + 1) if sum(ex) == e]
+    sparse = st.sampled_from([0, 0, 0, 1, -1, 2, -3])
+    coeffs = draw(st.lists(sparse, min_size=len(exps), max_size=len(exps)))
+    assume(any(coeffs))
+    form = HForm.make(m + 1, dict(zip(exps, coeffs)))
+    assume(not polys.is_zero(product_loop_evaluate(form, x)))
+    others = st.lists(st.sampled_from(pool + [Place.infinite()]), max_size=3)
+    places = list(dict.fromkeys(([p] if draw(st.booleans()) else []) + draw(others)))
+    return form, x, places
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(counting_cases())
+def test_truncated_counting_matches_factoring(case):
+    form, x, places = case
+    c = counting_functions(form, x, places)
+    fx = product_loop_evaluate(form, x)
+    assert c.counting_truncated == reference_n1(fx, form.degree, x, places)
+    assert type(c.counting_truncated) is int
+    assert 0 <= c.counting_truncated <= c.counting
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(st.integers(0, 2**32))
+def test_probe_support_matches_factoring(seed):
+    rng = random.Random(seed)
+    real = realization_from_config(FOUR_LINES)
+    x = random_map(rng, 2, rng.randint(1, 4), 9)
+    try:
+        record = height_bound_probe(FOUR_LINES, WEIGHTS, real, x)
+    except ProbeExcluded:
+        return
+    product = (1,)
+    for form in real.boundary_forms:
+        product = polys.mul(product, product_loop_evaluate(form, x))
+    assert record.support_count == reference_n1(product, 4, x, [])
+
+
+def test_subspace_sweep_counts_a_wrong_radical_degree(monkeypatch):
+    # N1 <= N is where the radical degree meets the valuations
+    params = dict(seed=2026, max_deg=4, bound=50)
+    assert subspace_sweep(100, **params)["fmt_failures"] == 0
+    radical_degree = polys.radical_degree
+    monkeypatch.setattr(polys, "radical_degree", lambda a: radical_degree(a) + 1)
+    assert subspace_sweep(100, **params)["fmt_failures"] > 0
 
 
 # -- linear algebra ----------------------------------------------------------------
@@ -878,7 +961,7 @@ def test_a_failing_sample_raises_alike_at_any_process_count(monkeypatch):
 
 
 def test_subspace_worked_example():
-    hyperplanes = [parse_form(f) for f in ("X", "Y", "Z", "X + Y + Z")]
+    hyperplanes = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)]
     places = [Place.finite([0, 1]), Place.finite([-1, 1]), Place.infinite()]
     report = subspace_inequality(X_T_T2, hyperplanes, places)
     assert report.family_rank == 3
@@ -888,14 +971,15 @@ def test_subspace_worked_example():
 
 
 def test_subspace_errors():
-    hyperplanes = [parse_form(f) for f in ("X", "Y", "Z")]
+    hyperplanes = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
     places = [Place.finite([0, 1]), Place.infinite()]
     with pytest.raises(DegenerateError):
         subspace_inequality(RatMap.make([[1], [0, 1], [1, 1]]), hyperplanes, places)
     with pytest.raises(ConfigError):
         subspace_inequality(X_T_T2, [], places)
-    with pytest.raises(ConfigError):
-        subspace_inequality(X_T_T2, [parse_form("X^2")], places)
+    for bad in ((1, 0), (1, 0, 0, 0), (0, 0, 0), (1, Fraction(1, 2), 0), (1.0, 0, 0)):
+        with pytest.raises(ConfigError, match="not a nonzero int vector"):
+            subspace_inequality(X_T_T2, hyperplanes + [bad], places)
     with pytest.raises(ConfigError):
         subspace_inequality(X_T_T2, hyperplanes, [Place.infinite(), Place.infinite()])
     with pytest.raises(ConfigError):
@@ -907,27 +991,27 @@ def test_random_hyperplanes_general_position():
     for _ in range(30):
         m = rng.randint(1, 3)
         q = rng.randint(m + 1, m + 3)
-        forms = random_hyperplanes(rng, m, q, 9)
-        assert len(forms) == q
-        vectors = [f.linear_vector() for f in forms]
+        vectors = random_hyperplanes(rng, m, q, 9)
+        assert len(vectors) == q
+        assert all(type(v) is tuple and all(type(c) is int for c in v) for v in vectors)
         k = min(q, m + 1)
         for combo in itertools.combinations(range(q), k):
             assert gaussian_rank([vectors[j] for j in combo]) == k
 
 
-def enumerated_subspace(x, hyperplanes, places):
-    """(lhs, family rank) by listing every basis of the family."""
-    vectors = [hp.linear_vector() for hp in hyperplanes]
+def enumerated_subspace(x, vectors, places):
+    """(lhs, family rank) by listing every basis of the family of vectors."""
     rank = gaussian_rank(vectors)
     bases = [
         combo
         for combo in itertools.combinations(range(len(vectors)), rank)
         if gaussian_rank([vectors[j] for j in combo]) == rank
     ]
+    values = [product_loop_evaluate(form, x) for form in linear_forms(vectors)]
     lhs = 0
     for place in places:
         base = coordinate_minimum(x, place)
-        lams = [place.valuation(hp.evaluate(x)) - base for hp in hyperplanes]
+        lams = [place.valuation(fx) - base for fx in values]
         lhs += place.degree * max(sum(lams[j] for j in combo) for combo in bases)
     return lhs, rank
 
@@ -954,7 +1038,7 @@ def dependent_families(draw):
         else:
             small = st.lists(st.integers(-1, 1), min_size=m + 1, max_size=m + 1)
             vectors.append(tuple(draw(small.filter(any))))
-    return x, linear_forms(vectors), random_places(rng)
+    return x, vectors, random_places(rng)
 
 
 @st.composite
@@ -1001,9 +1085,9 @@ def test_subspace_inequality_scales_with_the_family(m, q):
     # listing every subfamily of rank m + 1 takes seconds on these families
     rng = random.Random(1531 + m)
     x = random_map(rng, m, 6, 20, nondegenerate=True)
-    hyperplanes = linear_forms(
-        [[rng.randint(1, 9)] + [rng.randint(-9, 9) for _ in range(m)] for _ in range(q)]
-    )
+    hyperplanes = [
+        [rng.randint(1, 9)] + [rng.randint(-9, 9) for _ in range(m)] for _ in range(q)
+    ]
     places = [Place.infinite(), Place.finite([0, 1]), Place.finite([-1, 1])]
     with time_limit(1):
         report = subspace_inequality(x, hyperplanes, places)

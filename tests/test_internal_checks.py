@@ -85,7 +85,7 @@ def force_subspace_basis(count=2):
     places = [ffheights.Place.finite([0, 1]), ffheights.Place.infinite()][:count]
     x = ffheights.RatMap.make([[1], [0, 1], [0, 0, 1]])
     x.nondegenerate  # proved and kept before the patch, so it builds no basis
-    hyperplanes = [ffheights.parse_form(f) for f in ("X", "Y", "Z")]
+    hyperplanes = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
     insert, bases = ffheights._insert, []
 
     def drop_first_of_second_basis(echelon, vec):
