@@ -3,7 +3,6 @@
 __version__ = "0.1.0"
 
 from .lattice import (  # noqa: F401
-    BlownPoint,
     Component,
     ConfigError,
     DivisorClass,

@@ -81,6 +81,14 @@ def _require_positive(args, *options: str) -> None:
             raise ConfigError(f"{flag} {value} must be at least 1")
 
 
+def _refuse_config_args(args, reader: str) -> None:
+    """Refuse the configuration options in a mode that reads no configuration."""
+    for option in ("config", "builtin", "weights", "allow_single_component"):
+        if getattr(args, option) not in (None, False):
+            flag = "--" + option.replace("_", "-")
+            raise ConfigError(f"{flag} is read only by {reader}")
+
+
 # -- certify ---------------------------------------------------------------------
 
 
@@ -190,6 +198,7 @@ def cmd_constants(args) -> int:
 def cmd_beta(args) -> int:
     _require_positive(args, "level")
     if args.plane is not None:
+        _refuse_config_args(args, "beta without --plane")
         cfg = load_builtin("plane-one-line")
         wb = WeightedBoundary.make([args.plane])
     else:
@@ -226,10 +235,7 @@ def cmd_beta(args) -> int:
 def cmd_stress(args) -> int:
     _require_positive(args, "threads")
     if args.suite != "probe":  # the only suite that reads a configuration
-        for option in ("config", "builtin", "weights", "allow_single_component"):
-            if getattr(args, option) not in (None, False):
-                flag = "--" + option.replace("_", "-")
-                raise ConfigError(f"{flag} is read only by --suite probe")
+        _refuse_config_args(args, "--suite probe")
     # sample i of every suite draws from (suite, seed, i) alone, so --threads
     # never changes the record
     if args.suite == "boundary":
@@ -289,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_config_args(p):
+    def add_config_args(p, weights=True):
         p.add_argument("--config", help="path to a configuration JSON file")
         p.add_argument(
             "--builtin",
@@ -301,7 +307,8 @@ def build_parser() -> argparse.ArgumentParser:
             action="store_true",
             help="waive the two-component requirement",
         )
-        p.add_argument("--weights", help="comma separated positive weights")
+        if weights:
+            p.add_argument("--weights", help="comma separated positive weights")
 
     p_cert = sub.add_parser("certify", help="run the full hypothesis checklist")
     add_config_args(p_cert)
@@ -317,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cert.set_defaults(func=cmd_certify)
 
     p_search = sub.add_parser("search", help="enumerate passing weight vectors")
-    add_config_args(p_search)
+    add_config_args(p_search, weights=False)
     p_search.add_argument("--bound", type=int, default=6)
     p_search.add_argument(
         "--objective", choices=["min-sum", "max-slack"], default="min-sum"

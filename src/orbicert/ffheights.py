@@ -620,30 +620,29 @@ class PlaneRealization:
                 raise ConfigError(f"pairing form mismatch at component {i}")
             if pairing is not None and pairing.degree != comp.pairing_degree:
                 raise ConfigError(f"pairing degree mismatch at component {i}")
-        blown = cfg.points
-        foreign = sorted(points.keys() - {point.ident for point in blown})
+        blown = dict(cfg.blown_points())
+        foreign = sorted(points.keys() - blown.keys())
         if foreign:
             raise ConfigError(f"{foreign[0]} is not a blown point of the configuration")
         seen = set()
-        for point in blown:
-            coords = points.get(point.ident)
+        for ident, home in blown.items():
+            coords = points.get(ident)
             if coords is None:
-                raise ConfigError(f"no coordinates for blown point {point.ident}")
+                raise ConfigError(f"no coordinates for blown point {ident}")
             # a constant map: equal points are equal RatMaps
             x = RatMap.make([[c] for c in coords])
             if x in seen:
                 raise ConfigError(f"blown points collide at {coords}")
             seen.add(x)
-            (home,) = point.on
             for i, form in enumerate(self.boundary_forms):
                 on = polys.is_zero(form.evaluate(x))
                 if i == home and not on:
-                    raise ConfigError(f"{point.ident} is not on its component")
+                    raise ConfigError(f"{ident} is not on its component")
                 if i != home and on:
-                    raise ConfigError(f"{point.ident} lies on a foreign component")
+                    raise ConfigError(f"{ident} lies on a foreign component")
             pairing = self.pairing_forms[home]
             if pairing is not None and not polys.is_zero(pairing.evaluate(x)):
-                raise ConfigError(f"{point.ident} misses its pairing curve")
+                raise ConfigError(f"{ident} misses its pairing curve")
 
 
 @malformed("realization")

@@ -181,6 +181,9 @@ def intersect(a: DivisorClass, b: DivisorClass) -> Coeff:
     return a.h * b.h - sum(k * x * y for k, x, y in zip(a.n, a.c, b.c) if k)
 
 
+MAX_PAIRED_DEGREE = 100  # a paired component carries degree^2 blown points
+
+
 @dataclass(frozen=True)
 class Component:
     """One boundary curve: plane degree, optional pairing curve degree."""
@@ -194,6 +197,10 @@ class Component:
         if self.degree < 1:
             raise ConfigError(f"component degree {self.degree} must be positive")
         if self.paired:
+            if self.degree > MAX_PAIRED_DEGREE:
+                raise ConfigError(
+                    f"paired component degree {self.degree} exceeds {MAX_PAIRED_DEGREE}"
+                )
             pd = self.degree if self.pairing_degree is None else self.pairing_degree
             if not 1 <= pd <= self.degree:
                 raise ConfigError(
@@ -204,25 +211,20 @@ class Component:
             raise ConfigError("unpaired component cannot carry a pairing degree")
 
 
-@dataclass(frozen=True)
-class BlownPoint:
-    ident: str
-    on: frozenset[int]
-
-    @staticmethod
-    def make(ident: str, on: Iterable[int]) -> "BlownPoint":
-        return BlownPoint(
-            _typed(ident, str, "point id"),
-            frozenset(_typed(i, int, f"point {ident!r} component") for i in on),
-        )
+def _generated_ids(counts: Iterable[int]) -> Iterator[tuple[str, int]]:
+    """(P<i+1>.<k+1>, i) for the counts[i] points of every component i."""
+    for i, n in enumerate(counts):
+        for k in range(n):
+            yield f"P{i + 1}.{k + 1}", i
 
 
-def _generated_ids(comps: Iterable[Component]) -> Iterator[tuple[str, int]]:
-    """(P<i+1>.<k+1>, i) for the degree^2 points of every paired component."""
-    for i, comp in enumerate(comps):
-        if comp.paired:
-            for k in range(comp.degree**2):
-                yield f"P{i + 1}.{k + 1}", i
+def _point(raw: Mapping) -> tuple[str, int]:
+    """A point document {"id": ..., "on": [component index]} as its pair."""
+    ident = _typed(raw["id"], str, "point id")
+    on = _typed(raw["on"], list, "point on")
+    if len(on) != 1:
+        raise ConfigError(f"point {ident!r} must lie on exactly one component")
+    return ident, _typed(on[0], int, f"point {ident!r} component")
 
 
 def _pads(comps: Iterable[Component]) -> bool:
@@ -234,14 +236,15 @@ def _pads(comps: Iterable[Component]) -> bool:
 class SurfaceConfig:
     """Combinatorial description of the blown-up plane and its boundary.
 
-    points=None stands for the generated list P<i+1>.<k+1>, degree^2 points
-    per paired component.  Such a config stores no point objects: cfg.points
-    builds the list each time it is read, and everything else reads only
-    point_counts.
+    points is a declared list of (id, component index) pairs, or None for
+    the generated list P<i+1>.<k+1>, degree^2 points per paired component.
+    A declared list equal to the generated one is stored as None, so configs
+    compare by value.  blown_points() yields the pairs either way; everything
+    else reads only point_counts.
     """
 
     components: tuple[Component, ...]
-    points: tuple[BlownPoint, ...] | None
+    points: tuple[tuple[str, int], ...] | None
     no_three_meet: bool = True
     allow_single_component: bool = False
     padded: bool = False
@@ -251,20 +254,16 @@ class SurfaceConfig:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.points is None:
-            # reads of cfg.points now fall through to __getattr__
-            del self.points
         self.validate()
+        declared = self.points
+        if declared is not None and declared == tuple(_generated_ids(self.point_counts)):
+            self.points = None
 
-    def __getattr__(self, name: str) -> tuple[BlownPoint, ...]:
-        if name != "points":
-            raise AttributeError(
-                f"'SurfaceConfig' object has no attribute {name!r}", name=name, obj=self
-            )
-        return tuple(
-            BlownPoint(ident, frozenset((i,)))
-            for ident, i in _generated_ids(self.components)
-        )
+    def blown_points(self) -> Iterator[tuple[str, int]]:
+        """The (id, component index) pair of every blown point."""
+        if self.points is not None:
+            return iter(self.points)
+        return _generated_ids(self.point_counts)
 
     # -- invariants ---------------------------------------------------------
 
@@ -273,28 +272,20 @@ class SurfaceConfig:
         a generated list is valid by construction."""
         if not self.components:
             raise ConfigError("at least one component is required")
-        if "points" not in vars(self):
+        if self.points is None:
             return
-        counts = {i: 0 for i, c in enumerate(self.components) if c.paired}
+        counts = [0] * len(self.components)
         seen: set[str] = set()
-        for pt in self.points:
-            if pt.ident in seen:
-                raise ConfigError(f"duplicate point id {pt.ident!r}")
-            seen.add(pt.ident)
-            if len(pt.on) != 1:
-                raise ConfigError(
-                    f"point {pt.ident!r} must lie on exactly one component"
-                )
-            (idx,) = pt.on
+        for ident, idx in self.points:
+            if ident in seen:
+                raise ConfigError(f"duplicate point id {ident!r}")
+            seen.add(ident)
             if not 0 <= idx < len(self.components):
-                raise ConfigError(f"point {pt.ident!r} on unknown component {idx}")
+                raise ConfigError(f"point {ident!r} on unknown component {idx}")
             if not self.components[idx].paired:
-                raise ConfigError(
-                    f"point {pt.ident!r} lies on unpaired component {idx}"
-                )
+                raise ConfigError(f"point {ident!r} lies on unpaired component {idx}")
             counts[idx] += 1
-        for idx, got in counts.items():
-            want = self.components[idx].degree ** 2
+        for idx, (got, want) in enumerate(zip(counts, self.point_counts)):
             if got != want:
                 raise ConfigError(
                     f"component {idx} needs {want} points after padding, has {got}"
@@ -313,9 +304,8 @@ class SurfaceConfig:
 
         Each paired component of degree d carries d*b transversal points
         plus d*(d-b) padding points, where b is its pairing degree.  The
-        config stores only the components: the points P<i+1>.<k+1> are
-        built when cfg.points is read, and to_json_dict writes them from
-        point_counts.
+        config stores only the components; blown_points() generates the
+        points P<i+1>.<k+1>.
         """
         degrees = list(paired_degrees)
         pairings = list(pairing_degrees) if pairing_degrees else degrees[:]
@@ -354,14 +344,7 @@ class SurfaceConfig:
                 }
                 for c in self.components
             ],
-            "points": (
-                [{"id": p.ident, "on": sorted(p.on)} for p in self.points]
-                if "points" in vars(self)
-                else [
-                    {"id": ident, "on": [i]}
-                    for ident, i in _generated_ids(self.components)
-                ]
-            ),
+            "points": [{"id": ident, "on": [i]} for ident, i in self.blown_points()],
             "no_three_meet": self.no_three_meet,
             "allow_single_component": self.allow_single_component,
             "padded": self.padded,
@@ -402,10 +385,7 @@ class SurfaceConfig:
         padded = _typed(doc.get("padded", False), bool, "padded")
         points = None
         if "points" in doc:
-            points = tuple(
-                BlownPoint.make(raw["id"], _typed(raw["on"], list, "point on"))
-                for raw in _typed(doc["points"], list, "points")
-            )
+            points = tuple(map(_point, _typed(doc["points"], list, "points")))
         else:
             padded = padded or _pads(comps)
         weights = _typed(doc.get("weights"), list, "weights", null=True)

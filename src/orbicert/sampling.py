@@ -24,7 +24,7 @@ from math import lcm
 from multiprocessing import Pool
 
 from .certifier import build_report
-from .lattice import ConfigError, InternalError, SurfaceConfig
+from .lattice import MAX_PAIRED_DEGREE, ConfigError, InternalError, SurfaceConfig
 from .positivity import WeightedBoundary
 
 _MAX_PAIRED = 3
@@ -141,6 +141,8 @@ def boundary_sweep(
     for name, value in (("max degree", max_degree), ("coefficient bound", bound)):
         if value < 1:
             raise ConfigError(f"{name} {value} must be at least 1")
+    if max_degree > MAX_PAIRED_DEGREE:
+        raise ConfigError(f"max degree {max_degree} must be at most {MAX_PAIRED_DEGREE}")
     at = partial(_sample_at, _boundary_sample, "boundary", seed, (max_degree, bound))
     chunk = -(-passes // max(1, processes))
     outcomes, passed = [], 0

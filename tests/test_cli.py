@@ -162,13 +162,15 @@ def test_certify_input_errors(capsys):
         ["stress", "--suite", "probe", "--weights", "1,1,1", "--samples", "0"],
         # --plane used to print the closed form before it read --level
         ["beta", "--plane", "3", "--level", "0"],
+        # search reads no weights; it used to ignore them and exit 1
+        ["search", "--builtin", "four-lines", "--bound", "2", "--weights", "x"],
     ],
     ids=["missing-value", "unknown-option", "bad-int", "bad-choice",
          "search-threads", "boundary-threads", "product-threads",
          "boundary-batches", "subspace-batches", "constants-cap", "certify-cap",
          "weights-inner-empty", "weights-trailing-comma", "weights-empty",
          "multiplicities-blank", "probe-weights-leading-comma", "probe-three-weights",
-         "probe-five-weights", "probe-no-samples", "beta-level"],
+         "probe-five-weights", "probe-no-samples", "beta-level", "search-weights"],
 )
 def test_malformed_command_line_exits_3(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -277,6 +279,19 @@ def test_beta_plane(capsys):
     assert code == 0
     assert "volume ratio 1947/484" not in out  # printed in lowest terms
     assert "volume ratio 177/44" in out
+
+
+@pytest.mark.parametrize(
+    "option",
+    [["--config", "/nonexistent.json"], ["--builtin", "four-lines"], ["--weights", "0,0"],
+     ["--allow-single-component"]],
+    ids=["config", "builtin", "weights", "single"],
+)
+def test_beta_plane_config_options_exit_3(capsys, option):
+    # each used to be ignored, and --plane exited 0
+    code, out, err = run(capsys, "beta", "--plane", "3", "--level", "5", *option)
+    assert code == 3
+    assert out == "" and f"{option[0]} is read only by beta without --plane" in err
 
 
 def test_stress_boundary(capsys):
@@ -611,6 +626,41 @@ def test_config_missing_degree_exits_3(capsys, tmp_path):
     assert "overall" not in out
 
 
+def test_config_point_on_two_indices_exits_3(capsys, tmp_path):
+    # [0, 0] used to be read as the set {0}
+    doc = load_builtin("four-lines").to_json_dict()
+    doc["points"][0]["on"] = [0, 0]
+    path = tmp_path / "twice.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "certify", "--config", str(path))
+    assert code == 3
+    assert "point 'P1.1' must lie on exactly one component" in err
+    assert "overall" not in out
+
+
+def _single_curve(tmp_path, degree: int) -> str:
+    path = tmp_path / f"degree-{degree}.json"
+    doc = {"components": [{"degree": degree, "paired": True}], "hyperplane": True}
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_paired_degree_above_the_cap_exits_3(capsys, tmp_path):
+    # degree 1000 used to build its 10^6 points for seconds, then exit 1
+    for degree in (1000, 101):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "certify", "--config", _single_curve(tmp_path, degree),
+                             "--weights", "1,1")
+        assert time.perf_counter() - start < 1.0
+        assert code == 3 and out == ""
+        assert f"paired component degree {degree} exceeds 100" in err
+    code, out, _ = run(capsys, "certify", "--config", _single_curve(tmp_path, 100),
+                       "--weights", "1,1")
+    assert code == 1
+    assert "component 0: degree 100, weight 1, root 201/200, ratio 201/400, holds False" in out
+    assert out.endswith("overall: fail\nfirst failure: filtration_inequality\n")
+
+
 def run_module(*argv) -> subprocess.CompletedProcess:
     """python -m orbicert in a fresh interpreter."""
     src = str(Path(orbicert.__file__).resolve().parent.parent)
@@ -655,9 +705,10 @@ def test_parser_is_built_once_and_reused(capsys):
         (["--suite", "probe", "--max-degree", "-1"], "max degree -1 must not be"),
         (["--suite", "boundary", "--coeff-bound", "0"], "coefficient bound 0 must be"),
         (["--suite", "boundary", "--max-degree", "0"], "max degree 0 must be"),
+        (["--suite", "boundary", "--max-degree", "101"], "max degree 101 must be at most 100"),
     ],
     ids=["subspace-degree", "subspace-bound", "probe-bound", "probe-degree",
-         "boundary-bound", "boundary-degree"],
+         "boundary-bound", "boundary-degree", "boundary-degree-cap"],
 )
 def test_stress_unsatisfiable_parameters_exit_3(capsys, argv, message):
     start = time.perf_counter()

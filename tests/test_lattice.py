@@ -6,6 +6,7 @@ import json
 import math
 import random
 import re
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,7 +18,6 @@ from orbicert.catalog import builtin_names, load_builtin
 from orbicert.certifier import build_report, certify
 from orbicert.ffheights import realization_from_config
 from orbicert.lattice import (
-    BlownPoint,
     Component,
     ConfigError,
     DivisorClass,
@@ -113,18 +113,19 @@ def test_build_four_lines_shape():
     assert [c.degree for c in cfg.components] == [1, 1, 1, 1]
     assert [c.paired for c in cfg.components] == [True, True, True, False]
     assert cfg.components[3].role == "hyperplane"
-    assert len(cfg.points) == 3
+    points = list(cfg.blown_points())
+    assert len(points) == 3
     assert not cfg.padded
-    assert {p.ident for p in cfg.points} == {"P1.1", "P2.1", "P3.1"}
+    assert {ident for ident, _ in points} == {"P1.1", "P2.1", "P3.1"}
 
 
 def test_build_padding():
     cfg = SurfaceConfig.build([2], [1], hyperplane=True)
     assert cfg.padded
-    assert len([p for p in cfg.points if 0 in p.on]) == 4
+    assert len([i for _, i in cfg.blown_points() if i == 0]) == 4
     cfg2 = SurfaceConfig.build([3], [3], hyperplane=False, allow_single_component=True)
     assert not cfg2.padded
-    assert len(cfg2.points) == 9
+    assert len(list(cfg2.blown_points())) == 9
 
 
 def test_strict_transform_classes():
@@ -175,27 +176,34 @@ def test_validation_errors():
         Component(degree=2, paired=True, pairing_degree=3)
     with pytest.raises(ConfigError):
         Component(degree=2, paired=False, pairing_degree=1)
+    with pytest.raises(ConfigError, match="paired component degree 101 exceeds 100"):
+        Component(degree=101, paired=True)
+    assert Component(degree=100, paired=True).pairing_degree == 100
+    assert Component(degree=1000).degree == 1000  # no points, so no cap
     good = Component(degree=1, paired=True)
     assert good.pairing_degree == 1
 
     with pytest.raises(ConfigError):
         SurfaceConfig(components=(), points=())
     comp = (Component(degree=1, paired=True),)
-    with pytest.raises(ConfigError):
-        SurfaceConfig(components=comp, points=(BlownPoint.make("P", []),))
-    with pytest.raises(ConfigError):
-        SurfaceConfig(
-            components=comp,
-            points=(BlownPoint.make("P", [0]), BlownPoint.make("P", [0])),
+    # a point on no component is refused where points are read, in the decoder
+    with pytest.raises(ConfigError, match="must lie on exactly one component"):
+        SurfaceConfig.from_json_dict(
+            {
+                "components": [{"degree": 1, "paired": True}],
+                "points": [{"id": "P", "on": []}],
+            }
         )
     with pytest.raises(ConfigError):
-        SurfaceConfig(components=comp, points=(BlownPoint.make("P", [5]),))
+        SurfaceConfig(components=comp, points=(("P", 0), ("P", 0)))
+    with pytest.raises(ConfigError):
+        SurfaceConfig(components=comp, points=(("P", 5),))
     # paired degree-1 component needs exactly one point
     with pytest.raises(ConfigError):
         SurfaceConfig(components=comp, points=())
     free = (Component(degree=1),)
     with pytest.raises(ConfigError):
-        SurfaceConfig(components=free, points=(BlownPoint.make("P", [0]),))
+        SurfaceConfig(components=free, points=(("P", 0),))
 
 
 def test_json_round_trip():
@@ -299,8 +307,9 @@ def test_from_json_generates_points():
         ]
     }
     cfg = SurfaceConfig.from_json_dict(doc)
-    assert len(cfg.points) == 4
-    assert cfg.points[0].ident == "P1.1"
+    points = list(cfg.blown_points())
+    assert len(points) == 4
+    assert points[0] == ("P1.1", 0)
 
 
 def test_json_errors():
@@ -371,7 +380,7 @@ def test_built_and_generated_points_serialize_identically():
 # -- generated points against the eager reference -------------------------------
 
 
-def generate_points_reference(comps) -> tuple[tuple[BlownPoint, ...], bool]:
+def generate_points_reference(comps) -> tuple[tuple[tuple[str, int], ...], bool]:
     """The eager generator SurfaceConfig.build used to run: degree^2 points
     P<i+1>.<k+1> per paired component, and whether any pad."""
     points = []
@@ -379,10 +388,7 @@ def generate_points_reference(comps) -> tuple[tuple[BlownPoint, ...], bool]:
     for i, comp in enumerate(comps):
         if comp.paired:
             padded = padded or comp.pairing_degree < comp.degree
-            points.extend(
-                BlownPoint.make(f"P{i + 1}.{k + 1}", [i])
-                for k in range(comp.degree**2)
-            )
+            points.extend((f"P{i + 1}.{k + 1}", i) for k in range(comp.degree**2))
     return tuple(points), padded
 
 
@@ -405,7 +411,8 @@ def test_built_points_match_the_eager_reference():
         eager = SurfaceConfig(
             components=built.components, points=points, padded=padded, **kwargs
         )
-        assert built.points == points
+        assert tuple(built.blown_points()) == points
+        assert built.points is None and eager.points is None
         assert built.padded == padded
         assert built.to_json_dict() == eager.to_json_dict()
         assert built.to_json() == eager.to_json()
@@ -420,33 +427,48 @@ def test_built_configs_compare_by_value():
     assert a == SurfaceConfig.build([2, 3], [1, 3])
     assert a != SurfaceConfig.build([2, 3], [2, 3])
     assert a != SurfaceConfig.build([2, 3], [1, 3], name="other")
-    renamed = list(a.points)
-    renamed[0] = BlownPoint.make("Q", [0])
+    renamed = list(a.blown_points())
+    renamed[0] = ("Q", 0)
     assert a != SurfaceConfig(components=a.components, points=tuple(renamed), padded=True)
 
 
-class ConstructionCounter:
-    """Counts BlownPoint constructions through make and through __init__."""
+def test_reordered_declared_points_keep_their_order():
+    built = SurfaceConfig.build([2, 1], [1, 1])
+    swapped = list(built.blown_points())
+    swapped[0], swapped[1] = swapped[1], swapped[0]
+    cfg = SurfaceConfig(components=built.components, points=tuple(swapped), padded=True)
+    assert cfg != built and cfg.points == tuple(swapped)
+    echo = cfg.to_json_dict()["points"]
+    assert [p["id"] for p in echo][:3] == ["P1.2", "P1.1", "P1.3"]
+    assert SurfaceConfig.from_json_dict(cfg.to_json_dict()) == cfg
+
+
+def test_replace_keeps_a_generated_list_generated():
+    # replace used to read the generated list back as degree^2 declared points
+    for cfg in (SurfaceConfig.build([100], [7]), load_builtin("four-lines")):
+        single = replace(cfg, allow_single_component=True)
+        assert cfg.points is None and single.points is None
+        assert replace(single, allow_single_component=False) == cfg
+
+
+class ReadCounter:
+    """Counts SurfaceConfig.blown_points calls."""
 
     def __init__(self, monkeypatch):
         self.count = 0
-        make, init = BlownPoint.make, BlownPoint.__init__
+        read = SurfaceConfig.blown_points
 
-        def counted_make(*args):
+        def counted(cfg):
             self.count += 1
-            return make(*args)
+            return read(cfg)
 
-        def counted_init(point, *args):
-            self.count += 1
-            init(point, *args)
-
-        monkeypatch.setattr(BlownPoint, "make", staticmethod(counted_make))
-        monkeypatch.setattr(BlownPoint, "__init__", counted_init)
+        monkeypatch.setattr(SurfaceConfig, "blown_points", counted)
 
 
 def test_build_and_report_construct_no_blown_point(monkeypatch):
-    counter = ConstructionCounter(monkeypatch)
+    counter = ReadCounter(monkeypatch)
     slacks = set()
+    certified = 0
     shapes = (([1, 1, 1], [1, 1, 1]), ([2, 3, 4], [1, 3, 2]), ([6, 5, 1], [6, 1, 1]))
     for degrees, pairings in shapes:
         cfg = SurfaceConfig.build(degrees, pairings, hyperplane=True)
@@ -454,11 +476,15 @@ def test_build_and_report_construct_no_blown_point(monkeypatch):
         for weights in (base, [3 * w - 1 for w in base], [1] * cfg.r):
             wb = WeightedBoundary.make(weights)
             slacks.add(build_report(cfg, wb).slack is not None)
+            assert counter.count == certified
             certify(cfg, wb)
+            certified += 1
+            # the certificate echoes the config, points included, once
+            assert counter.count == certified
     outcomes = [_boundary_sample(_sample_rng("boundary", 1, i), 6, 300) for i in range(60)]
     assert slacks == {True, False}
     assert {"passes", "not_ample"} <= {key for keys in outcomes for key in keys}
-    assert counter.count == 0
-    # the counter sees the points a read builds
-    assert len(cfg.points) == 36 + 25 + 1
-    assert counter.count == 36 + 25 + 1
+    assert counter.count == certified == 9
+    # the counter sees a read
+    assert len(list(cfg.blown_points())) == 36 + 25 + 1
+    assert counter.count == certified + 1

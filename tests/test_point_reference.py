@@ -2,7 +2,7 @@
 
 A class is stored as h*H - sum(c_i E_i), where E_i sums the exceptional
 curves over the points on component i.  Here every class is expanded over
-cfg.points into h*H - sum(e_Q E_Q) with one entry per blown point, paired
+cfg.blown_points() into h*H - sum(e_Q E_Q) with one entry per blown point, paired
 in the Gram form diag(1, -1, ..., -1), and the per-point ampleness test is
 written out point by point.  intersect, the constructors and
 ample_class_sufficient must agree with that expansion.
@@ -41,9 +41,8 @@ CHECKS = (
 def expand(cfg: SurfaceConfig, d: DivisorClass) -> tuple[Fraction, dict[str, Fraction]]:
     """h and the coefficient e_Q of every blown point Q."""
     e = {}
-    for p in cfg.points:
-        (i,) = p.on
-        e[p.ident] = Fraction(d.c[i])
+    for ident, i in cfg.blown_points():
+        e[ident] = Fraction(d.c[i])
     return Fraction(d.h), e
 
 
@@ -58,7 +57,7 @@ def point_ample(cfg: SurfaceConfig, d: DivisorClass) -> tuple[tuple[str, bool], 
     square = point_pairing((h, e), (h, e))
     loss = Fraction(0)
     for i, comp in enumerate(cfg.components):
-        on = [e[p.ident] for p in cfg.points if i in p.on]
+        on = [e[ident] for ident, j in cfg.blown_points() if j == i]
         if comp.paired and on:
             loss += comp.degree * max(Fraction(0), max(on))
     oks = (square > 0, all(v > 0 for v in e.values()), h - loss > 0)
@@ -137,11 +136,11 @@ def test_ample_verdict_matches_point_expansion(case):
 @given(configs(), st.data())
 def test_constructors_match_point_definitions(cfg, data):
     k = expand(cfg, canonical_class(cfg))
-    assert k == (-3, {p.ident: -1 for p in cfg.points})
+    assert k == (-3, {ident: -1 for ident, _ in cfg.blown_points()})
     weights = [data.draw(st.integers(1, 12)) for _ in range(cfg.r)]
     dp = expand(cfg, boundary_class(cfg, WeightedBoundary.make(weights)))
     assert dp[0] == sum(w * c.degree for w, c in zip(weights, cfg.components))
     for i, comp in enumerate(cfg.components):
         di = expand(cfg, strict_transform(cfg, i))
-        assert di == (comp.degree, {p.ident: int(i in p.on) for p in cfg.points})
-        assert all(dp[1][p.ident] == weights[i] for p in cfg.points if i in p.on)
+        assert di == (comp.degree, {ident: int(j == i) for ident, j in cfg.blown_points()})
+        assert all(dp[1][ident] == weights[i] for ident, j in cfg.blown_points() if j == i)
