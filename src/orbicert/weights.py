@@ -3,18 +3,23 @@
 proportional_weights reproduces the closed-form choice for three paired
 components plus a hyperplane: with degrees d1, d2, d3 set c = 4 d1 d2 d3,
 give component i the weight c / d_i and the hyperplane 3c/4.  All four
-are integers and the hyperplane weight is smaller than each of the others
-whenever some d_i = 1.
+are integers.  Since 3c/4 < c/d_i exactly when d_i = 1, the hyperplane
+weight is the least of the four only when every paired degree is 1:
+degrees (1, 2, 2) give (16, 8, 8, 12).
 
 search_weights enumerates positive integer weight vectors up to a bound
 and keeps those whose full hypothesis checklist passes, optimizing either
-the weight sum or the certified slack.  The checklist is decided with
-integers first; only passing vectors get a full report.
+the weight sum or the certified slack.  Permuting weights among
+interchangeable components never changes a verdict, so the search decides
+one sorted representative per orbit and expands each passing orbit into
+its permutations.  The checklist is decided with integers first; only
+passing orbits get a full report.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -26,7 +31,11 @@ from .sampling import ordered_map
 
 
 def proportional_weights(cfg: SurfaceConfig) -> WeightedBoundary:
-    """Closed-form weights for three paired components and one hyperplane."""
+    """Closed-form weights for three paired components and one hyperplane.
+
+    The hyperplane gets 3c/4, below c/d_i only where d_i = 1; so it is the
+    least weight only when all three paired degrees are 1.
+    """
     paired = [c for c in cfg.components if c.paired]
     free = [c for c in cfg.components if not c.paired]
     if len(paired) != 3 or len(free) != 1 or free[0].degree != 1:
@@ -76,14 +85,88 @@ def _evaluate(cfg: SurfaceConfig, weights: tuple[int, ...]) -> SearchHit | None:
     )
 
 
+def _orbit_groups(cfg: SurfaceConfig) -> list[list[int]]:
+    """Component indices grouped by the data the checklist reads.
+
+    boundary_pairings and ample_class_sufficient read a component's degree,
+    its paired flag and its point count (d^2 on a paired component, which
+    SurfaceConfig.validate enforces, and 0 otherwise).  The pairing degree
+    plays no part: the closed forms in BoundaryPairings read only d_i and
+    the paired flag.  Permuting weights within a group only reorders the
+    report's components, so every vector of an orbit shares its verdict,
+    slack and slack_lower.  Groups come in order of their first component,
+    so component 0 lies in the first group.
+    """
+    groups: dict[tuple[int, bool, int], list[int]] = {}
+    for i, (comp, n) in enumerate(zip(cfg.components, cfg.point_counts)):
+        groups.setdefault((comp.degree, comp.paired, n), []).append(i)
+    return list(groups.values())
+
+
+def _distinct_permutations(items: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """Every distinct ordering of a sorted tuple, in lexicographic order."""
+    perm = list(items)
+    while True:
+        yield tuple(perm)
+        i = len(perm) - 2
+        while i >= 0 and perm[i] >= perm[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = len(perm) - 1
+        while perm[j] <= perm[i]:
+            j -= 1
+        perm[i], perm[j] = perm[j], perm[i]
+        perm[i + 1 :] = reversed(perm[i + 1 :])
+
+
+def _orbits(
+    sizes: list[int], bound: int, first: int | None = None
+) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """One sorted tuple in [1, bound] per group size, lazily.
+
+    The first group's least weight is ``first`` when it is given.
+    itertools.product would first store every group's tuples, about
+    bound^k / k! of them for a group of k components.
+    """
+    if not sizes:
+        yield ()
+        return
+    cwr = itertools.combinations_with_replacement
+    if first is None:
+        heads = cwr(range(1, bound + 1), sizes[0])
+    else:
+        heads = ((first, *t) for t in cwr(range(first, bound + 1), sizes[0] - 1))
+    for head in heads:
+        for rest in _orbits(sizes[1:], bound):
+            yield (head, *rest)
+
+
+def _place(tuples, slot: list[int]) -> tuple[int, ...]:
+    """The weight vector in component order from one tuple per group."""
+    flat = tuple(itertools.chain.from_iterable(tuples))
+    return tuple(flat[k] for k in slot)
+
+
 def _search_chunk(args) -> list[SearchHit]:
+    """Every passing vector whose first group has least weight ``first``.
+
+    One sorted tuple per group names an orbit; _evaluate decides one vector
+    of it, and a passing orbit yields a hit for each distinct permutation.
+    """
     cfg, bound, first = args
-    r = len(cfg.components)
+    groups = _orbit_groups(cfg)
+    order = [i for group in groups for i in group]
+    # slot[i]: where component i's weight sits in the group-ordered tuple
+    slot = [order.index(i) for i in range(cfg.r)]
     hits = []
-    for rest in itertools.product(range(1, bound + 1), repeat=r - 1):
-        hit = _evaluate(cfg, (first, *rest))
+    for orbit in _orbits([len(g) for g in groups], bound, first):
+        hit = _evaluate(cfg, _place(orbit, slot))
         if hit is not None:
-            hits.append(hit)
+            hits.extend(
+                SearchHit(_place(perm, slot), hit.slack, hit.slack_lower, hit.weight_sum)
+                for perm in itertools.product(*map(_distinct_permutations, orbit))
+            )
     return hits
 
 
@@ -95,7 +178,11 @@ def search_weights(
     limit: int | None = None,
     processes: int = 1,
 ) -> SearchResult:
-    """Exhaust integer weights in [1, bound]^r and rank passing vectors."""
+    """Exhaust integer weights in [1, bound]^r and rank passing vectors.
+
+    The walk decides one vector per orbit of interchangeable components
+    (_orbit_groups); feasible_count and hits still count every vector.
+    """
     if objective not in ("min-sum", "max-slack"):
         raise ConfigError(f"unknown objective {objective!r}")
     if bound < 1:

@@ -179,6 +179,18 @@ def reference_hits(cfg: SurfaceConfig, bound: int) -> list[SearchHit]:
     return sorted(hits, key=lambda h: (h.weight_sum, h.weights))
 
 
+def reference_result(
+    hits: list[SearchHit], bound: int, objective: str
+) -> SearchResult:
+    """The SearchResult search_weights must return for reference_hits."""
+    best = hits[0] if hits else None
+    if objective == "max-slack":
+        for hit in hits:
+            if compare_cross(hit.slack, best.slack) > 0:
+                best = hit
+    return SearchResult(objective, bound, len(hits), best, tuple(hits))
+
+
 def test_search_matches_report_only_enumeration():
     cases = (
         (load_builtin("four-lines"), 4, 1),
@@ -189,10 +201,45 @@ def test_search_matches_report_only_enumeration():
         hits = reference_hits(cfg, bound)
         assert len(hits) >= least_hits
         for objective in ("min-sum", "max-slack"):
-            best = hits[0] if hits else None
-            if objective == "max-slack":
-                for hit in hits:
-                    if compare_cross(hit.slack, best.slack) > 0:
-                        best = hit
-            want = SearchResult(objective, bound, len(hits), best, tuple(hits))
+            want = reference_result(hits, bound, objective)
             assert search_weights(cfg, bound, objective) == want
+
+
+def test_orbit_search_matches_report_only_enumeration_on_built_shapes():
+    # the orbit walk groups components by degree and paired flag only, so
+    # repeated degrees with different pairing degrees share one group
+    rng = random.Random(3011)
+    with_hits = repeated = mixed_pairings = 0
+    for _ in range(100):
+        hyperplane = rng.random() < 0.8
+        count = rng.choice((2, 3, 3, 3)) if hyperplane else rng.choice((2, 3, 4))
+        degrees = [rng.choice((1, 1, 2, 2, 3)) for _ in range(count)]
+        pairings = [rng.randint(1, d) for d in degrees]
+        cfg = SurfaceConfig.build(degrees, pairings, hyperplane=hyperplane)
+        bound = rng.randint(4, 6)
+        hits = reference_hits(cfg, bound)
+        for objective in ("min-sum", "max-slack"):
+            want = reference_result(hits, bound, objective)
+            assert search_weights(cfg, bound, objective) == want, (degrees, pairings)
+        with_hits += bool(hits)
+        repeated += len(set(degrees)) < len(degrees)
+        mixed_pairings += any(
+            len({b for d2, b in zip(degrees, pairings) if d2 == d}) > 1 for d in degrees
+        )
+    assert with_hits >= 40 and repeated >= 60 and mixed_pairings >= 15
+
+
+def test_orbit_search_with_an_unpaired_component_first():
+    # the first group, whose least weight names a pool task, is unpaired here
+    cfg = SurfaceConfig.from_json_dict(
+        {"components": [{"degree": 1}] + [{"degree": 1, "paired": True}] * 3}
+    )
+    hits = reference_hits(cfg, 5)
+    assert len(hits) == 2
+    for processes in (1, 2):
+        got = search_weights(cfg, 5, "max-slack", processes=processes)
+        assert got == reference_result(hits, 5, "max-slack")
+    four = search_weights(load_builtin("four-lines"), 5)
+    assert sorted(h.weights for h in hits) == sorted(
+        (h.weights[3], *h.weights[:3]) for h in four.hits
+    )

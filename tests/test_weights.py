@@ -1,5 +1,6 @@
 """Closed-form weights, exhaustive weight search, random samplers."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -28,6 +29,9 @@ def test_proportional_known_values():
     assert proportional_weights(cfg).weights == (8, 8, 4, 6)
     cfg = SurfaceConfig.build([2, 3, 4], [1, 1, 1], hyperplane=True)
     assert proportional_weights(cfg).weights == (48, 32, 24, 72)
+    # 3c/4 < c/d_i only where d_i = 1: the hyperplane is not the least weight
+    cfg = SurfaceConfig.build([1, 2, 2], hyperplane=True)
+    assert proportional_weights(cfg).weights == (16, 8, 8, 12)
 
 
 def test_proportional_weights_pass():
@@ -59,6 +63,19 @@ def test_search_bound_four():
     assert result.best.weights == (4, 4, 4, 3)
     assert result.best.slack_lower == Fraction(1, 176)
     assert result.hits == (result.best,)
+
+
+@pytest.mark.parametrize("bound, count", [(12, 87), (20, 533)])
+def test_four_lines_counts_every_permutation(bound, count):
+    result = search_weights(FOUR_LINES, bound)
+    assert result.feasible_count == count == len(result.hits)
+    found = {h.weights: h for h in result.hits}
+    assert len(found) == count
+    for hit in result.hits:
+        *lines, plane = hit.weights
+        for perm in itertools.permutations(lines):
+            twin = found[(*perm, plane)]
+            assert (twin.slack, twin.slack_lower) == (hit.slack, hit.slack_lower)
 
 
 def test_search_bound_three_empty():
