@@ -187,23 +187,24 @@ class BoundaryPairings:
         return self._surd(h * (dp2 - 2 * sq), 2 * sq, 3 * dp2 * self.degrees[i])
 
 
+def _sums(cfg: SurfaceConfig, weights: Sequence[Coeff]) -> tuple[list, Coeff, Coeff]:
+    """a_i = w_i d_i, h = sum(a) and S = the sum of a_i^2 over paired components."""
+    a = [w * c.degree for w, c in zip(weights, cfg.components)]
+    return a, sum(a), sum(x * x for x, c in zip(a, cfg.components) if c.paired)
+
+
 def boundary_pairings(cfg: SurfaceConfig, weights: Sequence[Coeff]) -> BoundaryPairings:
     """The pairings of D_p = sum(w_i D_i) from per-component closed forms."""
-    h = 0
-    paired_square = 0
-    for w, comp in zip(weights, cfg.components):
-        h += w * comp.degree
-        if comp.paired:
-            paired_square += (w * comp.degree) ** 2
+    a, h, paired_square = _sums(cfg, weights)
     dpdi, di2, dik = [], [], []
     dpk = -3 * h
-    for w, comp in zip(weights, cfg.components):
+    for ai, comp in zip(a, cfg.components):
         d = comp.degree
         if comp.paired:
-            dpdi.append(d * (h - w * d))
+            dpdi.append(d * (h - ai))
             di2.append(0)
             dik.append(d * d - 3 * d)
-            dpk += w * d * d
+            dpk += ai * d
         else:
             dpdi.append(d * h)
             di2.append(d * d)
@@ -220,30 +221,27 @@ def boundary_pairings(cfg: SurfaceConfig, weights: Sequence[Coeff]) -> BoundaryP
     )
 
 
-def _component_holds(
-    cfg: SurfaceConfig, bp: BoundaryPairings, weights: Sequence[Coeff], i: int
-) -> bool:
-    """The filtration inequality of component i, without square roots.
+def _component_holds(h: Coeff, s: Coeff, a: Coeff, paired: bool) -> bool:
+    """The filtration inequality of a component with a = p_i d_i, h and S = s
+    as in _sums, without square roots: the one integer statement of the rule.
 
     A paired component has the linear root x = D_p^2 / (2 D_p.D_i), and the
-    inequality reduces to D_p^2 > 4 (D_p.D_i) p_i.  An unpaired component of
-    degree d has x = (h - sqrt(S)) / d when D_p^2 > 0, and the inequality
-    reduces to sqrt(S) u > 2 S - h u with u = h - 3 d p_i, which one squaring
-    decides; it fails whenever D_p^2 <= 0.  Integer weights keep every step
-    in integers; rational weights give the same exact verdict in Fractions.
+    inequality reduces to h^2 - S > 4 (h - a) a.  An unpaired one has
+    x = (h - sqrt(S)) / d when D_p^2 = h^2 - S > 0, and the inequality
+    reduces to sqrt(S) u > 2 S - h u with u = h - 3 a, which one squaring
+    decides; it fails whenever h^2 <= S.  Rational weights give the same
+    exact verdict in Fractions.
     """
-    comp = cfg.components[i]
-    if comp.paired:
-        bp._check_root(i)
-        return bp.dp2 > 4 * bp.dpdi[i] * weights[i]
-    u = bp.h - 3 * comp.degree * weights[i]
-    if bp.dp2 <= 0 or u <= 0:
+    if paired:
+        return h * h - s > 4 * (h - a) * a
+    u = h - 3 * a
+    if h * h <= s or u <= 0:
         return False
-    rhs = 2 * bp.paired_square - bp.h * u
-    return rhs < 0 or bp.paired_square * u * u > rhs * rhs
+    rhs = 2 * s - h * u
+    return rhs < 0 or s * u * u > rhs * rhs
 
 
-def _ample(cfg: SurfaceConfig, bp: BoundaryPairings) -> bool:
+def _ample(cfg: SurfaceConfig) -> bool:
     # the sufficient test on D_p: every exceptional pairing is a positive
     # weight, and the Bezout residue is the degree on unpaired components.
     # D_p^2 > 0 then follows (the lemma in ample_class_sufficient)
@@ -253,14 +251,15 @@ def _ample(cfg: SurfaceConfig, bp: BoundaryPairings) -> bool:
 def checklist_holds(cfg: SurfaceConfig, wb: WeightedBoundary) -> bool:
     """Ampleness is certified and every filtration inequality holds.
 
-    Decided from closed-form pairings with integer arithmetic (exact
-    rationals for rational weights) and no QuadExt value; build_report
-    reaches the same verdict through the exact volume ratios.
+    Decided by _ample and _component_holds from a, h and S alone, in
+    integers (exact rationals for rational weights), with no pairing
+    record and no QuadExt value; build_report reaches the same verdict
+    through the exact volume ratios.
     """
     wb.check_against(cfg)
-    bp = boundary_pairings(cfg, wb.weights)
-    return _ample(cfg, bp) and all(
-        _component_holds(cfg, bp, wb.weights, i) for i in range(cfg.r)
+    a, h, s = _sums(cfg, wb.weights)
+    return _ample(cfg) and all(
+        _component_holds(h, s, ai, c.paired) for ai, c in zip(a, cfg.components)
     )
 
 
@@ -289,15 +288,15 @@ def build_report(cfg: SurfaceConfig, wb: WeightedBoundary) -> BoundaryReport:
     wb.check_against(cfg)
     bp = boundary_pairings(cfg, wb.weights)
     ample = ample_sufficient(cfg, wb)
-    closed_form = _ample(cfg, bp)
+    closed_form = _ample(cfg)
     if ample.certified != closed_form:
         raise InternalError(f"closed-form ampleness {closed_form} disagrees with {ample}")
     components: list[ComponentCheck] = []
     if ample.certified:
-        for i, comp in enumerate(cfg.components):
+        for i, (w, comp) in enumerate(zip(wb.weights, cfg.components)):
             root = bp.truncation_root(i)
-            weight = Fraction(wb.weights[i])
-            holds = _component_holds(cfg, bp, wb.weights, i)
+            weight = Fraction(w)
+            holds = _component_holds(bp.h, bp.paired_square, w * comp.degree, comp.paired)
             ratio = bp.volume_ratio(i)
             exceeds = ratio > weight
             # the square-root-free inequality and the QuadExt ratio bound
@@ -514,6 +513,34 @@ _FORMULAS: tuple[tuple[str, str], ...] = (
 )
 
 
+def config_hypotheses(cfg: SurfaceConfig) -> list[Hypothesis]:
+    """The hypotheses that no weight changes, in certify's order: component
+    count, no three components meeting, generic pairing points."""
+    if cfg.r >= 2:
+        count = Hypothesis("component_count", PASS, f"r = {cfg.r}")
+    elif cfg.allow_single_component:
+        count = Hypothesis("component_count", WAIVED, "single component accepted by config flag")
+    else:
+        count = Hypothesis("component_count", FAIL, "at least two boundary components required")
+    hypotheses = [
+        count,
+        Hypothesis(
+            "no_three_meet",
+            PASS if cfg.no_three_meet else FAIL,
+            "declared by the configuration; not derivable from blow-up data",
+        ),
+    ]
+    if any(c.paired for c in cfg.components):
+        hypotheses.append(
+            Hypothesis(
+                "pairing_points_generic",
+                ASSUMED,
+                "transversal pairing intersections and smooth padding points are assumed",
+            )
+        )
+    return hypotheses
+
+
 def certify(
     cfg: SurfaceConfig,
     wb: WeightedBoundary,
@@ -542,34 +569,7 @@ def certify(
     if twist_alpha < 0:
         raise ConfigError(f"twist alpha {twist_alpha} must be nonnegative")
 
-    hypotheses: list[Hypothesis] = []
-    if cfg.r >= 2:
-        hypotheses.append(Hypothesis("component_count", PASS, f"r = {cfg.r}"))
-    elif cfg.allow_single_component:
-        hypotheses.append(
-            Hypothesis("component_count", WAIVED, "single component accepted by config flag")
-        )
-    else:
-        hypotheses.append(
-            Hypothesis("component_count", FAIL, "at least two boundary components required")
-        )
-
-    hypotheses.append(
-        Hypothesis(
-            "no_three_meet",
-            PASS if cfg.no_three_meet else FAIL,
-            "declared by the configuration; not derivable from blow-up data",
-        )
-    )
-    if any(c.paired for c in cfg.components):
-        hypotheses.append(
-            Hypothesis(
-                "pairing_points_generic",
-                ASSUMED,
-                "transversal pairing intersections and smooth padding points are assumed",
-            )
-        )
-
+    hypotheses = config_hypotheses(cfg)
     report = build_report(cfg, wb)
     if report.ample.certified:
         hypotheses.append(Hypothesis("ampleness", PASS, "sufficient criterion certified"))

@@ -13,7 +13,6 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .lattice import ConfigError, InternalError, SurfaceConfig, strict_transform
-from .lattice import _typed, dump_json, load_json, malformed
 from .positivity import (
     INF,
     Multiplicity,
@@ -88,36 +87,6 @@ class PullbackProfile:
 
     def pullback_degree(self, j: int) -> int:
         return sum(t for p in self.points for jj, t in p.contacts if jj == j)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "components": self.n_components,
-            "points": [
-                {"ident": p.ident, "contacts": [[j, t] for j, t in p.contacts]}
-                for p in self.points
-            ],
-        }
-
-    @staticmethod
-    @malformed("profile")
-    def from_json_dict(doc: Mapping) -> "PullbackProfile":
-        return PullbackProfile.make(
-            [
-                (
-                    _typed(p["ident"], str, "point ident"),
-                    [(j, t) for j, t in _typed(p["contacts"], list, "contacts")],
-                )
-                for p in _typed(doc["points"], list, "points")
-            ],
-            _typed(doc["components"], int, "components"),
-        )
-
-    def to_json(self) -> str:
-        return dump_json(self.to_json_dict()) + "\n"
-
-    @staticmethod
-    def from_json(text: str) -> "PullbackProfile":
-        return PullbackProfile.from_json_dict(load_json(text, "profile"))
 
 
 def induced_multiplicities(

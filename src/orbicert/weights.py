@@ -23,7 +23,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .certifier import build_report, checklist_holds
+from .certifier import _BLOCKING, build_report, checklist_holds, config_hypotheses
 from .lattice import ConfigError, InternalError, SurfaceConfig
 from .positivity import WeightedBoundary
 from .quadext import QuadExt
@@ -67,9 +67,9 @@ class SearchResult:
 
 
 def _evaluate(cfg: SurfaceConfig, weights: tuple[int, ...]) -> SearchHit | None:
-    # the integer decision rejects almost every vector; exact values are
-    # built only for the vectors that pass
-    wb = WeightedBoundary.make(weights)
+    # the walk's ints lie in [1, bound] and need no WeightedBoundary.make;
+    # exact values are built only for the vectors the integer rule passes
+    wb = WeightedBoundary(weights)
     if not checklist_holds(cfg, wb):
         return None
     report = build_report(cfg, wb)
@@ -88,18 +88,18 @@ def _evaluate(cfg: SurfaceConfig, weights: tuple[int, ...]) -> SearchHit | None:
 def _orbit_groups(cfg: SurfaceConfig) -> list[list[int]]:
     """Component indices grouped by the data the checklist reads.
 
-    boundary_pairings and ample_class_sufficient read a component's degree,
-    its paired flag and its point count (d^2 on a paired component, which
-    SurfaceConfig.validate enforces, and 0 otherwise).  The pairing degree
-    plays no part: the closed forms in BoundaryPairings read only d_i and
-    the paired flag.  Permuting weights within a group only reorders the
-    report's components, so every vector of an orbit shares its verdict,
-    slack and slack_lower.  Groups come in order of their first component,
-    so component 0 lies in the first group.
+    _component_holds, the closed forms in BoundaryPairings and
+    ample_class_sufficient read a component's degree and paired flag and
+    nothing else of it: its point count is d^2 exactly when it is paired
+    (SurfaceConfig.validate enforces this), and its pairing degree plays no
+    part.  Permuting weights within a group only reorders the report's
+    components, so every vector of an orbit shares its verdict, slack and
+    slack_lower.  Groups come in order of their first component, so
+    component 0 lies in the first group.
     """
-    groups: dict[tuple[int, bool, int], list[int]] = {}
-    for i, (comp, n) in enumerate(zip(cfg.components, cfg.point_counts)):
-        groups.setdefault((comp.degree, comp.paired, n), []).append(i)
+    groups: dict[tuple[int, bool], list[int]] = {}
+    for i, comp in enumerate(cfg.components):
+        groups.setdefault((comp.degree, comp.paired), []).append(i)
     return list(groups.values())
 
 
@@ -181,7 +181,9 @@ def search_weights(
     """Exhaust integer weights in [1, bound]^r and rank passing vectors.
 
     The walk decides one vector per orbit of interchangeable components
-    (_orbit_groups); feasible_count and hits still count every vector.
+    (_orbit_groups); feasible_count and hits still count every vector.  A
+    config that fails one of certify's weight-independent hypotheses
+    (config_hypotheses) has no passing vector.
     """
     if objective not in ("min-sum", "max-slack"):
         raise ConfigError(f"unknown objective {objective!r}")
@@ -189,9 +191,11 @@ def search_weights(
         raise ConfigError("bound must be at least 1")
     if limit is not None and limit < 0:
         raise ConfigError(f"limit {limit} must not be negative")
-    r = len(cfg.components)
-    if r == 0:
+    if not cfg.components:
         raise ConfigError("empty component list")
+    if any(h.status in _BLOCKING for h in config_hypotheses(cfg)):
+        # certify passes no weights at all on such a config
+        return SearchResult(objective, bound, 0, None, ())
 
     tasks = [(cfg, bound, first) for first in range(1, bound + 1)]
     with ordered_map(_search_chunk, tasks, processes, 1) as chunks:

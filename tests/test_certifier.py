@@ -124,6 +124,24 @@ def test_no_three_meet_flag_fails():
     assert cert.first_failure == "no_three_meet"
 
 
+def test_checklist_holds_builds_no_pairing_record(monkeypatch):
+    # the integer rule reads a, h and S; the pairing record is build_report's
+    cases = [
+        ([4, 4, 4, 3], True),
+        ([50, 1, 1, 1], False),
+        ([Fraction(9, 2), Fraction(9, 2), Fraction(9, 2), Fraction(7, 2)], True),
+    ]
+    reports = [build_report(FOUR_LINES, WeightedBoundary.make(w)) for w, _ in cases]
+
+    def refuse(*args):
+        raise AssertionError("checklist_holds built a BoundaryPairings")
+
+    monkeypatch.setattr(certifier, "boundary_pairings", refuse)
+    for (weights, want), report in zip(cases, reports):
+        assert checklist_holds(FOUR_LINES, WeightedBoundary.make(weights)) is want
+        assert all(c.inequality_holds for c in report.components) is want
+
+
 def test_square_zero_goes_inconclusive():
     cfg = SurfaceConfig.build([2], [2], hyperplane=False, allow_single_component=True)
     cert = certify(cfg, WeightedBoundary.make([1]))
@@ -444,7 +462,7 @@ def test_closed_form_ampleness_matches_the_lattice_test(cfg, want, rational):
     # D_p^2 > 0 is not tested: an unpaired component implies it
     weights = [Fraction(2 * i + 3, 2 if rational else 1) for i in range(cfg.r)]
     wb = WeightedBoundary.make(weights)
-    closed_form = certifier._ample(cfg, boundary_pairings(cfg, wb.weights))
+    closed_form = certifier._ample(cfg)
     assert closed_form == ample_sufficient(cfg, wb).certified == want
 
 
@@ -486,7 +504,7 @@ def test_cross_checks_raise_internal_errors(monkeypatch, capsys):
     monkeypatch.undo()
 
     real_ample = certifier._ample
-    monkeypatch.setattr(certifier, "_ample", lambda cfg, bp: not real_ample(cfg, bp))
+    monkeypatch.setattr(certifier, "_ample", lambda cfg: not real_ample(cfg))
     with pytest.raises(InternalError, match="ampleness"):
         build_report(FOUR_LINES, WEIGHTS)
     # the command line reports it in one line with its own exit code

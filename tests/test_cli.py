@@ -218,6 +218,17 @@ def test_search_bounds(capsys):
     assert "no passing weights" in out
 
 
+def test_search_fails_a_config_that_certify_fails(capsys, tmp_path):
+    doc = {**load_builtin("four-lines").to_json_dict(), "no_three_meet": False}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "certify", "--config", str(path), "--weights", "4,4,4,3")
+    assert code == 1 and "first failure: no_three_meet" in out
+    code, out, _ = run(capsys, "search", "--config", str(path), "--bound", "6")
+    assert code == 1
+    assert out == "feasible weight vectors: 0\nno passing weights at this bound\n"
+
+
 def test_search_negative_limit_exits_3(capsys):
     code, out, err = run(capsys, "search", "--bound", "6", "--limit", "-1")
     assert code == 3

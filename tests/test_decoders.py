@@ -18,12 +18,10 @@ from orbicert.catalog import load_builtin
 from orbicert.certifier import Certificate, certify, decode_multiplicity, decode_number
 from orbicert.ffheights import realization_from_config
 from orbicert.lattice import ConfigError, SurfaceConfig, load_json
-from orbicert.orbifold import PullbackProfile
 from orbicert.positivity import WeightedBoundary
 
 FOUR_LINES = load_builtin("four-lines")
 WEIGHTS = WeightedBoundary.make([4, 4, 4, 3])
-PROFILE = PullbackProfile.make([("a", {0: 2, 1: 1}), ("b", {0: 3}), ("c", {2: 4})], 4)
 
 
 @lru_cache(maxsize=None)
@@ -141,27 +139,6 @@ def test_number_misreads_are_config_errors():
         decode_number({"kind": "real", "value": "1"})
 
 
-def test_profile_misreads_are_config_errors():
-    doc = PROFILE.to_json_dict()
-    # int(1.9) is 1
-    with pytest.raises(ConfigError, match=r"^bad contact order 1\.9 at point a$"):
-        PullbackProfile.from_json_dict(_with(doc, ("points", 0, "contacts", 1, 1), 1.9))
-    with pytest.raises(ConfigError, match="^bad component index '0'$"):
-        PullbackProfile.from_json_dict(_with(doc, ("points", 1, "contacts", 0, 0), "0"))
-    with pytest.raises(ConfigError, match="^components must be int, not 4.0$"):
-        PullbackProfile.from_json_dict(_with(doc, ("components",), 4.0))
-    with pytest.raises(ConfigError, match="^points must be list, not {}$"):
-        PullbackProfile.from_json_dict(_with(doc, ("points",), {}))
-    with pytest.raises(ConfigError, match="^contacts must be list, not {}$"):
-        PullbackProfile.from_json_dict(_with(doc, ("points", 0, "contacts"), {}))
-    with pytest.raises(ConfigError, match="^profile is missing key 'components'$"):
-        PullbackProfile.from_json_dict({"points": doc["points"]})
-    with pytest.raises(ConfigError, match="^malformed profile JSON"):
-        PullbackProfile.from_json("{")
-    with pytest.raises(ConfigError, match="^profile JSON must be an object$"):
-        PullbackProfile.from_json("[]")
-
-
 def test_realization_misreads_are_config_errors():
     doc = FOUR_LINES.to_json_dict()
     # int(0.4) is 0, and (0, 1, 1) is a valid point on the first line
@@ -213,7 +190,6 @@ _DOCUMENTS = {
         lambda doc: realization_from_config(SurfaceConfig.from_json_dict(doc)),
     ),
     "certificate": (_certificate_doc, Certificate.from_json_dict),
-    "profile": (PROFILE.to_json_dict, PullbackProfile.from_json_dict),
 }
 
 

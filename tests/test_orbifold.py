@@ -63,17 +63,13 @@ def test_profile_validation():
         PullbackProfile.make([("a", {5: 1})], 2)
 
 
-def test_profile_degrees_and_json():
+def test_profile_pullback_degrees():
     profile = PullbackProfile.make(
         [("a", {0: 2, 1: 1}), ("b", {0: 3}), ("c", {2: 4})], 4
     )
     assert profile.pullback_degree(0) == 5
     assert profile.pullback_degree(1) == 1
     assert profile.pullback_degree(3) == 0
-    text = profile.to_json()
-    back = PullbackProfile.from_json(text)
-    assert back == profile
-    assert back.to_json() == text
 
 
 def test_induced_multiplicities():

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from orbicert.catalog import load_builtin
-from orbicert.certifier import build_report
+from orbicert.certifier import build_report, certify
 from orbicert import sampling, weights
 from orbicert.lattice import ConfigError, InternalError, SurfaceConfig
 from orbicert.positivity import WeightedBoundary
@@ -108,6 +108,35 @@ def test_search_objectives_and_limit():
     again = search_weights(FOUR_LINES, 5, objective="max-slack")
     assert again.best == by_eps.best
     assert again.hits == by_eps.hits
+
+
+def test_search_builds_weights_without_make(monkeypatch):
+    # the walk's ints are in range by construction; the result is the one
+    # search has printed at bound 6 since the orbit walk came in
+    def refuse(weights):
+        raise AssertionError("search called WeightedBoundary.make")
+
+    monkeypatch.setattr(WeightedBoundary, "make", staticmethod(refuse))
+    result = search_weights(FOUR_LINES, 6)
+    assert [(h.weights, str(h.slack)) for h in result.hits] == [
+        ((4, 4, 4, 3), "1/176"),
+        ((5, 5, 5, 4), "3/140"),
+        ((5, 6, 6, 5), "1/128"),
+        ((6, 5, 6, 5), "1/128"),
+        ((6, 6, 5, 5), "1/128"),
+        ((6, 6, 6, 5), "13/408"),
+    ]
+    assert result.feasible_count == 6 and result.best == result.hits[0]
+
+
+def test_search_applies_the_config_hypotheses():
+    # certify fails every vector of a config whose components may meet three
+    # at a point; search once passed (4, 4, 4, 3) and five more here
+    cfg = SurfaceConfig.from_json_dict({**FOUR_LINES.to_json_dict(), "no_three_meet": False})
+    cert = certify(cfg, WeightedBoundary.make([4, 4, 4, 3]))
+    assert (cert.overall, cert.first_failure) == ("fail", "no_three_meet")
+    result = search_weights(cfg, 6)
+    assert (result.feasible_count, result.best, result.hits) == (0, None, ())
 
 
 def test_search_argument_validation():
