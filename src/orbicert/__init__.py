@@ -23,7 +23,6 @@ from .positivity import (  # noqa: F401
 )
 from .quadext import (  # noqa: F401
     CrossFieldError,
-    NoPositiveRootError,
     NoRealRootError,
     QuadExt,
     compare_cross,
@@ -31,9 +30,7 @@ from .quadext import (  # noqa: F401
     rational_below,
 )
 from .certifier import (  # noqa: F401
-    BoundaryPairings,
     Certificate,
-    boundary_pairings,
     build_report,
     certify,
     checklist_holds,

@@ -14,8 +14,10 @@ D_1..D_r, positive integer weights p, and checks, in exact arithmetic:
 Roots and ratios are closed forms in h = sum(p_i d_i), S = the paired
 square and D = D_p^2 = h^2 - S: a paired component has x = D / (2 D_p.D_i)
 and ratio x/2, an unpaired one of degree d has x = (h - sqrt(S)) / d and
-ratio (h (D - 2S) + 2 S sqrt(S)) / (3 D d).  sqrt(S) is split at most
-once per report, and only when an unpaired root or ratio needs it.
+ratio (h (D - 2S) + 2 S sqrt(S)) / (3 D d).  build_report computes them
+from h and S alone, and the report is the one record of the pairings.  A
+certified D_p has an unpaired component, so sqrt(S) is split exactly once
+per certified report, and never for an uncertified one or checklist_holds.
 
 Each check lands in a Certificate with a named pass/fail/inconclusive
 status, exact values (rational or quadratic) and a serialization that
@@ -46,7 +48,7 @@ from .positivity import (
     orbifold_canonical_big,
 )
 from . import quadext
-from .quadext import NoPositiveRootError, QuadExt, rational_below
+from .quadext import QuadExt, rational_below
 
 CERTIFICATE_FORMAT_VERSION = 1
 
@@ -115,110 +117,10 @@ class BoundaryReport:
         return self._slack_pair[1]
 
 
-@dataclass(frozen=True)
-class BoundaryPairings:
-    """D_p^2, D_p . D_i, D_i^2 and the canonical pairings in closed form.
-
-    A valid config puts every blown point on exactly one paired component,
-    d_i^2 points on a paired component of degree d_i.  So D_i . D_j = d_i d_j
-    for i != j, and with h = sum(w_i d_i) and S = sum over paired components
-    of w_i^2 d_i^2:
-
-        D_p^2 = h^2 - S
-        D_p . D_i = d_i (h - [paired] w_i d_i)
-        D_i^2 = [unpaired] d_i^2
-        D_i . K = -3 d_i + [paired] d_i^2
-
-    The values are ints for integer weights and Fractions otherwise.  With
-    D = D_p^2, a paired component has truncation root x = D / (2 D_p.D_i) and
-    volume ratio x/2; an unpaired one of degree d has x = (h - sqrt(S)) / d
-    and ratio (h (D - 2S) + 2 S sqrt(S)) / (3 D d).  sqrt(S) = s sqrt(f) is
-    split on first use and kept: at most once per report, never for
-    checklist_holds.
-    """
-
-    h: Coeff
-    paired_square: Coeff
-    dp2: Coeff
-    dpdi: tuple[Coeff, ...]
-    di2: tuple[int, ...]
-    dik: tuple[int, ...]
-    dpk: Coeff
-    degrees: tuple[int, ...]
-
-    @cached_property
-    def sqrt_split(self) -> tuple[Coeff, int]:
-        """(s, f) with sqrt(S) = s sqrt(f), f squarefree; f == 1 for a square S."""
-        return quadext.sqrt_parts(self.paired_square)
-
-    def _surd(self, a: Coeff, b: Coeff, den: Coeff) -> QuadExt:
-        # (a + b sqrt(S)) / den in canonical form; b == 0 needs no split
-        if b:
-            s, f = self.sqrt_split
-            if f != 1:
-                return quadext._make(Fraction(a, den), Fraction(b * s, den), f)
-            a += b * s
-        return quadext._make(Fraction(a, den), quadext._ZERO, 0)
-
-    def _check_root(self, i: int) -> None:
-        if self.dp2 <= 0 or self.dpdi[i] <= 0:
-            raise NoPositiveRootError(f"no positive truncation root for component {i}")
-
-    def truncation_root(self, i: int) -> QuadExt:
-        """Smallest positive root of D_i^2 x^2 - 2 (D_p . D_i) x + D_p^2.
-
-        Raises NoPositiveRootError unless D_p^2 > 0 and D_p . D_i > 0, which
-        a certified ample D_p gives.
-        """
-        self._check_root(i)
-        if self.di2[i] == 0:
-            return self._surd(self.dp2, 0, 2 * self.dpdi[i])
-        return self._surd(self.h, -1, self.degrees[i])
-
-    def volume_ratio(self, i: int) -> QuadExt:
-        """Closed-form lower bound for the asymptotic section volume ratio.
-
-        ((2/3) x D_p^2 - (1/3) (D_p . D_i) x^2) / D_p^2 at the truncation root x.
-        """
-        self._check_root(i)
-        if self.di2[i] == 0:
-            return self._surd(self.dp2, 0, 4 * self.dpdi[i])
-        h, dp2, sq = self.h, self.dp2, self.paired_square
-        return self._surd(h * (dp2 - 2 * sq), 2 * sq, 3 * dp2 * self.degrees[i])
-
-
 def _sums(cfg: SurfaceConfig, weights: Sequence[Coeff]) -> tuple[list, Coeff, Coeff]:
     """a_i = w_i d_i, h = sum(a) and S = the sum of a_i^2 over paired components."""
     a = [w * c.degree for w, c in zip(weights, cfg.components)]
     return a, sum(a), sum(x * x for x, c in zip(a, cfg.components) if c.paired)
-
-
-def boundary_pairings(cfg: SurfaceConfig, weights: Sequence[Coeff]) -> BoundaryPairings:
-    """The pairings of D_p = sum(w_i D_i) from per-component closed forms."""
-    a, h, paired_square = _sums(cfg, weights)
-    dpdi, di2, dik = [], [], []
-    dpk = -3 * h
-    for ai, comp in zip(a, cfg.components):
-        d = comp.degree
-        if comp.paired:
-            dpdi.append(d * (h - ai))
-            di2.append(0)
-            dik.append(d * d - 3 * d)
-            dpk += ai * d
-        else:
-            dpdi.append(d * h)
-            di2.append(d * d)
-            dik.append(-3 * d)
-    return BoundaryPairings(
-        h=h,
-        paired_square=paired_square,
-        dp2=h * h - paired_square,
-        dpdi=tuple(dpdi),
-        di2=tuple(di2),
-        dik=tuple(dik),
-        dpk=dpk,
-        degrees=tuple(c.degree for c in cfg.components),
-    )
 
 
 def _component_holds(h: Coeff, s: Coeff, a: Coeff, paired: bool) -> bool:
@@ -283,21 +185,50 @@ def weight_slack(report: BoundaryReport) -> tuple[QuadExt, Fraction]:
     return slack, rational_below(slack, Fraction(1, 2 ** (k + 40)))
 
 
+def _surd(a: Coeff, b: Coeff, den: Coeff, split: tuple[Coeff, int]) -> QuadExt:
+    """(a + b sqrt(S)) / den in canonical form, given split = (s, f) with
+    sqrt(S) = s sqrt(f) and f squarefree."""
+    s, f = split
+    if b and f != 1:
+        return quadext._make(Fraction(a, den), Fraction(b * s, den), f)
+    return quadext._make(Fraction(a + b * s, den), quadext._ZERO, 0)
+
+
 def build_report(cfg: SurfaceConfig, wb: WeightedBoundary) -> BoundaryReport:
-    """Evaluate ampleness and all per-component checks once."""
+    """Evaluate ampleness and all per-component checks once.
+
+    A valid config puts every blown point on exactly one paired component,
+    d_i^2 points on a paired component of degree d_i.  So D_i . D_j = d_i d_j
+    for i != j, and with a, h and S as in _sums, D_p^2 = h^2 - S, while
+    D_p . D_i = d_i (h - a_i) and D_i^2 = 0 on a paired component and
+    D_p . D_i = d_i h and D_i^2 = d_i^2 on an unpaired one.
+    """
     wb.check_against(cfg)
-    bp = boundary_pairings(cfg, wb.weights)
+    a, h, sq = _sums(cfg, wb.weights)
+    dp2 = h * h - sq
     ample = ample_sufficient(cfg, wb)
     closed_form = _ample(cfg)
     if ample.certified != closed_form:
         raise InternalError(f"closed-form ampleness {closed_form} disagrees with {ample}")
     components: list[ComponentCheck] = []
     if ample.certified:
-        for i, (w, comp) in enumerate(zip(wb.weights, cfg.components)):
-            root = bp.truncation_root(i)
+        # a certified D_p has an unpaired component, whose root needs sqrt(S)
+        split = quadext.sqrt_parts(sq)
+        for i, (w, ai, comp) in enumerate(zip(wb.weights, a, cfg.components)):
+            d = comp.degree
+            dpdi, di2 = (d * (h - ai), 0) if comp.paired else (d * h, d * d)
+            if dp2 <= 0 or dpdi <= 0:
+                raise InternalError(
+                    f"certified ample D_p has D_p^2 = {dp2} and D_p . D_{i} = {dpdi}"
+                )
+            if comp.paired:
+                root = _surd(dp2, 0, 2 * dpdi, split)
+                ratio = _surd(dp2, 0, 4 * dpdi, split)
+            else:
+                root = _surd(h, -1, d, split)
+                ratio = _surd(h * (dp2 - 2 * sq), 2 * sq, 3 * dp2 * d, split)
             weight = Fraction(w)
-            holds = _component_holds(bp.h, bp.paired_square, w * comp.degree, comp.paired)
-            ratio = bp.volume_ratio(i)
+            holds = _component_holds(h, sq, ai, comp.paired)
             exceeds = ratio > weight
             # the square-root-free inequality and the QuadExt ratio bound
             # are the same statement, decided independently
@@ -309,19 +240,17 @@ def build_report(cfg: SurfaceConfig, wb: WeightedBoundary) -> BoundaryReport:
             components.append(
                 ComponentCheck(
                     index=i,
-                    degree=comp.degree,
+                    degree=d,
                     weight=weight,
-                    self_square=Fraction(bp.di2[i]),
-                    dp_pairing=Fraction(bp.dpdi[i]),
+                    self_square=Fraction(di2),
+                    dp_pairing=Fraction(dpdi),
                     truncation_root=root,
                     inequality_holds=holds,
                     volume_ratio=ratio,
                     exceeds_weight=exceeds,
                 )
             )
-    return BoundaryReport(
-        dp_square=Fraction(bp.dp2), ample=ample, components=tuple(components)
-    )
+    return BoundaryReport(dp_square=Fraction(dp2), ample=ample, components=tuple(components))
 
 
 # -- number encoding ----------------------------------------------------------

@@ -23,14 +23,7 @@ from fractions import Fraction
 from itertools import takewhile
 from math import floor
 
-from .certifier import (
-    TAG_UPPER,
-    BoundaryPairings,
-    BoundaryReport,
-    boundary_pairings,
-    build_report,
-    encode_number,
-)
+from .certifier import TAG_UPPER, BoundaryReport, ComponentCheck, build_report, encode_number
 from .lattice import (
     DivisorClass,
     InternalError,
@@ -76,23 +69,34 @@ def sections_certified(
     return lower, None
 
 
-def _pairings(cfg: SurfaceConfig, wb: WeightedBoundary) -> BoundaryPairings:
-    # Fraction pairings on purpose: integer ones run the section sums about
-    # 4x faster, which waits on a benchmark fix (ROADMAP items 1 and 2)
-    return boundary_pairings(cfg, [Fraction(w) for w in wb.weights])
+def _dik(c: ComponentCheck) -> int:
+    # adjunction: a smooth plane curve of degree d blown up at simple points
+    return c.degree * c.degree - 3 * c.degree - c.self_square.numerator
 
 
-def _sum_lower_fast(bp: BoundaryPairings, root: QuadExt, i: int, n: int) -> int:
+def _dpk(report: BoundaryReport) -> Fraction:
+    """D_p . K = sum(w_i D_i . K), once per chain."""
+    return sum(c.weight * _dik(c) for c in report.components)
+
+
+def _sum_lower_fast(report: BoundaryReport, dpk: Fraction, i: int, n: int) -> int:
     """Sum over m of the certified lower bounds for h^0(n D_p - m D_i),
-    m = 1..floor(root * n) for the truncation root of component i."""
-    cap = floor(root * n)
+    m = 1..floor(x_i n) for the truncation root x_i of component i.
+
+    D_p^2, D_p . D_i and dpk = D_p . K stay Fractions and D_i^2 and D_i . K
+    ints: integer D_p^2 runs this loop about 4x faster, which waits on a
+    benchmark fix (ROADMAP items 1 and 2).
+    """
+    c = report.components[i]
+    dp2, dpdi, di2, dik = report.dp_square, c.dp_pairing, c.self_square.numerator, _dik(c)
+    cap = floor(c.truncation_root * n)
     total = 0
     for m in range(1, cap + 1):
         # h^2 guard: (K - d) . D_p < 0 for d = n D_p - m D_i
-        if not bp.dpk - (n * bp.dp2 - m * bp.dpdi[i]) < 0:
+        if not dpk - (n * dp2 - m * dpdi) < 0:
             continue
-        sq = n * n * bp.dp2 - 2 * n * m * bp.dpdi[i] + m * m * bp.di2[i]
-        dk = n * bp.dpk - m * bp.dik[i]
+        sq = n * n * dp2 - 2 * n * m * dpdi + m * m * di2
+        dk = n * dpk - m * dik
         value = 1 + Fraction(sq - dk, 2)
         if value > 0:
             if value.denominator != 1:
@@ -115,11 +119,10 @@ def filtration_sections_lower(
     if not 0 <= i < len(cfg.components):
         raise ValueError(f"no boundary component {i} among {len(cfg.components)}")
     _require_integer_weights(wb)
-    dp = boundary_class(cfg, wb)
-    if not ample_class_sufficient(cfg, dp).certified:
+    report = build_report(cfg, wb)
+    if not report.ample.certified:
         raise ValueError("weighted boundary is not certified ample")
-    bp = _pairings(cfg, wb)
-    return _sum_lower_fast(bp, bp.truncation_root(i), i, n)
+    return _sum_lower_fast(report, _dpk(report), i, n)
 
 
 def sections_power_exact(cfg: SurfaceConfig, wb: WeightedBoundary, n: int) -> int | None:
@@ -201,8 +204,7 @@ def feasible_chain(
         raise InfeasibleError("hypothesis checklist does not pass")
     eps_half = eps_target / 2
     target = 1 + eps_half
-    bp = _pairings(cfg, wb)
-    roots = tuple(c.truncation_root for c in report.components)
+    dpk = _dpk(report)
     betas = tuple(c.volume_ratio for c in report.components)
 
     for n in range(1, cap + 1):
@@ -211,9 +213,9 @@ def feasible_chain(
             continue
         # the first sum at or below 0 rules out level n; later ones are skipped
         sums = tuple(takewhile(
-            lambda s: s > 0, (_sum_lower_fast(bp, x, i, n) for i, x in enumerate(roots))
+            lambda s: s > 0, (_sum_lower_fast(report, dpk, i, n) for i in range(len(betas)))
         ))
-        if len(sums) < len(roots):
+        if len(sums) < len(betas):
             continue
         ratios = tuple(
             beta * Fraction(n * m_sections, s) for beta, s in zip(betas, sums)

@@ -34,10 +34,6 @@ class NoRealRootError(ValueError):
     """Negative radicand under a square root."""
 
 
-class NoPositiveRootError(ValueError):
-    """The quadratic has real roots but none of them is positive."""
-
-
 def _square_split(n: int) -> tuple[int, int]:
     # n = s*s*f with f squarefree.  Once d^3 > m, every prime left in m
     # exceeds its cube root, so m is 1, p, p*q or p^2

@@ -88,7 +88,7 @@ def _evaluate(cfg: SurfaceConfig, weights: tuple[int, ...]) -> SearchHit | None:
 def _orbit_groups(cfg: SurfaceConfig) -> list[list[int]]:
     """Component indices grouped by the data the checklist reads.
 
-    _component_holds, the closed forms in BoundaryPairings and
+    _component_holds, the closed forms in build_report and
     ample_class_sufficient read a component's degree and paired flag and
     nothing else of it: its point count is d^2 exactly when it is paired
     (SurfaceConfig.validate enforces this), and its pairing degree plays no

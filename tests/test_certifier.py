@@ -16,7 +16,6 @@ from orbicert import certifier, quadext, sampling
 from orbicert.catalog import builtin_names, load_builtin
 from orbicert.certifier import (
     Certificate,
-    boundary_pairings,
     build_report,
     certify,
     checklist_holds,
@@ -29,7 +28,7 @@ from orbicert.certifier import (
 from orbicert.cli import main
 from orbicert.lattice import ConfigError, InternalError, SurfaceConfig
 from orbicert.positivity import WeightedBoundary, ample_sufficient
-from orbicert.quadext import NoPositiveRootError, QuadExt, compare_cross, rational_below
+from orbicert.quadext import QuadExt, compare_cross, rational_below
 from test_quadext import min_root_quadratic
 
 FOUR_LINES = load_builtin("four-lines")
@@ -125,7 +124,8 @@ def test_no_three_meet_flag_fails():
 
 
 def test_checklist_holds_builds_no_pairing_record(monkeypatch):
-    # the integer rule reads a, h and S; the pairing record is build_report's
+    # the integer rule reads a, h and S; the lattice ampleness test and the
+    # square-root split are build_report's
     cases = [
         ([4, 4, 4, 3], True),
         ([50, 1, 1, 1], False),
@@ -134,9 +134,10 @@ def test_checklist_holds_builds_no_pairing_record(monkeypatch):
     reports = [build_report(FOUR_LINES, WeightedBoundary.make(w)) for w, _ in cases]
 
     def refuse(*args):
-        raise AssertionError("checklist_holds built a BoundaryPairings")
+        raise AssertionError("checklist_holds ran a report's computation")
 
-    monkeypatch.setattr(certifier, "boundary_pairings", refuse)
+    monkeypatch.setattr(certifier, "ample_sufficient", refuse)
+    monkeypatch.setattr(quadext, "sqrt_parts", refuse)
     for (weights, want), report in zip(cases, reports):
         assert checklist_holds(FOUR_LINES, WeightedBoundary.make(weights)) is want
         assert all(c.inequality_holds for c in report.components) is want
@@ -382,20 +383,16 @@ def test_build_report_splits_each_irrational_root_once(monkeypatch):
 
 
 def assert_closed_forms_match_reference(cfg: SurfaceConfig, weights) -> None:
-    """truncation_root and volume_ratio, field by field and type by type,
-    against min_root_quadratic and the stated ratio formula in QuadExt."""
-    bp = boundary_pairings(cfg, weights)
-    for i in range(cfg.r):
-        if bp.dp2 <= 0 or bp.dpdi[i] <= 0:
-            with pytest.raises(NoPositiveRootError):
-                bp.truncation_root(i)
-            with pytest.raises(NoPositiveRootError):
-                bp.volume_ratio(i)
-            continue
-        x = min_root_quadratic(bp.di2[i], bp.dpdi[i], bp.dp2)
-        dp2 = Fraction(bp.dp2)
-        ratio = (Fraction(2, 3) * x * dp2 - Fraction(1, 3) * bp.dpdi[i] * x * x) / dp2
-        for got, want in ((bp.truncation_root(i), x), (bp.volume_ratio(i), ratio)):
+    """The report's truncation roots and volume ratios, field by field and
+    type by type, against min_root_quadratic and the stated ratio formula
+    in QuadExt; an uncertified report has no components."""
+    report = build_report(cfg, WeightedBoundary.make(weights))
+    assert len(report.components) == (cfg.r if report.ample.certified else 0)
+    dp2 = report.dp_square
+    for i, c in enumerate(report.components):
+        x = min_root_quadratic(c.self_square, c.dp_pairing, dp2)
+        ratio = (Fraction(2, 3) * x * dp2 - Fraction(1, 3) * c.dp_pairing * x * x) / dp2
+        for got, want in ((c.truncation_root, x), (c.volume_ratio, ratio)):
             fields = (got.a, got.b, got.delta)
             assert fields == (want.a, want.b, want.delta), (cfg.components, weights, i)
             assert tuple(map(type, fields)) == (Fraction, Fraction, int)
@@ -441,11 +438,6 @@ def test_closed_forms_match_reference(case):
 )
 def test_closed_forms_on_edge_cases(cfg, weights):
     assert_closed_forms_match_reference(cfg, weights)
-    bp = boundary_pairings(cfg, weights)
-    s, f = bp.sqrt_split
-    assert s * s * f == bp.paired_square
-    if bp.paired_square == 0:
-        assert (s, f) == (0, 1)
 
 
 @pytest.mark.parametrize("rational", [False, True], ids=["integer", "rational"])
@@ -464,16 +456,6 @@ def test_closed_form_ampleness_matches_the_lattice_test(cfg, want, rational):
     wb = WeightedBoundary.make(weights)
     closed_form = certifier._ample(cfg)
     assert closed_form == ample_sufficient(cfg, wb).certified == want
-
-
-def test_nonpositive_boundary_square_has_no_root():
-    bp = boundary_pairings(TWO_UNPAIRED, [4, 5, 1, 1])
-    for dp2 in (0, -3):
-        for i in range(TWO_UNPAIRED.r):
-            with pytest.raises(NoPositiveRootError):
-                replace(bp, dp2=dp2).truncation_root(i)
-            with pytest.raises(NoPositiveRootError):
-                replace(bp, dp2=dp2).volume_ratio(i)
 
 
 def test_certify_large_weights_with_multiplicities(tmp_path, capsys):

@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from orbicert import constants, quadext
 from orbicert.catalog import load_builtin
-from orbicert.certifier import BoundaryPairings, build_report
+from orbicert.certifier import build_report
 from orbicert.constants import (
     ChainMismatchError,
     InfeasibleError,
@@ -217,16 +218,13 @@ def test_chain_respects_precomputed_report():
 
 def test_chain_reads_its_roots_from_the_report(monkeypatch):
     report = build_report(FOUR_LINES, WEIGHTS)
-    calls = []
-    root = BoundaryPairings.truncation_root
 
-    def counted(bp, i):
-        calls.append(i)
-        return root(bp, i)
+    def refuse(*args):
+        raise AssertionError("the chain recomputed what the report holds")
 
-    monkeypatch.setattr(BoundaryPairings, "truncation_root", counted)
+    monkeypatch.setattr(constants, "build_report", refuse)
+    monkeypatch.setattr(quadext, "sqrt_parts", refuse)
     chain = feasible_chain(FOUR_LINES, WEIGHTS, report, Fraction(1, 176))
-    assert calls == []
     assert (chain.n, chain.m_sections, chain.b, chain.m0) == (
         FROZEN["n"], FROZEN["m_sections"], FROZEN["b"], FROZEN["m0"]
     )

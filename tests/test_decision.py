@@ -14,13 +14,9 @@ from math import lcm
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbicert import sampling
+from orbicert import constants, sampling
 from orbicert.catalog import load_builtin
-from orbicert.certifier import (
-    boundary_pairings,
-    build_report,
-    checklist_holds,
-)
+from orbicert.certifier import build_report, checklist_holds
 from orbicert.lattice import SurfaceConfig, canonical_class, intersect, strict_transform
 from orbicert.positivity import WeightedBoundary, boundary_class
 from orbicert.quadext import compare_cross
@@ -157,16 +153,17 @@ def test_closed_form_pairings_match_lattice(data):
     else:
         cfg, _ = sampled_case(data.draw(seeds))
     wb = data.draw(rational_weights(cfg))
-    bp = boundary_pairings(cfg, wb.weights)
+    report = build_report(cfg, wb)
     dp = boundary_class(cfg, wb)
     k = canonical_class(cfg)
-    assert bp.dp2 == intersect(dp, dp)
-    assert bp.dpk == intersect(dp, k)
-    for i in range(cfg.r):
+    assert report.dp_square == intersect(dp, dp)
+    if report.ample.certified:
+        assert constants._dpk(report) == intersect(dp, k)
+    for i, c in enumerate(report.components):
         di = strict_transform(cfg, i)
-        assert bp.dpdi[i] == intersect(dp, di)
-        assert bp.di2[i] == intersect(di, di)
-        assert bp.dik[i] == intersect(di, k)
+        assert c.dp_pairing == intersect(dp, di)
+        assert c.self_square == intersect(di, di)
+        assert constants._dik(c) == intersect(di, k)
 
 
 def reference_hits(cfg: SurfaceConfig, bound: int) -> list[SearchHit]:

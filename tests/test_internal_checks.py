@@ -11,7 +11,6 @@ import signal
 import subprocess
 import sys
 from contextlib import contextmanager
-from dataclasses import replace
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
@@ -19,7 +18,7 @@ from pathlib import Path
 import pytest
 
 import orbicert
-from orbicert import constants, ffheights, lattice, orbifold, polys
+from orbicert import certifier, constants, ffheights, lattice, orbifold, polys
 from orbicert.catalog import load_builtin
 from orbicert.lattice import DivisorClass, InternalError, SurfaceConfig
 from orbicert.positivity import Verdict, WeightedBoundary
@@ -71,11 +70,26 @@ def force_sections_sign():
         constants.sections_certified(cfg, 5 * h, h)
 
 
+def four_lines():
+    return load_builtin("four-lines"), WeightedBoundary.make([4, 4, 4, 3])
+
+
 def force_sum_parity():
-    cfg, wb = load_builtin("four-lines"), WeightedBoundary.make([4, 4, 4, 3])
-    bp = constants._pairings(cfg, wb)
+    report = certifier.build_report(*four_lines())
     # an odd shift of K . D_p breaks the parity of d.(d - K) at level 1
-    constants._sum_lower_fast(replace(bp, dpk=bp.dpk - 1), bp.truncation_root(0), 0, 1)
+    constants._sum_lower_fast(report, constants._dpk(report) - 1, 0, 1)
+
+
+def force_report_square():
+    # S = h^2 gives D_p^2 = 0 beside a certified ample D_p
+    sums = certifier._sums
+
+    def square_s(cfg, weights):
+        a, h, _ = sums(cfg, weights)
+        return a, h, h * h
+
+    with patched(certifier, "_sums", square_s):
+        certifier.build_report(*four_lines())
 
 
 def force_subspace_basis(count=2):
@@ -107,7 +121,7 @@ def force_gcd_cofactor():
 
 
 def force_twist_threshold():
-    cfg, wb = load_builtin("four-lines"), WeightedBoundary.make([4, 4, 4, 3])
+    cfg, wb = four_lines()
     # the bounds still give m = 34, but m = 33 now passes as well
     with patched(orbifold, "ample_class_sufficient", lambda cfg, d: Verdict(True)):
         orbifold.ample_twist_threshold(cfg, wb, 100, (orbifold.INF,) * 4)
@@ -116,6 +130,7 @@ def force_twist_threshold():
 FORCED = {
     "gcd-cofactor": force_gcd_cofactor,
     "chi-parity": force_chi_parity,
+    "report-square": force_report_square,
     "sections-sign": force_sections_sign,
     "sum-parity": force_sum_parity,
     "subspace-basis": force_subspace_basis,

@@ -17,11 +17,11 @@ from hypothesis import strategies as st
 
 from orbicert import quadext
 from orbicert.catalog import load_builtin
-from orbicert.certifier import boundary_pairings
+from orbicert.certifier import build_report
 from orbicert.lattice import InternalError
+from orbicert.positivity import WeightedBoundary
 from orbicert.quadext import (
     CrossFieldError,
-    NoPositiveRootError,
     NoRealRootError,
     QuadExt,
     compare_cross,
@@ -176,17 +176,17 @@ def min_root_quadratic(a_coeff, b_coeff, c_coeff) -> QuadExt:
     The reference for the closed-form truncation roots: degenerate A == 0
     gives the linear solution C / (2*B).  A negative quarter discriminant
     B^2 - A*C raises NoRealRootError; real roots with no positive one raise
-    NoPositiveRootError.
+    a plain ValueError.
     """
     a = Fraction(a_coeff)
     b = Fraction(b_coeff)
     c = Fraction(c_coeff)
     if a == 0:
         if b == 0:
-            raise NoPositiveRootError("degenerate equation")
+            raise ValueError("degenerate equation")
         linear = c / (2 * b)
         if linear <= 0:
-            raise NoPositiveRootError("linear solution is nonpositive")
+            raise ValueError("linear solution is nonpositive")
         return QuadExt(linear)
     disc = b * b - a * c
     if disc < 0:
@@ -199,7 +199,7 @@ def min_root_quadratic(a_coeff, b_coeff, c_coeff) -> QuadExt:
     high = (QuadExt(b) + root) / a if a > 0 else (QuadExt(b) - root) / a
     if high.sign() > 0:
         return high
-    raise NoPositiveRootError("both roots nonpositive")
+    raise ValueError("both roots nonpositive")
 
 
 def test_min_root_quadratic():
@@ -209,9 +209,9 @@ def test_min_root_quadratic():
     assert min_root_quadratic(-1, -1, 3) == QuadExt(Fraction(3))
     with pytest.raises(NoRealRootError):
         min_root_quadratic(1, 1, 2)
-    with pytest.raises(NoPositiveRootError):
+    with pytest.raises(ValueError, match="nonpositive"):
         min_root_quadratic(0, -1, 4)
-    with pytest.raises(NoPositiveRootError):
+    with pytest.raises(ValueError, match="nonpositive"):
         min_root_quadratic(1, -1, 1)
 
 
@@ -224,7 +224,7 @@ def test_min_root_is_least_positive_root():
         c = rng.randint(-12, 12)
         try:
             root = min_root_quadratic(a, b, c)
-        except (NoRealRootError, NoPositiveRootError, ZeroDivisionError):
+        except (ValueError, ZeroDivisionError):
             continue
         hits += 1
         assert root.sign() > 0
@@ -499,8 +499,12 @@ def test_sqrt_parts_at_zero_and_squares(r, want):
     )
 )
 def test_boundary_sqrt_split_matches_reference(weights):
-    bp = boundary_pairings(load_builtin("four-lines"), weights)
-    assert bp.sqrt_split == sqrt_parts_reference(Fraction(bp.paired_square))
+    # three paired lines and the unpaired hyperplane, whose root is h - sqrt(S)
+    report = build_report(load_builtin("four-lines"), WeightedBoundary.make(weights))
+    root = report.components[3].truncation_root
+    s, f = sqrt_parts_reference(Fraction(sum(w * w for w in weights[:3])))
+    h = sum(weights)
+    assert (root.a, root.b, root.delta) == ((h, -s, f) if f != 1 else (h - s, 0, 0))
 
 
 def test_square_split_of_a_large_semiprime_is_fast():
