@@ -18,6 +18,9 @@ ratio (h (D - 2S) + 2 S sqrt(S)) / (3 D d).  build_report computes them
 from h and S alone, and the report is the one record of the pairings.  A
 certified D_p has an unpaired component, so sqrt(S) is split exactly once
 per certified report, and never for an uncertified one or checklist_holds.
+The report's verdicts, volume ratios and cross-checks are decided eagerly;
+its per-component records, truncation roots included, are built from the
+same a, h, S and split on first read.
 
 Each check lands in a Certificate with a named pass/fail/inconclusive
 status, exact values (rational or quadratic) and a serialization that
@@ -26,14 +29,14 @@ round-trips byte for byte.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
+from functools import cached_property, partial
 from fractions import Fraction
 from math import floor
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from . import __version__ as _tool_version
-from .lattice import Coeff, ConfigError, InternalError, SurfaceConfig
+from .lattice import Coeff, Component, ConfigError, InternalError, SurfaceConfig
 from .lattice import _typed, dump_json, load_json, malformed
 from .lattice import intersect  # noqa: F401  importable from here; bench/test_bench.py relies on it
 from .orbifold import ample_twist_threshold
@@ -88,15 +91,27 @@ class ComponentCheck:
 class BoundaryReport:
     """Ampleness and the per-component checks of one weighted boundary.
 
-    The slack and its rational lower bound are computed on first read, as
-    weight_slack(self) when ampleness is certified and every filtration
-    inequality holds, and are both None otherwise.  Callers that read only
-    the verdicts, as stress --suite boundary does, never compute them.
+    The verdicts are decided when the report is built: ample, and passes,
+    which is True when ampleness is certified and every filtration
+    inequality holds.  The component records are built on first read of
+    components, by make_components, and are () when ampleness is not
+    certified.  The slack and its rational lower bound are computed on
+    first read too, as weight_slack(self) when ampleness is certified and
+    every record's inequality holds, and are both None otherwise.  Callers
+    that read only the verdicts, as stress --suite boundary does, never
+    build a record or a slack.
     """
 
     dp_square: Fraction
     ample: Verdict
-    components: tuple[ComponentCheck, ...]
+    passes: bool
+    make_components: Callable[[], tuple[ComponentCheck, ...]] = field(
+        repr=False, compare=False
+    )
+
+    @cached_property
+    def components(self) -> tuple[ComponentCheck, ...]:
+        return self.make_components()
 
     @cached_property
     def _slack_pair(self) -> tuple[QuadExt | None, Fraction | None]:
@@ -194,6 +209,43 @@ def _surd(a: Coeff, b: Coeff, den: Coeff, split: tuple[Coeff, int]) -> QuadExt:
     return quadext._make(Fraction(a + b * s, den), quadext._ZERO, 0)
 
 
+def _root(
+    h: Coeff, dp2: Coeff, dpdi: Coeff, comp: Component, split: tuple[Coeff, int]
+) -> QuadExt:
+    """The truncation root: D_p^2 / (2 D_p.D_i) on a paired component and
+    (h - sqrt(S)) / d on an unpaired one."""
+    if comp.paired:
+        return _surd(dp2, 0, 2 * dpdi, split)
+    return _surd(h, -1, comp.degree, split)
+
+
+def _records(
+    cfg: SurfaceConfig,
+    weights: Sequence[Coeff],
+    h: Coeff,
+    dp2: Coeff,
+    split: tuple[Coeff, int],
+    checks: list[tuple[Coeff, QuadExt, bool]],
+) -> tuple[ComponentCheck, ...]:
+    """The component records of a certified report, from the h, D_p^2 and
+    sqrt(S) split that build_report decided it with, and its
+    (D_p . D_i, volume ratio, verdict) per component."""
+    return tuple(
+        ComponentCheck(
+            index=i,
+            degree=comp.degree,
+            weight=Fraction(w),
+            self_square=Fraction(0 if comp.paired else comp.degree * comp.degree),
+            dp_pairing=Fraction(dpdi),
+            truncation_root=_root(h, dp2, dpdi, comp, split),
+            inequality_holds=ok,
+            volume_ratio=ratio,
+            exceeds_weight=ok,
+        )
+        for i, (w, comp, (dpdi, ratio, ok)) in enumerate(zip(weights, cfg.components, checks))
+    )
+
+
 def build_report(cfg: SurfaceConfig, wb: WeightedBoundary) -> BoundaryReport:
     """Evaluate ampleness and all per-component checks once.
 
@@ -202,6 +254,9 @@ def build_report(cfg: SurfaceConfig, wb: WeightedBoundary) -> BoundaryReport:
     for i != j, and with a, h and S as in _sums, D_p^2 = h^2 - S, while
     D_p . D_i = d_i (h - a_i) and D_i^2 = 0 on a paired component and
     D_p . D_i = d_i h and D_i^2 = d_i^2 on an unpaired one.
+
+    Every check and verdict is decided here; the truncation roots and the
+    component records wait for the first read of report.components.
     """
     wb.check_against(cfg)
     a, h, sq = _sums(cfg, wb.weights)
@@ -210,47 +265,34 @@ def build_report(cfg: SurfaceConfig, wb: WeightedBoundary) -> BoundaryReport:
     closed_form = _ample(cfg)
     if ample.certified != closed_form:
         raise InternalError(f"closed-form ampleness {closed_form} disagrees with {ample}")
-    components: list[ComponentCheck] = []
-    if ample.certified:
-        # a certified D_p has an unpaired component, whose root needs sqrt(S)
-        split = quadext.sqrt_parts(sq)
-        for i, (w, ai, comp) in enumerate(zip(wb.weights, a, cfg.components)):
-            d = comp.degree
-            dpdi, di2 = (d * (h - ai), 0) if comp.paired else (d * h, d * d)
-            if dp2 <= 0 or dpdi <= 0:
-                raise InternalError(
-                    f"certified ample D_p has D_p^2 = {dp2} and D_p . D_{i} = {dpdi}"
-                )
-            if comp.paired:
-                root = _surd(dp2, 0, 2 * dpdi, split)
-                ratio = _surd(dp2, 0, 4 * dpdi, split)
-            else:
-                root = _surd(h, -1, d, split)
-                ratio = _surd(h * (dp2 - 2 * sq), 2 * sq, 3 * dp2 * d, split)
-            weight = Fraction(w)
-            holds = _component_holds(h, sq, ai, comp.paired)
-            exceeds = ratio > weight
-            # the square-root-free inequality and the QuadExt ratio bound
-            # are the same statement, decided independently
-            if holds != exceeds:
-                raise InternalError(
-                    f"component {i}: inequality {holds} but ratio {ratio} "
-                    f"exceeds weight {weight} is {exceeds} (root {root})"
-                )
-            components.append(
-                ComponentCheck(
-                    index=i,
-                    degree=d,
-                    weight=weight,
-                    self_square=Fraction(di2),
-                    dp_pairing=Fraction(dpdi),
-                    truncation_root=root,
-                    inequality_holds=holds,
-                    volume_ratio=ratio,
-                    exceeds_weight=exceeds,
-                )
+    if not ample.certified:
+        return BoundaryReport(Fraction(dp2), ample, False, tuple)
+    # a certified D_p has an unpaired component, whose ratio needs sqrt(S)
+    split = quadext.sqrt_parts(sq)
+    checks = []
+    for i, (w, ai, comp) in enumerate(zip(wb.weights, a, cfg.components)):
+        d = comp.degree
+        dpdi = d * (h - ai) if comp.paired else d * h
+        if dp2 <= 0 or dpdi <= 0:
+            raise InternalError(
+                f"certified ample D_p has D_p^2 = {dp2} and D_p . D_{i} = {dpdi}"
             )
-    return BoundaryReport(dp_square=Fraction(dp2), ample=ample, components=tuple(components))
+        if comp.paired:
+            ratio = _surd(dp2, 0, 4 * dpdi, split)
+        else:
+            ratio = _surd(h * (dp2 - 2 * sq), 2 * sq, 3 * dp2 * d, split)
+        ok = _component_holds(h, sq, ai, comp.paired)
+        exceeds = ratio > w
+        # the square-root-free inequality and the QuadExt ratio bound
+        # are the same statement, decided independently
+        if ok != exceeds:
+            raise InternalError(
+                f"component {i}: inequality {ok} but ratio {ratio} exceeds weight "
+                f"{w} is {exceeds} (root {_root(h, dp2, dpdi, comp, split)})"
+            )
+        checks.append((dpdi, ratio, ok))
+    records = partial(_records, cfg, wb.weights, h, dp2, split, checks)
+    return BoundaryReport(Fraction(dp2), ample, all(ok for _, _, ok in checks), records)
 
 
 # -- number encoding ----------------------------------------------------------

@@ -1,5 +1,6 @@
 """End-to-end certification on the bundled configs plus exact benchmark values."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -29,6 +30,7 @@ from orbicert.cli import main
 from orbicert.lattice import ConfigError, InternalError, SurfaceConfig
 from orbicert.positivity import WeightedBoundary, ample_sufficient
 from orbicert.quadext import QuadExt, compare_cross, rational_below
+from test_decision import json_configs, rational_weights
 from test_quadext import min_root_quadratic
 
 FOUR_LINES = load_builtin("four-lines")
@@ -205,12 +207,16 @@ def test_certify_multiplicity_validation():
         certify(FOUR_LINES, WEIGHTS, [0, 2, 2, 2])
 
 
+def with_components(report, components):
+    """The report with its component records replaced; its verdicts stay."""
+    return replace(report, make_components=lambda: components)
+
+
 def test_weight_slack_empty_report_rejected():
     report = build_report(FOUR_LINES, WEIGHTS)
-    from dataclasses import replace
 
     with pytest.raises(ConfigError):
-        weight_slack(replace(report, components=()))
+        weight_slack(with_components(report, ()))
 
 
 def test_weight_slack_of_a_failing_report():
@@ -244,7 +250,7 @@ def report_with_slack(slack: QuadExt):
     """A report whose one component at weight 1 has ratio 1 + slack."""
     report = build_report(FOUR_LINES, WEIGHTS)
     check = replace(report.components[0], weight=Fraction(1), volume_ratio=slack + 1)
-    return replace(report, components=(check,))
+    return with_components(report, (check,))
 
 
 @settings(max_examples=300, deadline=None, database=None, derandomize=True)
@@ -330,12 +336,12 @@ def test_slack_is_computed_on_first_read_by_the_rule(seed, candidate):
     if not report.components:
         return
     # a replaced report computes its own pair, whatever the source has cached
-    first = replace(report, components=report.components[:1])
+    first = with_components(report, report.components[:1])
     assert_slack_follows_the_rule(first)
     last = report.components[-1]
     flipped = report.components[:-1] + (replace(last, inequality_holds=False),)
-    assert replace(report, components=flipped).slack is None
-    assert_slack_follows_the_rule(replace(report, components=()))
+    assert with_components(report, flipped).slack is None
+    assert_slack_follows_the_rule(with_components(report, ()))
 
 
 def test_build_report_never_computes_the_slack(monkeypatch):
@@ -438,6 +444,129 @@ def test_closed_forms_match_reference(case):
 )
 def test_closed_forms_on_edge_cases(cfg, weights):
     assert_closed_forms_match_reference(cfg, weights)
+
+
+# -- component records built on first read, against the eager loop ------------------
+
+
+def reference_records(cfg: SurfaceConfig, wb: WeightedBoundary) -> tuple:
+    """The component records as one eager loop over a, h, S and the sqrt(S)
+    split builds them, the way build_report once did; () when ampleness is
+    not certified."""
+    if not ample_sufficient(cfg, wb).certified:
+        return ()
+    a, h, sq = certifier._sums(cfg, wb.weights)
+    dp2 = h * h - sq
+    split = quadext.sqrt_parts(sq)
+    surd = certifier._surd
+    records = []
+    for i, (w, ai, comp) in enumerate(zip(wb.weights, a, cfg.components)):
+        d = comp.degree
+        dpdi, di2 = (d * (h - ai), 0) if comp.paired else (d * h, d * d)
+        if comp.paired:
+            root = surd(dp2, 0, 2 * dpdi, split)
+            ratio = surd(dp2, 0, 4 * dpdi, split)
+        else:
+            root = surd(h, -1, d, split)
+            ratio = surd(h * (dp2 - 2 * sq), 2 * sq, 3 * dp2 * d, split)
+        weight = Fraction(w)
+        records.append(
+            certifier.ComponentCheck(
+                index=i,
+                degree=d,
+                weight=weight,
+                self_square=Fraction(di2),
+                dp_pairing=Fraction(dpdi),
+                truncation_root=root,
+                inequality_holds=certifier._component_holds(h, sq, ai, comp.paired),
+                volume_ratio=ratio,
+                exceeds_weight=ratio > weight,
+            )
+        )
+    return tuple(records)
+
+
+def exact_fields(value) -> tuple:
+    """A value with its type, and a QuadExt's a, b and delta with theirs."""
+    if isinstance(value, QuadExt):
+        return (QuadExt,) + tuple((type(x), x) for x in (value.a, value.b, value.delta))
+    return type(value), value
+
+
+def assert_records_match_reference(cfg: SurfaceConfig, wb: WeightedBoundary) -> None:
+    """Every record equals the reference field by field and type by type,
+    the pass verdict is what the records say, and a second read returns
+    the cached tuple."""
+    report = build_report(cfg, wb)
+    want = reference_records(cfg, wb)
+    got = report.components
+    assert report.components is got
+    assert type(got) is tuple and len(got) == len(want)
+    if not report.ample.certified:
+        assert got == () and report.passes is False
+    assert report.passes == (bool(got) and all(c.inequality_holds for c in got))
+    for g, w in zip(got, want):
+        for f in dataclasses.fields(certifier.ComponentCheck):
+            assert exact_fields(getattr(g, f.name)) == exact_fields(getattr(w, f.name)), (
+                cfg.components, wb.weights, g.index, f.name
+            )
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(st.integers(0, 2**32), st.booleans())
+def test_records_match_the_eager_loop_on_sampled_draws(seed, candidate):
+    rng = random.Random(seed)
+    if candidate:
+        cfg, wb = sampling.random_passing_candidate(rng, max_degree=4, bound=50)
+    else:
+        cfg = sampling.random_config(rng, max_degree=4)
+        wb = sampling.random_weights(rng, cfg, bound=50)
+    assert_records_match_reference(cfg, wb)
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(st.data())
+def test_records_match_the_eager_loop_on_json_configs(data):
+    # an unpaired conic or cubic beside paired curves, integer or rational weights
+    cfg = data.draw(json_configs())
+    assert_records_match_reference(cfg, data.draw(rational_weights(cfg)))
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(pairing_cases())
+def test_records_match_the_eager_loop_on_pairing_cases(case):
+    cfg, weights = case
+    assert_records_match_reference(cfg, WeightedBoundary.make(weights))
+
+
+@pytest.mark.parametrize(
+    "cfg, weights",
+    [
+        (FOUR_LINES, [4, 4, 4, 3]),
+        (FOUR_LINES, [1, 1, 1, 1]),
+        (FOUR_LINES, [Fraction(9, 2), Fraction(9, 2), Fraction(9, 2), Fraction(7, 2)]),
+        (FOUR_LINES, [Fraction(9, 2), 4, Fraction(11, 3), 3]),
+        (TWO_UNPAIRED, [4, 5, 1, 1]),
+        (TWO_UNPAIRED, [Fraction(7, 2), 5, 2, 1]),
+        (components_config((1, True), (1, True), (1, True), (2, False)), [5, 5, 5, 2]),
+        (components_config((1, True), (2, True), (3, False)), [12, 6, Fraction(3, 2)]),
+        # every component paired: ampleness is not certified, so no record
+        (components_config((1, True), (1, True), (2, True)), [3, 5, 7]),
+    ],
+    ids=["four-lines", "four-lines-failing", "four-lines-halves", "four-lines-rational",
+         "two-unpaired", "two-unpaired-rational", "lines-and-conic", "unpaired-cubic",
+         "all-paired"],
+)
+def test_records_match_the_eager_loop_on_edge_cases(cfg, weights):
+    assert_records_match_reference(cfg, WeightedBoundary.make(weights))
+
+
+def test_uncertified_report_has_no_records():
+    cfg = components_config((1, True), (1, True), (2, True))
+    report = build_report(cfg, WeightedBoundary.make([3, 5, 7]))
+    assert not report.ample.certified and report.passes is False
+    assert report.components == () and report.components is report.components
+    assert report.slack is None and report.slack_lower is None
 
 
 @pytest.mark.parametrize("rational", [False, True], ids=["integer", "rational"])

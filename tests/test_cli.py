@@ -354,6 +354,20 @@ def test_stress_boundary_never_computes_a_slack(capsys, monkeypatch, seed, diges
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def refuse_record(*args, **kwargs):
+    raise AssertionError("the boundary suite built a component record")
+
+
+def test_stress_boundary_builds_no_record(capsys, monkeypatch):
+    argv = ["stress", "--suite", "boundary", "--samples", "50", "--seed", "7"]
+    code, want, _ = run(capsys, *argv)
+    assert code == 0
+    monkeypatch.setattr(certifier, "ComponentCheck", refuse_record)
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    assert out == want
+
+
 def test_boundary_sweep_never_computes_a_slack(monkeypatch):
     monkeypatch.setattr(certifier, "weight_slack", refuse_weight_slack)
     tally = sampling.boundary_sweep(40, seed=3, max_degree=6, bound=300)

@@ -131,6 +131,26 @@ def test_decision_on_rational_weights(data):
     assert_decision_agrees(cfg, data.draw(rational_weights(cfg)))
 
 
+@PROPERTY
+@given(seeds, st.booleans(), st.integers(1, 6))
+def test_pass_verdict_is_the_checklist(seed, candidate, denominator):
+    # the stress suite's draws, each weight moved by at most 1/q off q times
+    # itself over q when q > 1
+    rng = random.Random(seed)
+    if candidate:
+        cfg, wb = sampling.random_passing_candidate(rng)
+    else:
+        cfg = sampling.random_config(rng)
+        wb = sampling.random_weights(rng, cfg)
+    if denominator > 1:
+        wb = WeightedBoundary.make([
+            max(Fraction(1, denominator), Fraction(w * denominator + rng.randint(-1, 1), denominator))
+            for w in wb.weights
+        ])
+    report = build_report(cfg, wb)
+    assert report.passes is checklist_holds(cfg, wb)
+
+
 def test_decision_sees_both_verdicts():
     # the properties above are only worth something if both verdicts occur
     verdicts = set()
