@@ -150,7 +150,7 @@ class Place:
             raise ValueError("valuation of the zero polynomial")
         if self.poly is None:
             return -polys.degree(f)
-        return polys.valuation(self.poly, f)
+        return polys.valuations((self.poly,), f)[0]
 
     def __str__(self) -> str:
         return "inf" if self.poly is None else f"({polys.to_string(self.poly)})"
@@ -166,7 +166,7 @@ class RatMap:
     _from_ints is the only path that builds one, and it divides out the
     integer content and the polynomial gcd.  So no finite place divides
     every coordinate: min_j v(x_j) is 0 at every finite place, and -height
-    at the infinite place (see _local_value).
+    at the infinite place (see _local_values).
     """
 
     coords: tuple[IntPoly, ...]
@@ -442,14 +442,21 @@ def parse_form(text: str, nvars: int = 3, degree: float = math.inf) -> HForm:
 # -- heights and counting --------------------------------------------------------
 
 
-def _local_value(place: Place, fx: IntPoly, e: int, x: RatMap) -> int:
-    """v(F(x)) - e * min_j v(x_j) at place, for fx = F(x) with F of degree e.
+def _local_values(places: Sequence[Place], fx: IntPoly, shift: int) -> list[int]:
+    """v(F(x)) - e * min_j v(x_j) at each place, for fx = F(x) with F of
+    degree e and shift = e * height(x).
 
     x's coordinates are coprime, so min_j v(x_j) is 0 at a finite place and
-    -height at infinity: no valuation of a coordinate is needed.
+    -height at infinity: no valuation of a coordinate is needed, and one
+    evaluation of fx serves every finite place (polys.valuations).
     """
-    v = place.valuation(fx)
-    return v + e * x.height if place.is_infinite else v
+    finite = iter(polys.valuations([p.poly for p in places if p.poly is not None], fx))
+    return [_lambda_inf(fx, shift) if p.is_infinite else next(finite) for p in places]
+
+
+def _lambda_inf(fx: IntPoly, shift: int) -> int:
+    """lambda at infinity alone: v(F(x)) = -deg F(x), plus shift = e * height(x)."""
+    return shift - polys.degree(fx)
 
 
 @dataclass(frozen=True)
@@ -484,11 +491,12 @@ def counting_functions(form: HForm, x: RatMap, places: Sequence[Place]) -> Count
     if polys.is_zero(fx):
         raise DegenerateError("the point lies on the hypersurface")
     e, inf = form.degree, Place.infinite()
-    lam_inf = _local_value(inf, fx, e, x)
+    in_s = [p for p in places if p != inf]
+    lam_inf, *lams = _local_values([inf, *in_s], fx, e * x.height)
     lam_out = 0 if inf in places else lam_inf
     # at a finite place lambda is v(F(x)), so the proximity's finite part is
     # the sum that counting subtracts
-    finite = [(p.degree, _local_value(p, fx, e, x)) for p in places if p != inf]
+    finite = [(p.degree, lam) for p, lam in zip(in_s, lams)]
     finite_in_s = sum(d * lam for d, lam in finite)
     return Counting(
         proximity=finite_in_s + lam_inf - lam_out,
@@ -564,12 +572,16 @@ def subspace_inequality(
     if not x.nondegenerate:
         raise DegenerateError("coordinates satisfy a constant linear relation")
 
-    values = [_linear_value(enumerate(vec), x) for vec in hyperplanes]
+    # table[j][i] is the local value of hyperplane j at place i
+    table = [
+        _local_values(places, _linear_value(enumerate(vec), x), x.height)
+        for vec in hyperplanes
+    ]
 
     lhs = 0
     ranks = set() if len(places) > 1 else {gaussian_rank(hyperplanes)}
-    for place in places:
-        lams = [_local_value(place, fx, 1, x) for fx in values]
+    for i, place in enumerate(places):
+        lams = [row[i] for row in table]
         echelon: list[tuple[int, list[int]]] = []
         best = 0
         # sorted is stable, so equal values keep the family's order
@@ -697,7 +709,6 @@ def height_bound_probe(
     h = x.height
     if h == 0:
         raise ProbeExcluded("constant curve")
-    inf = Place.infinite()
     values = []
     for i, form in enumerate(realization.boundary_forms):
         fx = form.evaluate(x)
@@ -712,8 +723,8 @@ def height_bound_probe(
             raise ProbeExcluded(f"curve lies inside pairing curve {i}")
         if polys.degree(polys.gcd_poly(values[i], bx)) > 0:
             raise ProbeExcluded(f"curve passes through a blown point of component {i}")
-        lam_f = _local_value(inf, values[i], realization.boundary_forms[i].degree, x)
-        if lam_f > 0 and _local_value(inf, bx, pairing.degree, x) > 0:
+        lam_f = _lambda_inf(values[i], realization.boundary_forms[i].degree * h)
+        if lam_f > 0 and _lambda_inf(bx, pairing.degree * h) > 0:
             raise ProbeExcluded(
                 f"curve passes through a blown point of component {i} at infinity"
             )
@@ -723,7 +734,7 @@ def height_bound_probe(
         product = polys.mul(product, fx)
     e = sum(f.degree for f in realization.boundary_forms)
     # the support is N1 of the product of the boundary forms with S empty
-    support = _truncated_count(product, (), _local_value(inf, product, e, x))
+    support = _truncated_count(product, (), _lambda_inf(product, e * h))
     degree = Fraction(
         h * sum(w * form.degree for w, form in zip(wb.weights, realization.boundary_forms))
     )
@@ -759,6 +770,9 @@ def _random_poly(rng: random.Random, max_deg: int, bound: int) -> IntPoly:
 
 
 _MAP_TRIES = 10_000
+# a sample's cost grows with the value of its degree, not with the digits
+# that write it, so the degree is capped as the boundary suite's is
+_MAX_DRAW_DEGREE = 100
 
 
 def random_map(
@@ -831,14 +845,18 @@ def _random_form(rng: random.Random, nvars: int, degree: int, bound: int) -> HFo
         if sum(e) == degree
     ]
     while True:
-        terms = {e: rng.randint(-bound, bound) for e in exps}
-        if any(terms.values()):
-            return HForm.make(nvars, terms)
+        coeffs = [rng.randint(-bound, bound) for _ in exps]
+        if any(coeffs):
+            # product() lists exps sorted, as make sorts them: no checks needed
+            terms = tuple((e, c) for e, c in zip(exps, coeffs) if c)
+            return HForm(nvars=nvars, degree=degree, terms=terms)
 
 
 def _require_drawable(max_deg: int, bound: int) -> None:
     if max_deg < 0:
         raise ConfigError(f"max degree {max_deg} must not be negative")
+    if max_deg > _MAX_DRAW_DEGREE:
+        raise ConfigError(f"max degree {max_deg} must be at most {_MAX_DRAW_DEGREE}")
     _require_positive_bound(bound, "map")
 
 
@@ -901,16 +919,11 @@ def _product_formula_sample(rng: random.Random) -> tuple[str, ...]:
     f: IntPoly = (c,)
     for powers, e in zip(_POOL_POWERS, exps):
         f = polys.mul(f, powers[e])
-    total = 0
-    ok = True
-    for place, e in zip(_pool_places(), exps):
-        v = place.valuation(f)
-        if v != e:
-            ok = False
-        total += place.degree * v
-    inf = Place.infinite()
-    total += inf.degree * inf.valuation(f)
-    return ("samples",) if ok and total == 0 else ("samples", "failures")
+    places = (*_pool_places(), Place.infinite())
+    # shift 0: the local values are the valuations themselves
+    vals = _local_values(places, f, 0)
+    total = sum(place.degree * v for place, v in zip(places, vals))
+    return ("samples",) if vals[:-1] == exps and total == 0 else ("samples", "failures")
 
 
 def product_formula_sweep(samples: int, *, seed: int = 0, processes: int = 1) -> dict:

@@ -5,10 +5,11 @@ trailing zeros; the zero polynomial is the empty tuple.  Valuations,
 degrees and radicals are invariant under nonzero rational scaling, so most
 routines work on primitive integer tuples and rational inputs are cleared
 to that form once at the boundary.  Both kernels evaluate at one point
-instead of dividing: ``valuation`` counts how often p(X) divides a(X) at a
-point X = 2^k that Hadamard's and Mignotte's bounds make exact, and
-``gcd_poly`` proves a gcd read off the integer gcd of two values (Char,
-Geddes and Gonnet, J. Symbolic Comput. 7 (1989)).  Repeated
+instead of dividing: ``valuations`` evaluates a once, at a point X = 2^k
+that Hadamard's and Mignotte's bounds make exact for every place at once,
+and counts how often each p(X) divides a(X); ``gcd_poly`` proves a gcd
+read off the integer gcd of two values (Char, Geddes and Gonnet,
+J. Symbolic Comput. 7 (1989)).  Repeated
 ``exact_quotient`` division and the primitive pseudo-remainder sequence,
 which they replaced, are the tests' references.
 """
@@ -16,6 +17,7 @@ which they replaced, are the tests' references.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 from typing import Iterable, Iterator, Sequence
 
@@ -158,37 +160,50 @@ def exact_quotient(a: IntPoly, p: IntPoly) -> IntPoly | None:
     return tuple(quo)
 
 
-def valuation(p: IntPoly, a: IntPoly) -> int:
-    """Multiplicity v of the primitive irreducible p, of degree d >= 1, in a.
+def valuations(ps: Sequence[IntPoly], a: IntPoly) -> list[int]:
+    """Multiplicity v of each primitive irreducible p in ps, of degree d >= 1, in a.
 
     Write a = p^v * b with p not dividing b, so b is in Z[t] (Gauss's lemma)
     and the nonzero Res(p, b) lies in the ideal (p, b): gcd(p(X), b(X))
     divides it.  Hadamard's bound and Mignotte's |b|_2 <= 2^deg b * |a|_2
     (Math. Comp. 28 (1974)) give, for n = deg a and p2 = sum p_i^2,
     Res(p, b)^2 <= p2^n * 4^(n d) * ((n + 1) * |a|_inf^2)^d < 2^bits.
-    X = 2^k grows until p(X)^2 >= 2^bits; then p(X) never divides b(X), and
+    Any X with p(X)^2 >= 2^bits makes p(X) never divide b(X), so one X = 2^k,
+    grown until that holds for every p of degree at most n, serves them all:
     v counts the divisions of the nonzero a(X) by p(X).
     """
     if not a:
         raise ValueError("valuation of the zero polynomial")
-    d, n = len(p) - 1, len(a) - 1
-    if d < 1:
-        raise ValueError("valuation at a divisor of degree below 1")
-    if n < d:
-        return 0
-    bits = n * sum(c * c for c in p).bit_length() + d * (
-        2 * n + (n + 1).bit_length() + 2 * max(map(abs, a)).bit_length()
-    )
-    k, big_p = bits // (2 * d) + 1, 0
-    while not (big_p * big_p) >> bits:
+    n = len(a) - 1
+    a_bits = 2 * n + (n + 1).bit_length() + 2 * max(map(abs, a)).bit_length()
+    live, k = [], 0  # live: (index, bits) of each p of degree at most n
+    for i, p in enumerate(ps):
+        d = len(p) - 1
+        if d < 1:
+            raise ValueError("valuation at a divisor of degree below 1")
+        if d <= n:
+            bits = n * _square_norm_bits(p) + d * a_bits
+            k = max(k, bits // (2 * d) + 1)
+            live.append((i, bits))
+    while True:
+        big_ps = [_at_power_of_two(ps[i], k) for i, _ in live]
+        if all((big_p * big_p) >> bits for big_p, (_, bits) in zip(big_ps, live)):
+            break
         k += 1
-        big_p = _at_power_of_two(p, k)
-    v = 0
-    big_a, rem = divmod(_at_power_of_two(a, k), big_p)
-    while not rem:
-        v += 1
-        big_a, rem = divmod(big_a, big_p)
-    return v
+    out = [0] * len(ps)
+    big_a = _at_power_of_two(a, k)
+    for (i, _), big_p in zip(live, big_ps):
+        quo, rem = divmod(big_a, big_p)
+        while not rem:
+            out[i] += 1
+            quo, rem = divmod(quo, big_p)
+    return out
+
+
+@lru_cache(maxsize=256)
+def _square_norm_bits(p: IntPoly) -> int:
+    """Bits of sum p_i^2: a place's part of the bound, the same on every call."""
+    return sum(c * c for c in p).bit_length()
 
 
 def _at_power_of_two(a: IntPoly, k: int) -> int:

@@ -731,9 +731,13 @@ def test_parser_is_built_once_and_reused(capsys):
         (["--suite", "boundary", "--coeff-bound", "0"], "coefficient bound 0 must be"),
         (["--suite", "boundary", "--max-degree", "0"], "max degree 0 must be"),
         (["--suite", "boundary", "--max-degree", "101"], "max degree 101 must be at most 100"),
+        (["--suite", "subspace", "--max-degree", "101"], "max degree 101 must be at most 100"),
+        (["--suite", "subspace", "--max-degree", "1000000"],
+         "max degree 1000000 must be at most 100"),
     ],
     ids=["subspace-degree", "subspace-bound", "probe-bound", "probe-degree",
-         "boundary-bound", "boundary-degree", "boundary-degree-cap"],
+         "boundary-bound", "boundary-degree", "boundary-degree-cap",
+         "subspace-degree-cap", "subspace-degree-far-above-cap"],
 )
 def test_stress_unsatisfiable_parameters_exit_3(capsys, argv, message):
     start = time.perf_counter()
@@ -742,3 +746,13 @@ def test_stress_unsatisfiable_parameters_exit_3(capsys, argv, message):
     assert code == 3
     assert err.startswith("input error") and message in err
     assert out == ""
+
+
+def test_stress_subspace_runs_at_the_degree_cap(capsys):
+    # a sample's cost grows with its degree; the cap itself still runs
+    code, out, _ = run(
+        capsys, "stress", "--suite", "subspace", "--samples", "5",
+        "--coeff-bound", "1", "--max-degree", "100",
+    )
+    assert code == 0
+    assert json.loads(out)["samples"] == 5

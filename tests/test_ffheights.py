@@ -29,7 +29,7 @@ from orbicert.ffheights import (
     RatMap,
     _certify_irreducible,
     _linear_value,
-    _local_value,
+    _local_values,
     _parse,
     _pool_places,
     _sweep,
@@ -358,8 +358,10 @@ def forms_at_points(draw):
 def test_local_value_matches_its_definition(case):
     form, x, place = case
     fx = form.evaluate(x)
-    want = place.valuation(fx) - form.degree * coordinate_minimum(x, place)
-    assert _local_value(place, fx, form.degree, x) == want
+    # the drawn place first, then every other place the sweeps use
+    places = list(dict.fromkeys([place, Place.infinite(), *_pool_places()]))
+    want = [p.valuation(fx) - form.degree * coordinate_minimum(x, p) for p in places]
+    assert _local_values(places, fx, form.degree * x.height) == want
 
 
 def test_random_places_are_two_to_four_distinct_places():
@@ -527,6 +529,30 @@ def test_form_str_round_trip():
     for _ in range(150):
         form = _random_form(rng, rng.randint(2, 4), rng.randint(1, 3), 9)
         assert parse_form(str(form), form.nvars) == form
+
+
+def test_random_form_equals_make_on_the_same_draws():
+    # _random_form builds HForm directly; replaying its seed through the
+    # validating constructor must give the same form and leave the stream
+    # at the same state, so the sweeps draw exactly as before
+    from orbicert.ffheights import _random_form
+
+    params = random.Random(1301)
+    for seed in range(300):
+        nvars, degree, bound = params.randint(2, 4), params.randint(1, 3), params.choice([1, 9])
+        rng, replay = random.Random(seed), random.Random(seed)
+        form = _random_form(rng, nvars, degree, bound)
+        exps = [
+            e
+            for e in itertools.product(range(degree + 1), repeat=nvars)
+            if sum(e) == degree
+        ]
+        while True:
+            terms = {e: replay.randint(-bound, bound) for e in exps}
+            if any(terms.values()):
+                break
+        assert form == HForm.make(nvars, terms)
+        assert rng.getstate() == replay.getstate()
 
 
 # -- the hand-written tokenizer and parser class the form reader replaced ----------

@@ -8,6 +8,7 @@ valuation by evaluation; and the primitive pseudo-remainder sequence, kept
 here as ``prs_gcd``, is the oracle for the gcd by evaluation.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orbicert import polys
-from orbicert.ffheights import Place
+from orbicert.ffheights import _PLACE_POOL, Place
 from orbicert.polys import (
     ONE,
     ZERO,
@@ -37,7 +38,7 @@ from orbicert.polys import (
     scale,
     to_string,
     trim,
-    valuation,
+    valuations,
 )
 
 
@@ -203,18 +204,27 @@ def test_valuation_known_factorizations():
         f = (rng.choice([1, 2, -3, 5]),)
         for p, e in zip(irreducibles, exps):
             f = mul(f, pow_(p, e))
+        assert valuations(irreducibles, f) == exps, f
         for p, e in zip(irreducibles, exps):
-            assert valuation(p, f) == e, (p, f)
-    with pytest.raises(ValueError):
-        valuation((0, 1), ZERO)
-    # a constant divisor is no place: it would divide its own values forever
-    for p, a in (((1,), (1, 2)), ((2,), (4,)), (ZERO, (1, 1))):
-        with pytest.raises(ValueError, match="degree below 1"):
-            valuation(p, a)
+            assert valuations([p], f) == [e], (p, f)
     # b = t + 241 and p = t^2 + 1 take the same value 257 at t = 16, so the
     # evaluation point must outgrow the bound, not just the coefficients
     assert eval_int((241, 1), 16) == eval_int((1, 0, 1), 16) == 257
-    assert valuation((1, 0, 1), mul((241, 1), (1, 0, 1))) == 1
+    assert valuations([(1, 0, 1)], mul((241, 1), (1, 0, 1))) == [1]
+    # a place of degree above deg a gets 0; no place at all gives no values
+    assert valuations([(1, 1, 0, 1), (0, 1), (1, 0, 1)], (0, 5)) == [0, 1, 0]
+    assert valuations([], (7,)) == []
+
+
+def test_valuations_value_errors():
+    for ps in ([], [(0, 1)], [(0, 1), (1, 0, 1)]):
+        with pytest.raises(ValueError, match="zero polynomial"):
+            valuations(ps, ZERO)
+    # a constant divisor is no place: it would divide its own values forever
+    for p, a in (((1,), (1, 2)), ((2,), (4,)), (ZERO, (1, 1))):
+        for ps in ([p], [(0, 1), p], [p, (1, 0, 1)]):
+            with pytest.raises(ValueError, match="degree below 1"):
+                valuations(ps, a)
 
 
 def reference_valuation(p: tuple, a: tuple) -> int:
@@ -254,7 +264,48 @@ def test_valuation_matches_repeated_division(p, e, cofactor, flip):
     place = neg(p) if flip else p
     v = reference_valuation(p, a)
     assert v >= e
-    assert valuation(place, a) == v
+    assert valuations([place], a) == [v]
+
+
+@st.composite
+def places_and_values(draw):
+    """Distinct places of degree 1 to 3, leads of either sign, in any order,
+    and a nonzero a = c * prod p^e with each e up to 8 and coefficients of c
+    up to 10^30; bare draws keep every e at 0 and c of degree at most 2, so
+    a falls below the degree of a cubic place."""
+    ps = draw(
+        st.lists(
+            st.one_of(st.sampled_from(PLACES), linear_places()),
+            min_size=1, max_size=4, unique=True,
+        )
+    )
+    bare = draw(st.booleans())
+    cofactor = draw(
+        st.lists(st.integers(-(10**30), 10**30), min_size=1, max_size=3).filter(any)
+    )
+    a = trim(cofactor)
+    for p in ps:
+        a = mul(a, pow_(p, 0 if bare else draw(st.integers(0, 8))))
+    flips = draw(st.lists(st.booleans(), min_size=len(ps), max_size=len(ps)))
+    return [neg(p) if flip else p for p, flip in zip(ps, flips)], a
+
+
+@PROPERTY
+@given(places_and_values())
+def test_valuations_match_repeated_division(case):
+    ps, a = case
+    assert valuations(ps, a) == [reference_valuation(p, a) for p in ps]
+
+
+def test_valuations_on_the_product_pool():
+    # every element the product suite draws, at c = 1 and c = -1
+    powers = [[pow_(p, e) for e in range(4)] for p in _PLACE_POOL]
+    for exps in itertools.product(range(4), repeat=len(_PLACE_POOL)):
+        f = ONE
+        for table, e in zip(powers, exps):
+            f = mul(f, table[e])
+        assert valuations(_PLACE_POOL, f) == list(exps), exps
+        assert valuations(_PLACE_POOL, neg(f)) == list(exps), exps
 
 
 def test_valuation_linear_matches_general():
