@@ -158,6 +158,37 @@ def _component_holds(h: Coeff, s: Coeff, a: Coeff, paired: bool) -> bool:
     return rhs < 0 or s * u * u > rhs * rhs
 
 
+def _orbit_sums(
+    kinds: Sequence[tuple[int, bool]], tuples: Sequence[Sequence[int]]
+) -> tuple[int, int]:
+    """h and S of _sums for weights given as one tuple per group of
+    components, kinds[g] being group g's (degree, paired)."""
+    h = s = 0
+    for (d, paired), ws in zip(kinds, tuples):
+        for w in ws:
+            a = w * d
+            h += a
+            if paired:
+                s += a * a
+    return h, s
+
+
+def _orbit_holds(kinds: Sequence[tuple[int, bool]], tuples: Sequence[Sequence[int]]) -> bool:
+    """Every filtration inequality holds for the weights tuples[g] on the
+    components of group g, each tuple in ascending order.
+
+    With h and S fixed each rule only gets harder as a grows: a paired
+    component holds iff h - 2a > sqrt(S) (the other root of (h - 2a)^2 > S
+    would need a > h), an unpaired one iff 3a < h - 2S/(h + sqrt(S)).  So a
+    group holds iff its largest weight does, and _component_holds is called
+    once per group.
+    """
+    h, s = _orbit_sums(kinds, tuples)
+    return all(
+        _component_holds(h, s, ws[-1] * d, paired) for (d, paired), ws in zip(kinds, tuples)
+    )
+
+
 def _ample(cfg: SurfaceConfig) -> bool:
     # the sufficient test on D_p: every exceptional pairing is a positive
     # weight, and the Bezout residue is the degree on unpaired components.

@@ -21,7 +21,6 @@ from collections import Counter
 from contextlib import contextmanager
 from functools import partial
 from math import lcm
-from multiprocessing import Pool
 
 from .certifier import build_report
 from .lattice import MAX_PAIRED_DEGREE, ConfigError, InternalError, SurfaceConfig
@@ -62,6 +61,14 @@ def random_passing_candidate(
         slot = rng.randrange(len(weights))
         weights[slot] = max(1, min(bound, weights[slot] + rng.choice((-1, 1))))
     return cfg, WeightedBoundary.make(weights)
+
+
+def Pool(processes: int):
+    """multiprocessing.Pool, imported on the first call: a run on one
+    process never loads multiprocessing."""
+    from multiprocessing import Pool as pool
+
+    return pool(processes)
 
 
 @contextmanager

@@ -12,8 +12,11 @@ and keeps those whose full hypothesis checklist passes, optimizing either
 the weight sum or the certified slack.  Permuting weights among
 interchangeable components never changes a verdict, so the search decides
 one sorted representative per orbit and expands each passing orbit into
-its permutations.  The checklist is decided with integers first; only
-passing orbits get a full report.
+its permutations.  Orbits are not tested one by one: the walk fixes every
+weight but the largest, t, of one unpaired group, and the passing t then
+form one interval, whose ends certifier._component_holds decides in
+integers by bisection.  Only passing orbits get a full report, which
+checks each of them again.
 """
 
 from __future__ import annotations
@@ -22,8 +25,10 @@ import itertools
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
-from .certifier import _BLOCKING, build_report, checklist_holds, config_hypotheses
+from .certifier import _BLOCKING, _ample, _component_holds, _orbit_holds, _orbit_sums
+from .certifier import build_report, checklist_holds, config_hypotheses
 from .lattice import ConfigError, InternalError, SurfaceConfig
 from .positivity import WeightedBoundary
 from .quadext import QuadExt
@@ -66,12 +71,16 @@ class SearchResult:
     hits: tuple[SearchHit, ...]
 
 
-def _evaluate(cfg: SurfaceConfig, weights: tuple[int, ...]) -> SearchHit | None:
-    # the walk's ints lie in [1, bound] and need no WeightedBoundary.make;
-    # exact values are built only for the vectors the integer rule passes
+def _evaluate(cfg: SurfaceConfig, weights: tuple[int, ...]) -> SearchHit:
+    """The hit of a vector the kernel admitted, with its exact slack.
+
+    The walk's ints lie in [1, bound] and need no WeightedBoundary.make.
+    checklist_holds and build_report decide the vector again, apart from
+    the kernel; a disagreement is an InternalError.
+    """
     wb = WeightedBoundary(weights)
     if not checklist_holds(cfg, wb):
-        return None
+        raise InternalError(f"search admitted weights {weights}, which checklist_holds rejects")
     report = build_report(cfg, wb)
     if report.slack is None or report.slack.sign() <= 0:
         raise InternalError(
@@ -94,8 +103,7 @@ def _orbit_groups(cfg: SurfaceConfig) -> list[list[int]]:
     (SurfaceConfig.validate enforces this), and its pairing degree plays no
     part.  Permuting weights within a group only reorders the report's
     components, so every vector of an orbit shares its verdict, slack and
-    slack_lower.  Groups come in order of their first component, so
-    component 0 lies in the first group.
+    slack_lower.  Groups come in order of their first component.
     """
     groups: dict[tuple[int, bool], list[int]] = {}
     for i, comp in enumerate(cfg.components):
@@ -148,21 +156,89 @@ def _place(tuples, slot: list[int]) -> tuple[int, ...]:
     return tuple(flat[k] for k in slot)
 
 
-def _search_chunk(args) -> list[SearchHit]:
-    """Every passing vector whose first group has least weight ``first``.
+def _least(holds, low: int, high: int) -> int:
+    """The least t in [low, high] with holds(t), or high + 1, for a holds
+    that is false and then true on the range.  The result is confirmed on
+    both sides: holds(t) was true, and holds(t - 1) false unless t = low."""
+    while low <= high:
+        mid = (low + high) // 2
+        if holds(mid):
+            high = mid - 1
+        else:
+            low = mid + 1
+    return low
 
-    One sorted tuple per group names an orbit; _evaluate decides one vector
-    of it, and a passing orbit yields a hit for each distinct permutation.
+
+def _passing(kinds, prefix, low: int, high: int) -> range:
+    """The t in [low, high] for which the orbit prefix + (t,) passes.
+
+    kinds[-1] is an unpaired group of degree d, and t its largest weight.
+    S is fixed and h = H0 + d t.  Every other group's rule, at its largest
+    weight (_orbit_holds), only gets easier as h grows, so those rules hold
+    from some t on.  t's own
+    rule only gets harder wherever h > sqrt(S), which those rules imply:
+    3 d t grows faster than h - 2S/(h + sqrt(S)), whose slope is below
+    3d/2.  _component_holds decides every probe, and _orbit_holds confirms
+    both ends of a passing interval from the inside and the outside.
     """
-    cfg, bound, first = args
+    d = kinds[-1][0]
+    h0, s = _orbit_sums(kinds, prefix)
+    tops = [(ws[-1] * dg, paired) for (dg, paired), ws in zip(kinds, prefix[:-1])]
+
+    def others_hold(t: int) -> bool:
+        return all(_component_holds(h0 + d * t, s, a, paired) for a, paired in tops)
+
+    def own_fails(t: int) -> bool:
+        return not _component_holds(h0 + d * t, s, d * t, False)
+
+    start = _least(others_hold, low, high)
+    ts = range(start, _least(own_fails, start, high))
+    if ts:
+        def holds(t: int) -> bool:
+            return _orbit_holds(kinds, (*prefix[:-1], (*prefix[-1], t)))
+
+        outside = [t for t in (ts[0] - 1, ts[-1] + 1) if low <= t <= high]
+        if not (holds(ts[0]) and holds(ts[-1])) or any(map(holds, outside)):
+            raise InternalError(f"orbit prefix {prefix}: _orbit_holds refuses the ends of {ts}")
+    return ts
+
+
+def _walk(cfg: SurfaceConfig) -> tuple[list[list[int]], list[tuple[int, bool]]]:
+    """_orbit_groups with its last unpaired group moved to the end, and
+    each group's (degree, paired).  The config has an unpaired component."""
     groups = _orbit_groups(cfg)
+    kinds = [(cfg.components[g[0]].degree, cfg.components[g[0]].paired) for g in groups]
+    last = max(g for g, (_, paired) in enumerate(kinds) if not paired)
+    groups.append(groups.pop(last))
+    kinds.append(kinds.pop(last))
+    return groups, kinds
+
+
+def _search_chunk(cfg: SurfaceConfig, bound: int, first: int) -> list[SearchHit]:
+    """Every passing vector whose first walked group has least weight ``first``.
+
+    Ampleness needs an unpaired component.  The walk puts one unpaired group
+    last and fixes every weight but that group's largest, t; the passing t
+    then form one interval (_passing).  _evaluate decides one vector per
+    passing orbit, and each distinct permutation of it is a hit.
+    """
+    if not _ample(cfg):
+        return []
+    groups, kinds = _walk(cfg)
     order = [i for group in groups for i in group]
     # slot[i]: where component i's weight sits in the group-ordered tuple
     slot = [order.index(i) for i in range(cfg.r)]
+    sizes = [len(g) for g in groups]
+    sizes[-1] -= 1
+    # a lone component's weight t is itself the first walked group's least
+    lone = sizes == [0]
     hits = []
-    for orbit in _orbits([len(g) for g in groups], bound, first):
-        hit = _evaluate(cfg, _place(orbit, slot))
-        if hit is not None:
+    for prefix in [((),)] if lone else _orbits(sizes, bound, first):
+        # t is at least the other weights of its group
+        low = first if lone else max(prefix[-1], default=1)
+        for t in _passing(kinds, prefix, low, first if lone else bound):
+            orbit = (*prefix[:-1], (*prefix[-1], t))
+            hit = _evaluate(cfg, _place(orbit, slot))
             hits.extend(
                 SearchHit(_place(perm, slot), hit.slack, hit.slack_lower, hit.weight_sum)
                 for perm in itertools.product(*map(_distinct_permutations, orbit))
@@ -180,10 +256,10 @@ def search_weights(
 ) -> SearchResult:
     """Exhaust integer weights in [1, bound]^r and rank passing vectors.
 
-    The walk decides one vector per orbit of interchangeable components
-    (_orbit_groups); feasible_count and hits still count every vector.  A
-    config that fails one of certify's weight-independent hypotheses
-    (config_hypotheses) has no passing vector.
+    The walk decides one interval of orbits of interchangeable components
+    (_orbit_groups) per orbit prefix (_passing); feasible_count and hits
+    still count every vector.  A config that fails one of certify's
+    weight-independent hypotheses (config_hypotheses) has no passing vector.
     """
     if objective not in ("min-sum", "max-slack"):
         raise ConfigError(f"unknown objective {objective!r}")
@@ -197,8 +273,8 @@ def search_weights(
         # certify passes no weights at all on such a config
         return SearchResult(objective, bound, 0, None, ())
 
-    tasks = [(cfg, bound, first) for first in range(1, bound + 1)]
-    with ordered_map(_search_chunk, tasks, processes, 1) as chunks:
+    decide = partial(_search_chunk, cfg, bound)
+    with ordered_map(decide, range(1, bound + 1), processes, 1) as chunks:
         hits: list[SearchHit] = [h for chunk in chunks for h in chunk]
     # ties break toward the smaller sum, then the lex smaller vector
     ordered = sorted(hits, key=lambda h: (h.weight_sum, h.weights))

@@ -756,3 +756,27 @@ def test_stress_subspace_runs_at_the_degree_cap(capsys):
     )
     assert code == 0
     assert json.loads(out)["samples"] == 5
+
+
+ONE_PROCESS = """
+import sys
+from orbicert import cli
+
+for argv in (["search", "--bound", "4"],
+             ["stress", "--suite", "boundary", "--samples", "8"]):
+    assert cli.main([*argv, "--threads", "1"]) == 0
+print("multiprocessing" in sys.modules)
+"""
+
+
+def test_one_process_never_imports_multiprocessing():
+    src = str(Path(orbicert.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-c", ONE_PROCESS],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"},
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "False"

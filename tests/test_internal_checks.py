@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 import orbicert
-from orbicert import certifier, constants, ffheights, lattice, orbifold, polys
+from orbicert import certifier, constants, ffheights, lattice, orbifold, polys, weights
 from orbicert.catalog import load_builtin
 from orbicert.lattice import DivisorClass, InternalError, SurfaceConfig
 from orbicert.positivity import Verdict, WeightedBoundary
@@ -127,10 +127,25 @@ def force_twist_threshold():
         orbifold.ample_twist_threshold(cfg, wb, 100, (orbifold.INF,) * 4)
 
 
+def force_search_admits_failing():
+    # checklist_holds rejects (4, 4, 4, 3), which the kernel admits
+    with patched(weights, "checklist_holds", lambda cfg, wb: False):
+        weights.search_weights(load_builtin("four-lines"), 4)
+
+
+def force_search_interval_ends():
+    # every bisection probe passes, so each interval runs from 1 to the bound
+    # and _orbit_holds refuses its ends
+    with patched(weights, "_component_holds", lambda h, s, a, paired: True):
+        weights.search_weights(load_builtin("four-lines"), 4)
+
+
 FORCED = {
     "gcd-cofactor": force_gcd_cofactor,
     "chi-parity": force_chi_parity,
     "report-square": force_report_square,
+    "search-admits-failing": force_search_admits_failing,
+    "search-interval-ends": force_search_interval_ends,
     "sections-sign": force_sections_sign,
     "sum-parity": force_sum_parity,
     "subspace-basis": force_subspace_basis,

@@ -2,12 +2,15 @@
 
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbicert.catalog import load_builtin
-from orbicert.certifier import build_report, certify
+from orbicert.certifier import _orbit_holds, build_report, certify, checklist_holds
 from orbicert import sampling, weights
 from orbicert.lattice import ConfigError, InternalError, SurfaceConfig
 from orbicert.positivity import WeightedBoundary
@@ -21,6 +24,14 @@ from orbicert.sampling import (
 from orbicert.weights import proportional_weights, search_weights
 
 FOUR_LINES = load_builtin("four-lines")
+# a paired conic of pairing degree 1, a paired line, an unpaired line and an
+# unpaired conic: 174 passing vectors at bound 12
+TWO_FREE = SurfaceConfig.from_json_dict({"components": [
+    {"degree": 2, "paired": True, "pairing_degree": 1},
+    {"degree": 1, "paired": True, "pairing_degree": 1},
+    {"degree": 1},
+    {"degree": 2},
+]})
 
 
 def test_proportional_known_values():
@@ -183,7 +194,9 @@ def test_random_passing_candidate_mix():
 
 
 def test_search_hit_without_slack_is_internal_error(monkeypatch):
-    # a vector the integer decision passes must have a positive QuadExt slack
+    # a vector the kernel admits and checklist_holds passes must have a
+    # positive QuadExt slack
+    monkeypatch.setattr(weights, "_passing", lambda kinds, prefix, low, high: range(low, high + 1))
     monkeypatch.setattr(weights, "checklist_holds", lambda cfg, wb: True)
     with pytest.raises(InternalError, match="slack None"):
         search_weights(FOUR_LINES, 2)
@@ -214,4 +227,98 @@ def test_search_maps_one_first_weight_per_task(stand_in_pool):
     assert stand_in_pool.sizes == []
     assert search_weights(FOUR_LINES, 4, processes=2) == one
     assert stand_in_pool.sizes == [2]
-    assert stand_in_pool.tasks == [[[(FOUR_LINES, 4, first)] for first in range(1, 5)]]
+    assert stand_in_pool.tasks == [[[first] for first in range(1, 5)]]
+
+
+def test_search_builds_no_task_list(monkeypatch):
+    # the first weights are a range: a list of one task per first weight took
+    # about 100 MB at this bound before any orbit was decided
+    class Decided(Exception):
+        pass
+
+    def decide(*args):
+        raise Decided
+
+    monkeypatch.setattr(weights, "_search_chunk", decide)
+    tracemalloc.start()
+    try:
+        with pytest.raises(Decided):
+            search_weights(FOUR_LINES, 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6
+
+
+def brute_force(cfg, bound):
+    """Every vector of [1, bound]^r that checklist_holds passes, in order."""
+    return [
+        v
+        for v in itertools.product(range(1, bound + 1), repeat=cfg.r)
+        if checklist_holds(cfg, WeightedBoundary(v))
+    ]
+
+
+@st.composite
+def shapes(draw):
+    """1-3 paired and 1-2 unpaired components of degree 1-3, in any order."""
+    degrees = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    comps = [
+        {"degree": d, "paired": True, "pairing_degree": draw(st.integers(1, d))}
+        for d in degrees
+    ]
+    comps += [{"degree": d} for d in draw(st.lists(st.integers(1, 3), min_size=1, max_size=2))]
+    return SurfaceConfig.from_json_dict({"components": draw(st.permutations(comps))})
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(shapes(), st.integers(1, 8))
+def test_search_hits_are_the_brute_force_passes(cfg, bound):
+    result = search_weights(cfg, bound)
+    assert sorted(h.weights for h in result.hits) == brute_force(cfg, bound)
+    assert result.feasible_count == len(result.hits)
+
+
+def test_search_on_two_unpaired_components_is_the_brute_force():
+    result = search_weights(TWO_FREE, 8, "max-slack")
+    assert sorted(h.weights for h in result.hits) == brute_force(TWO_FREE, 8)
+    assert max(h.slack for h in result.hits) == result.best.slack
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        FOUR_LINES,
+        TWO_FREE,
+        SurfaceConfig.from_json_dict({"components": [
+            {"degree": 1, "paired": True}, {"degree": 2}, {"degree": 2},
+            {"degree": 2, "paired": True, "pairing_degree": 2},
+        ]}),
+        SurfaceConfig.from_json_dict({"components": [{"degree": 1}] * 4}),
+    ],
+    ids=["four-lines", "two-free", "two-free-conics", "four-free-lines"],
+)
+def test_every_interval_is_tight(cfg):
+    # _passing gives exactly the t that checklist_holds passes, so both ends
+    # are tight; _orbit_holds decides every orbit as checklist_holds does
+    bound = 12
+    groups, kinds = weights._walk(cfg)
+    order = [i for group in groups for i in group]
+    slot = [order.index(i) for i in range(cfg.r)]
+    sizes = [len(g) for g in groups]
+    sizes[-1] -= 1
+    inner_ends = 0
+    for prefix in weights._orbits(sizes, bound):
+        low = max(prefix[-1], default=1)
+        ts = weights._passing(kinds, prefix, low, bound)
+        passing = []
+        for t in range(low, bound + 1):
+            orbit = (*prefix[:-1], (*prefix[-1], t))
+            holds = checklist_holds(cfg, WeightedBoundary(weights._place(orbit, slot)))
+            assert _orbit_holds(kinds, orbit) == holds
+            if holds:
+                passing.append(t)
+        assert passing == list(ts)
+        if ts:
+            inner_ends += (low < ts[0]) + (ts[-1] < bound)
+    assert inner_ends > 0
