@@ -21,8 +21,10 @@ from .certifier import (
     FAIL,
     INCONCLUSIVE,
     PASS,
+    _ample,
     build_report,
     certify,
+    config_blocker,
     decode_multiplicity,
 )
 from .constants import ChainMismatchError, InfeasibleError, feasible_chain, verify_chain
@@ -152,6 +154,9 @@ def cmd_search(args) -> int:
             f"sum {hit.weight_sum} slack {hit.slack}"
         )
     if result.best is None:
+        if config_blocker(cfg) is None and not _ample(cfg):
+            print("inconclusive: ampleness is not certified at any weights")
+            return EXIT_INCONCLUSIVE
         print("no passing weights at this bound")
         return EXIT_FAIL
     print(
@@ -169,7 +174,14 @@ def cmd_constants(args) -> int:
     cfg = _load_config(args)
     wb = _resolve_weights(args, cfg)
     report = build_report(cfg, wb)
-    if report.slack_lower is None or report.slack_lower <= 0:
+    blocker = config_blocker(cfg)
+    if blocker is not None:
+        print(f"hypothesis checklist does not pass: first failure {blocker.name}")
+        return EXIT_FAIL
+    if not report.ample.certified:
+        print(f"ampleness not certified: {report.ample.reason}")
+        return EXIT_INCONCLUSIVE
+    if not report.passes:
         print("hypothesis checklist does not pass; no constants to derive")
         return EXIT_FAIL
     eps = Fraction(args.eps) if args.eps is not None else report.slack_lower

@@ -15,8 +15,9 @@ one sorted representative per orbit and expands each passing orbit into
 its permutations.  Orbits are not tested one by one: the walk fixes every
 weight but the largest, t, of one unpaired group, and the passing t then
 form one interval, whose ends certifier._component_holds decides in
-integers by bisection.  Only passing orbits get a full report, which
-checks each of them again.
+integers by bisection.  Each passing orbit gets one full report, whose
+verdict admits it, and checklist_holds refuses the two neighbours just
+outside each interval.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
-from .certifier import _BLOCKING, _ample, _component_holds, _orbit_holds, _orbit_sums
-from .certifier import build_report, checklist_holds, config_hypotheses
+from .certifier import _ample, _component_holds, _orbit_sums
+from .certifier import build_report, checklist_holds, config_blocker
 from .lattice import ConfigError, InternalError, SurfaceConfig
 from .positivity import WeightedBoundary
 from .quadext import QuadExt
@@ -75,17 +76,12 @@ def _evaluate(cfg: SurfaceConfig, weights: tuple[int, ...]) -> SearchHit:
     """The hit of a vector the kernel admitted, with its exact slack.
 
     The walk's ints lie in [1, bound] and need no WeightedBoundary.make.
-    checklist_holds and build_report decide the vector again, apart from
-    the kernel; a disagreement is an InternalError.
+    build_report decides the vector again, apart from the kernel; a
+    disagreement, or a slack that is not positive, is an InternalError.
     """
-    wb = WeightedBoundary(weights)
-    if not checklist_holds(cfg, wb):
-        raise InternalError(f"search admitted weights {weights}, which checklist_holds rejects")
-    report = build_report(cfg, wb)
-    if report.slack is None or report.slack.sign() <= 0:
-        raise InternalError(
-            f"weights {weights} pass the integer checklist but have slack {report.slack}"
-        )
+    report = build_report(cfg, WeightedBoundary(weights))
+    if not report.passes:
+        raise InternalError(f"search admitted weights {weights}, which build_report rejects")
     return SearchHit(
         weights=weights,
         slack=report.slack,
@@ -172,14 +168,18 @@ def _least(holds, low: int, high: int) -> int:
 def _passing(kinds, prefix, low: int, high: int) -> range:
     """The t in [low, high] for which the orbit prefix + (t,) passes.
 
+    With h and S fixed each rule only gets harder as a = p_i d_i grows:
+    a paired component holds iff h - 2a > sqrt(S) (the other root of
+    (h - 2a)^2 > S would need a > h), an unpaired one iff
+    3a < h - 2S/(h + sqrt(S)).  So a group holds iff its largest weight does.
+
     kinds[-1] is an unpaired group of degree d, and t its largest weight.
     S is fixed and h = H0 + d t.  Every other group's rule, at its largest
-    weight (_orbit_holds), only gets easier as h grows, so those rules hold
-    from some t on.  t's own
-    rule only gets harder wherever h > sqrt(S), which those rules imply:
-    3 d t grows faster than h - 2S/(h + sqrt(S)), whose slope is below
-    3d/2.  _component_holds decides every probe, and _orbit_holds confirms
-    both ends of a passing interval from the inside and the outside.
+    weight, only gets easier as h grows, so those rules hold from some t
+    on.  t's own rule only gets harder wherever h > sqrt(S), which those
+    rules imply: 3 d t grows faster than h - 2S/(h + sqrt(S)), whose slope
+    is below 3d/2.  The caller confirms each end: build_report admits the
+    orbits inside, and checklist_holds refuses the neighbours outside.
     """
     d = kinds[-1][0]
     h0, s = _orbit_sums(kinds, prefix)
@@ -192,15 +192,7 @@ def _passing(kinds, prefix, low: int, high: int) -> range:
         return not _component_holds(h0 + d * t, s, d * t, False)
 
     start = _least(others_hold, low, high)
-    ts = range(start, _least(own_fails, start, high))
-    if ts:
-        def holds(t: int) -> bool:
-            return _orbit_holds(kinds, (*prefix[:-1], (*prefix[-1], t)))
-
-        outside = [t for t in (ts[0] - 1, ts[-1] + 1) if low <= t <= high]
-        if not (holds(ts[0]) and holds(ts[-1])) or any(map(holds, outside)):
-            raise InternalError(f"orbit prefix {prefix}: _orbit_holds refuses the ends of {ts}")
-    return ts
+    return range(start, _least(own_fails, start, high))
 
 
 def _walk(cfg: SurfaceConfig) -> tuple[list[list[int]], list[tuple[int, bool]]]:
@@ -220,7 +212,8 @@ def _search_chunk(cfg: SurfaceConfig, bound: int, first: int) -> list[SearchHit]
     Ampleness needs an unpaired component.  The walk puts one unpaired group
     last and fixes every weight but that group's largest, t; the passing t
     then form one interval (_passing).  _evaluate decides one vector per
-    passing orbit, and each distinct permutation of it is a hit.
+    passing orbit, and each distinct permutation of it is a hit; the vector
+    just outside each end must fail checklist_holds.
     """
     if not _ample(cfg):
         return []
@@ -235,8 +228,13 @@ def _search_chunk(cfg: SurfaceConfig, bound: int, first: int) -> list[SearchHit]
     hits = []
     for prefix in [((),)] if lone else _orbits(sizes, bound, first):
         # t is at least the other weights of its group
-        low = first if lone else max(prefix[-1], default=1)
-        for t in _passing(kinds, prefix, low, first if lone else bound):
+        low, high = (first, first) if lone else (max(prefix[-1], default=1), bound)
+        ts = _passing(kinds, prefix, low, high)
+        for t in (ts[0] - 1, ts[-1] + 1) if ts else ():
+            outside = _place((*prefix[:-1], (*prefix[-1], t)), slot)
+            if low <= t <= high and checklist_holds(cfg, WeightedBoundary(outside)):
+                raise InternalError(f"orbit prefix {prefix}: {outside} passes outside {ts}")
+        for t in ts:
             orbit = (*prefix[:-1], (*prefix[-1], t))
             hit = _evaluate(cfg, _place(orbit, slot))
             hits.extend(
@@ -259,7 +257,7 @@ def search_weights(
     The walk decides one interval of orbits of interchangeable components
     (_orbit_groups) per orbit prefix (_passing); feasible_count and hits
     still count every vector.  A config that fails one of certify's
-    weight-independent hypotheses (config_hypotheses) has no passing vector.
+    weight-independent hypotheses (config_blocker) has no passing vector.
     """
     if objective not in ("min-sum", "max-slack"):
         raise ConfigError(f"unknown objective {objective!r}")
@@ -269,7 +267,7 @@ def search_weights(
         raise ConfigError(f"limit {limit} must not be negative")
     if not cfg.components:
         raise ConfigError("empty component list")
-    if any(h.status in _BLOCKING for h in config_hypotheses(cfg)):
+    if config_blocker(cfg) is not None:
         # certify passes no weights at all on such a config
         return SearchResult(objective, bound, 0, None, ())
 

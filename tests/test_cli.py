@@ -229,6 +229,28 @@ def test_search_fails_a_config_that_certify_fails(capsys, tmp_path):
     assert out == "feasible weight vectors: 0\nno passing weights at this bound\n"
 
 
+def write_config(tmp_path, doc):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+# every weight vector of three paired lines leaves ampleness inconclusive
+THREE_PAIRED = {"components": [{"degree": 1, "paired": True}] * 3}
+
+
+def test_search_on_a_config_never_ample_is_inconclusive(capsys, tmp_path):
+    path = write_config(tmp_path, THREE_PAIRED)
+    code, out, _ = run(capsys, "certify", "--config", path, "--weights", "1,1,1")
+    assert code == 2 and "overall: inconclusive" in out
+    code, out, _ = run(capsys, "search", "--config", path, "--bound", "5")
+    assert code == 2
+    assert out == (
+        "feasible weight vectors: 0\n"
+        "inconclusive: ampleness is not certified at any weights\n"
+    )
+
+
 def test_search_negative_limit_exits_3(capsys):
     code, out, err = run(capsys, "search", "--bound", "6", "--limit", "-1")
     assert code == 3
@@ -261,6 +283,25 @@ def test_constants_failing_config(capsys):
     )
     assert code == 1
     assert "does not pass" in out
+
+
+def test_constants_fails_a_config_that_certify_fails(capsys, tmp_path):
+    doc = {**load_builtin("four-lines").to_json_dict(), "no_three_meet": False}
+    path = write_config(tmp_path, doc)
+    code, out, _ = run(capsys, "certify", "--config", path, "--weights", "4,4,4,3")
+    assert code == 1 and "first failure: no_three_meet" in out
+    code, out, _ = run(capsys, "constants", "--config", path, "--weights", "4,4,4,3")
+    assert code == 1
+    assert out == "hypothesis checklist does not pass: first failure no_three_meet\n"
+
+
+def test_constants_on_a_config_never_ample_is_inconclusive(capsys, tmp_path):
+    # constants says what beta says, with the same exit 2
+    path = write_config(tmp_path, THREE_PAIRED)
+    for command in ("beta", "constants"):
+        code, out, _ = run(capsys, command, "--config", path, "--weights", "1,1,1")
+        assert code == 2
+        assert out == "ampleness not certified: bezout_residue_positive\n"
 
 
 def test_constants_chain_failing_its_own_check_is_internal(capsys, monkeypatch, tmp_path):

@@ -7,6 +7,7 @@ time limit, so a retry loop that a broken layer keeps from finishing fails
 the test instead of hanging it.
 """
 
+import dataclasses
 import signal
 import subprocess
 import sys
@@ -22,6 +23,7 @@ from orbicert import certifier, constants, ffheights, lattice, orbifold, polys, 
 from orbicert.catalog import load_builtin
 from orbicert.lattice import DivisorClass, InternalError, SurfaceConfig
 from orbicert.positivity import Verdict, WeightedBoundary
+from orbicert.quadext import QuadExt
 
 
 LIMIT_S = 10
@@ -128,24 +130,45 @@ def force_twist_threshold():
 
 
 def force_search_admits_failing():
-    # checklist_holds rejects (4, 4, 4, 3), which the kernel admits
-    with patched(weights, "checklist_holds", lambda cfg, wb: False):
+    # build_report rejects (4, 4, 4, 3), which the kernel admits
+    build = weights.build_report
+
+    def rejecting(cfg, wb):
+        return dataclasses.replace(build(cfg, wb), passes=False)
+
+    with patched(weights, "build_report", rejecting):
         weights.search_weights(load_builtin("four-lines"), 4)
 
 
 def force_search_interval_ends():
     # every bisection probe passes, so each interval runs from 1 to the bound
-    # and _orbit_holds refuses its ends
+    # and build_report refuses its ends
     with patched(weights, "_component_holds", lambda h, s, a, paired: True):
         weights.search_weights(load_builtin("four-lines"), 4)
+
+
+def force_search_interval_outside():
+    # each interval loses its last t, which passes checklist_holds just
+    # outside what is left
+    passing = weights._passing
+    with patched(weights, "_passing", lambda *args: passing(*args)[:-1]):
+        weights.search_weights(load_builtin("four-lines"), 12)
+
+
+def force_report_slack():
+    # a passing report whose least margin is 0
+    with patched(certifier, "weight_slack", lambda report: (QuadExt(0), Fraction(0))):
+        certifier.certify(*four_lines())
 
 
 FORCED = {
     "gcd-cofactor": force_gcd_cofactor,
     "chi-parity": force_chi_parity,
+    "report-slack": force_report_slack,
     "report-square": force_report_square,
     "search-admits-failing": force_search_admits_failing,
     "search-interval-ends": force_search_interval_ends,
+    "search-interval-outside": force_search_interval_outside,
     "sections-sign": force_sections_sign,
     "sum-parity": force_sum_parity,
     "subspace-basis": force_subspace_basis,

@@ -10,11 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orbicert.catalog import load_builtin
-from orbicert.certifier import _orbit_holds, build_report, certify, checklist_holds
-from orbicert import sampling, weights
+from orbicert.certifier import build_report, certify, checklist_holds
+from orbicert import certifier, sampling, weights
 from orbicert.lattice import ConfigError, InternalError, SurfaceConfig
 from orbicert.positivity import WeightedBoundary
-from orbicert.quadext import compare_cross
+from orbicert.quadext import QuadExt, compare_cross
 from orbicert.sampling import (
     ordered_map,
     random_config,
@@ -194,12 +194,38 @@ def test_random_passing_candidate_mix():
 
 
 def test_search_hit_without_slack_is_internal_error(monkeypatch):
-    # a vector the kernel admits and checklist_holds passes must have a
-    # positive QuadExt slack
-    monkeypatch.setattr(weights, "_passing", lambda kinds, prefix, low, high: range(low, high + 1))
-    monkeypatch.setattr(weights, "checklist_holds", lambda cfg, wb: True)
-    with pytest.raises(InternalError, match="slack None"):
-        search_weights(FOUR_LINES, 2)
+    # a vector that build_report passes must have a positive QuadExt slack
+    monkeypatch.setattr(certifier, "weight_slack", lambda report: (QuadExt(0), Fraction(0)))
+    with pytest.raises(InternalError, match="passing report has slack 0"):
+        search_weights(FOUR_LINES, 4)
+
+
+def _counted(monkeypatch, name):
+    """Wrap weights.<name> so that each call appends its result to a list."""
+    results, inner = [], getattr(weights, name)
+
+    def counted(*args):
+        results.append(inner(*args))
+        return results[-1]
+
+    monkeypatch.setattr(weights, name, counted)
+    return results
+
+
+@pytest.mark.parametrize(
+    "cfg, bound, orbits", [(FOUR_LINES, 12, 39), (TWO_FREE, 8, 35)], ids=["four-lines", "two-free"]
+)
+def test_search_decides_each_passing_orbit_once(monkeypatch, cfg, bound, orbits):
+    # build_report admits each passing orbit, and checklist_holds sees only
+    # the neighbours just outside an interval, which fail
+    reports = _counted(monkeypatch, "build_report")
+    verdicts = _counted(monkeypatch, "checklist_holds")
+    result = search_weights(cfg, bound, "max-slack")
+    groups = weights._orbit_groups(cfg)
+    passing = {tuple(tuple(sorted(h.weights[i] for i in g)) for g in groups) for h in result.hits}
+    assert len(reports) == len(passing) == orbits
+    assert all(r.passes for r in reports)
+    assert verdicts and not any(verdicts)
 
 
 def _mapped(items, processes, chunk=1):
@@ -300,7 +326,7 @@ def test_search_on_two_unpaired_components_is_the_brute_force():
 )
 def test_every_interval_is_tight(cfg):
     # _passing gives exactly the t that checklist_holds passes, so both ends
-    # are tight; _orbit_holds decides every orbit as checklist_holds does
+    # are tight
     bound = 12
     groups, kinds = weights._walk(cfg)
     order = [i for group in groups for i in group]
@@ -314,9 +340,7 @@ def test_every_interval_is_tight(cfg):
         passing = []
         for t in range(low, bound + 1):
             orbit = (*prefix[:-1], (*prefix[-1], t))
-            holds = checklist_holds(cfg, WeightedBoundary(weights._place(orbit, slot)))
-            assert _orbit_holds(kinds, orbit) == holds
-            if holds:
+            if checklist_holds(cfg, WeightedBoundary(weights._place(orbit, slot))):
                 passing.append(t)
         assert passing == list(ts)
         if ts:
